@@ -22,8 +22,6 @@ from .linalg import (
     kernel,
     quotient_action,
     rref,
-    subspace_intersection,
-    subspace_sum,
 )
 from .algebra import (
     AlgebraBasis,

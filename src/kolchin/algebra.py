@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .fields import Field
-from .linalg import Matrix, RowSpan, Subspace, express_in_rows, rref
+from .linalg import Matrix, RowSpan, Subspace, express_in_rows, flat, kernel, rref
 
 
 class CharacteristicTooSmallError(ValueError):
@@ -22,8 +22,13 @@ class InternalInconsistencyError(RuntimeError):
     """A structural self-check failed; indicates a bug, not bad input."""
 
 
-def _flat(m: Matrix) -> tuple:
-    return tuple(x for row in m.rows for x in row)
+def _flatten(m: Matrix) -> Matrix:
+    # the 1 x n^2 matrix of the entries of m in row-major order
+    return Matrix.from_ints(m.field, (flat(m),), m.den, m.nrows * m.ncols)
+
+
+def _unflatten(field: Field, row: Sequence[int], den: int, n: int) -> Matrix:
+    return Matrix.from_ints(field, [row[i * n:(i + 1) * n] for i in range(n)], den, n)
 
 
 class AlgebraBasis:
@@ -36,8 +41,7 @@ class AlgebraBasis:
 
     __slots__ = ("field", "matrix_size", "basis", "_ech", "_flat_matrix")
 
-    def __init__(self, field: Field, matrix_size: int, basis: Sequence[Matrix],
-                 check: bool = True):
+    def __init__(self, field: Field, matrix_size: int, basis: Sequence[Matrix]):
         self.field = field
         self.matrix_size = matrix_size
         self.basis = tuple(basis)
@@ -46,13 +50,13 @@ class AlgebraBasis:
         for b in self.basis:
             if b.nrows != matrix_size or b.ncols != matrix_size or b.field != field:
                 raise ValueError("basis matrices must be square of the stated size")
-        self._flat_matrix = Matrix(field, [_flat(b) for b in self.basis],
-                                   ncols=matrix_size * matrix_size)
+        self._flat_matrix = Matrix.vstack([_flatten(b) for b in self.basis])
+        # for a basis already in echelon form (span_closure's), rref
+        # returns the flat matrix itself as ``reduced``
         self._ech = rref(self._flat_matrix)
         if self._ech.rank != len(self.basis):
             raise ValueError("basis matrices are linearly dependent")
-        if check:
-            self._check_closure()
+        self._check_closure()
 
     def _check_closure(self):
         if not self.contains(Matrix.identity(self.field, self.matrix_size)):
@@ -70,7 +74,7 @@ class AlgebraBasis:
         """Coefficients of ``m`` in the basis, or None if m lies outside."""
         if m.nrows != self.matrix_size or m.ncols != self.matrix_size or m.field != self.field:
             raise ValueError("matrix has the wrong size or field for this algebra")
-        return express_in_rows(self._flat_matrix, _flat(m), self._ech)
+        return express_in_rows(self._flat_matrix, _flatten(m), self._ech)
 
     def contains(self, m: Matrix) -> bool:
         return self.coordinates(m) is not None
@@ -78,12 +82,13 @@ class AlgebraBasis:
     def from_coordinates(self, coords: Sequence) -> Matrix:
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        n = self.matrix_size
-        acc = Matrix.zero(self.field, n, n)
-        for c, b in zip(coords, self.basis):
-            if c:
-                acc = acc + b.scale(c)
-        return acc
+        return self._members(Matrix(self.field, [coords]))[0]
+
+    def _members(self, coords: Matrix) -> tuple[Matrix, ...]:
+        # the matrices whose coordinates are the rows of ``coords``
+        flat_rows = coords * self._flat_matrix
+        return tuple(_unflatten(self.field, row, flat_rows.den, self.matrix_size)
+                     for row in flat_rows.ints)
 
     def __eq__(self, other) -> bool:
         # bases are canonical, so value equality is span equality
@@ -99,10 +104,6 @@ class AlgebraBasis:
 
     def __repr__(self) -> str:
         return f"AlgebraBasis(dim {self.dim} in M_{self.matrix_size}({self.field}))"
-
-
-def _unflatten(field: Field, row: Sequence, n: int) -> Matrix:
-    return Matrix._raw(field, tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n)), n)
 
 
 def span_closure(field: Field, generators: Sequence[Matrix],
@@ -124,17 +125,18 @@ def span_closure(field: Field, generators: Sequence[Matrix],
     work: list[Matrix] = []
     seed = ([Matrix.identity(field, n)] if include_identity else []) + list(generators)
     for m in seed:
-        if span.absorb(_flat(m)):
+        if span.absorb(flat(m)):
             work.append(m)
     k = 0
     while k < len(work):
         wk = work[k]
         for j in range(k + 1):
             for prod in (wk * work[j], work[j] * wk):
-                if span.absorb(_flat(prod)):
+                if span.absorb(flat(prod)):
                     work.append(prod)
         k += 1
-    basis = [_unflatten(field, row, n) for row in span.rows]
+    flat_basis = span.to_subspace().basis
+    basis = [_unflatten(field, row, flat_basis.den, n) for row in flat_basis.ints]
     return AlgebraBasis(field, n, basis)
 
 
@@ -145,16 +147,20 @@ class Ideal:
     the corresponding canonical matrix representatives.
     """
 
-    __slots__ = ("parent", "space", "matrices")
+    __slots__ = ("parent", "space")
 
-    def __init__(self, parent: AlgebraBasis, space: Subspace, check: bool = True):
+    def __init__(self, parent: AlgebraBasis, space: Subspace):
         if space.ambient_dim != parent.dim or space.field != parent.field:
             raise ValueError("ideal coordinates do not match the parent algebra")
         self.parent = parent
         self.space = space
-        self.matrices = tuple(parent.from_coordinates(row) for row in space.basis.rows)
-        if check:
-            self._check_ideal()
+        self._check_ideal()
+
+    @property
+    def matrices(self) -> tuple[Matrix, ...]:
+        # computed on access: an algebra's ideals are cached with it, and
+        # the coordinate rows in ``space`` already hold the same information
+        return self.parent._members(self.space.basis)
 
     def _check_ideal(self):
         for u in self.matrices:
@@ -200,14 +206,14 @@ def ideal_closure(a: AlgebraBasis, seeds: Sequence[Matrix]) -> Ideal:
     span = RowSpan(a.field, a.matrix_size ** 2)
     elems: list[Matrix] = []
     for s in seeds:
-        if span.absorb(_flat(s)):
+        if span.absorb(flat(s)):
             elems.append(s)
     k = 0
     while k < len(elems):
         u = elems[k]
         for b in a.basis:
             for prod in (b * u, u * b):
-                if span.absorb(_flat(prod)):
+                if span.absorb(flat(prod)):
                     elems.append(prod)
         k += 1
     rows = [a.coordinates(m) for m in elems]
@@ -226,14 +232,14 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
     chain = [i.space]
     if i.is_zero():
         return chain, 1
-    current = i.matrices
+    gens = current = i.matrices
     while True:
         span = RowSpan(a.field, a.matrix_size ** 2)
         mats: list[Matrix] = []
         for u in current:
-            for v in i.matrices:
+            for v in gens:
                 prod = u * v
-                if span.absorb(_flat(prod)):
+                if span.absorb(flat(prod)):
                     mats.append(prod)
         space = Subspace(a.field, a.dim, [a.coordinates(m) for m in mats])
         chain.append(space)
@@ -241,7 +247,7 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
             return chain, len(chain)
         if space == chain[-2]:
             return chain, None
-        current = tuple(a.from_coordinates(row) for row in space.basis.rows)
+        current = a._members(space.basis)
 
 
 def trace_radical(a: AlgebraBasis) -> Ideal:
@@ -262,8 +268,6 @@ def trace_radical(a: AlgebraBasis) -> Ideal:
         [[(a.basis[i] * a.basis[j]).trace() for j in range(k)] for i in range(k)],
         ncols=k,
     )
-    from .linalg import kernel  # local import keeps module load order simple
-
     space = kernel(gram)
     rad = Ideal(a, space)
     _, index = ideal_power_chain(a, rad)

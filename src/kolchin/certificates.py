@@ -19,7 +19,7 @@ import tempfile
 
 from . import __version__
 from .algebra import standard_identity_eval
-from .linalg import Flag, Matrix, RowSpan, Subspace, rref
+from .linalg import Flag, Matrix, RowSpan, Subspace, flat, row_times, rref
 from .repfile import matrix_from_rows, matrix_to_rows, representation_to_dict
 from .reps import Representation
 from .words import Word, evaluate_word
@@ -81,10 +81,6 @@ def _subspace_from_rows(rep: Representation, rows: list) -> Subspace:
     return Subspace(rep.field, rep.dim, [[rep.field.of(x) for x in r] for r in rows])
 
 
-def _row_times(v, m: Matrix) -> tuple:
-    return tuple(sum(v[i] * m.rows[i][j] for i in range(m.nrows)) for j in range(m.ncols))
-
-
 def _require(cond: bool, message: str):
     if not cond:
         raise CertificateError(message)
@@ -97,7 +93,7 @@ def _check_flag_drops(rep: Representation, steps: list[Subspace]):
         for below, step in zip(steps, steps[1:]):
             for v in step.basis.rows:
                 _require(
-                    below.contains_vector(_row_times(v, diff)),
+                    below.contains_vector(row_times(v, diff)),
                     "flag drop fails: a generator difference leaves a step boundary",
                 )
 
@@ -120,7 +116,7 @@ def _span_is_nilpotent(mats: list[Matrix]) -> bool:
         for u in current:
             for v in mats:
                 prod = u * v
-                if span.absorb(tuple(x for row in prod.rows for x in row)):
+                if span.absorb(flat(prod)):
                     nxt.append(prod)
         if not nxt:
             return True
@@ -221,10 +217,10 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     basis = [matrix_from_rows(rep.field, rows, rep.dim) for rows in payload["algebra_basis"]]
     span = RowSpan(rep.field, rep.dim * rep.dim)
     for b in basis:
-        _require(span.absorb(tuple(x for row in b.rows for x in row)),
+        _require(span.absorb(flat(b)),
                  "embedded algebra basis is linearly dependent")
     for g in rep.generators:
-        _require(span.contains(tuple(x for row in g.rows for x in row)),
+        _require(span.contains(flat(g)),
                  "embedded algebra does not contain a generator")
     for k_str, combo in payload.get("witnesses", {}).items():
         value = standard_identity_eval(int(k_str), [basis[i] for i in combo])
@@ -244,17 +240,17 @@ def _check_radical(rep: Representation, result: str, payload: dict) -> str:
     basis = [matrix_from_rows(rep.field, rows, rep.dim) for rows in payload["radical_basis"]]
     span = RowSpan(rep.field, rep.dim * rep.dim)
     for b in basis:
-        span.absorb(tuple(x for row in b.rows for x in row))
+        span.absorb(flat(b))
     _require(_span_is_nilpotent(basis), "embedded radical basis is not nilpotent")
     for name in rep.names:
         g, gi = rep.generator(name), rep.inverse(name)
         for r in basis:
-            _require(span.contains(tuple(x for row in (gi * r * g).rows for x in row)),
+            _require(span.contains(flat(gi * r * g)),
                      "embedded radical is not conjugation-stable")
     one = rep.identity()
     for word_text, verdict in payload.get("tests", {}).items():
         m = evaluate_word(rep, Word.parse(word_text))
-        inside = span.contains(tuple(x for row in (m - one).rows for x in row))
+        inside = span.contains(flat(m - one))
         _require(inside == verdict, f"membership verdict mismatch for word {word_text!r}")
     return "radical membership certificate verified"
 

@@ -3,9 +3,10 @@
 Commands read a representation file, print a human-readable report,
 and optionally emit a machine-checkable certificate with --cert.
 
-Exit codes: 0 the property holds, 1 usage or parse error, 2 the
-property fails (a witness is printed), 3 inconclusive (a cap or a
-characteristic restriction got in the way).
+Exit codes: 0 the property holds, 1 usage, parse, arithmetic or file
+error, 2 the property fails (a witness is printed), 3 inconclusive (a
+cap, a characteristic restriction or the recursion limit got in the
+way).
 
 Default caps honour the environment variables KOLCHIN_DEPTH_CAP,
 KOLCHIN_ELEMENT_CAP, KOLCHIN_WORD_LENGTH_CAP and KOLCHIN_SAMPLE_BUDGET.
@@ -28,7 +29,7 @@ from .certificates import (
     subspace_to_rows,
     write_certificate,
 )
-from .repfile import RepFileError, load_representation
+from .repfile import load_representation
 from .reps import (
     LiftHypothesisError,
     NotUnipotent,
@@ -359,10 +360,10 @@ def main(argv=None) -> int:
             return cmd_check_cert(args)
         rep = load_representation(args.repfile)
         return _HANDLERS[args.command](rep, args)
-    except RepFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as e:
+    except RecursionError:
+        print("inconclusive: recursion limit exceeded", file=sys.stderr)
+        return INCONCLUSIVE
+    except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -2,9 +2,10 @@
 
 Scalars are plain Python numbers: ``int`` or ``Fraction`` over the
 rationals (integer-valued results are kept as ``int``), and ``int``
-residues in ``[0, p)`` over a prime field.  Builtin numbers keep the
-matrix kernels fast, and equality/hashing stays consistent across the
-two representations of the same rational.
+residues in ``[0, p)`` over a prime field.  These are the values
+callers pass in and read back; matrices store their entries as integer
+rows over one common denominator (see ``linalg``) and convert at the
+boundary, so no ``Fraction`` arithmetic runs inside the kernels.
 """
 
 from __future__ import annotations
@@ -14,16 +15,39 @@ from fractions import Fraction
 Scalar = int | Fraction
 
 
+# The first 13 primes decide Miller-Rabin for every n below this bound
+# (Sorenson and Webster, 2015), so the test is exact, not probabilistic.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    Raises ValueError from 3.3 * 10**24 up, where these bases are no
+    longer known to decide primality, rather than guessing.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify {n} prime: above the deterministic bound")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -5,16 +5,23 @@ matrices act on the right (v -> v * m), so every kernel and fixed space
 below is a left kernel.  Subspaces are stored with a reduced
 row-echelon basis, which makes set equality structural equality.
 
-Row reduction over Q runs fraction-free (Bareiss) elimination on
-denominator-cleared rows to keep intermediate entries as bounded
-integers; over F_p it is plain Gauss-Jordan.
+A matrix is integer rows over one positive common denominator,
+reduced by their gcd (over F_p: residues over 1), so products, sums
+and eliminations run on ``int`` only.  What differs between the fields
+lives in one kernel object per field, chosen when a matrix is built.
+Row reduction over Q is fraction-free (Bareiss) Gauss-Jordan; over F_p
+it is plain Gauss-Jordan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .fields import Field, Scalar
@@ -31,145 +38,247 @@ class NotInvariantError(ValueError):
         )
 
 
-def _norm(x: Scalar) -> Scalar:
-    # keep integer-valued rationals as plain ints (fast, canonical)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
+def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list:
+    """sum(coeffs[k] * rows[k]) over the integers: the vector-times-matrix
+    kernel.  Rows with a zero coefficient are skipped."""
+    picked = [(f, r) for f, r in zip(coeffs, rows) if f] or [(0, (0,) * width)]
+    fs, rs = zip(*picked)
+    return [sum(map(mul, fs, col)) for col in zip(*rs)]
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("fraction-free elimination produced an inexact division")
-    return q
+class _Kernel:
+    """Integer-row arithmetic for one field, on matrices ``ints / den``.
+    Subclasses fix ``canon`` (the canonical form), ``scalar`` (an entry
+    read back) and the elimination step (``pivot_row``, ``eliminate``)."""
+
+    def __init__(self, field: Field):
+        self.field, self.p = field, field.p
+
+    def coerce(self, rows):
+        """Canonical (ints, den) of rows of field scalars."""
+        den = lcm(*[x.denominator for r in rows for x in r])
+        if den != 1:
+            rows = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+        return self.canon(rows, den)
+
+    def product(self, a, cols, den: int):
+        rows = tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in a])
+        return self.canon(rows, den) if den != 1 else (rows, 1)
+
+    def residual(self, v, rows, den: int, pivots) -> tuple:
+        """``den * v`` minus its pivot coordinates times the rows.  For
+        reduced echelon rows over ``den`` this is ``den`` times the
+        canonical coset representative of v: zero iff v is in their span."""
+        s = _combination([v[c] for c in pivots], rows, len(v))
+        return self.canon(([den * x - y for x, y in zip(v, s)],), 1)[0][0]
+
+    def echelon(self, rows: list, w: int):
+        """Gauss-Jordan elimination of the integer rows, in place, on their
+        first ``w`` columns.  Returns (pivots, den): the first rank rows,
+        over den, are the reduced echelon rows."""
+        n = len(rows)
+        pivots: list[int] = []
+        prev = 1
+        for c in range(w):
+            r = len(pivots)
+            piv = next((i for i in range(r, n) if rows[i][c]), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            top = rows[r] = self.pivot_row(rows[r], c)
+            pc = top[c]
+            for i in range(n):
+                f = rows[i][c]
+                if i != r and (f or pc != prev):
+                    rows[i] = self.eliminate(rows[i], top, f, pc, prev)
+            prev = pc
+            pivots.append(c)
+        return pivots, prev
+
+
+class _Rationals(_Kernel):
+    """Q: ``den > 0`` and gcd(den, every entry) = 1.  Elimination is
+    fraction-free (Bareiss), carried above the pivot too, so every
+    pivot ends equal to the last one, the common denominator."""
+
+    @staticmethod
+    def canon(rows, den: int):
+        if den < 0:
+            rows = [list(map(neg, r)) for r in rows]
+            den = -den
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                return tuple([tuple([x // g for x in r]) for r in rows]), den // g
+        return tuple(map(tuple, rows)), den
+
+    @staticmethod
+    def scalar(x: int, den: int) -> Scalar:
+        if den == 1 or not x:
+            return x
+        f = Fraction(x, den)
+        return f.numerator if f.denominator == 1 else f
+
+    @staticmethod
+    def pivot_row(row, c: int):
+        return row
+
+    @staticmethod
+    def eliminate(row, top, f: int, pc: int, prev: int) -> list:
+        # Bareiss: every entry is a minor of the input, so the division is exact
+        if prev == 1:
+            return [pc * x - f * y for x, y in zip(row, top)]
+        return [(pc * x - f * y) // prev for x, y in zip(row, top)]
+
+
+class _Residues(_Kernel):
+    """F_p: the entries are residues in [0, p) and ``den`` is 1.
+    Elimination scales each pivot to 1."""
+
+    def canon(self, rows, den: int):
+        p = self.p
+        if den == 1:
+            return tuple([tuple([x % p for x in r]) for r in rows]), 1
+        s = pow(den, -1, p)
+        return tuple([tuple([x * s % p for x in r]) for r in rows]), 1
+
+    @staticmethod
+    def coerce(rows):
+        return tuple(map(tuple, rows)), 1  # Field.of already gives residues
+
+    def scalar(self, x: int, den: int) -> Scalar:
+        return x % self.p  # den is always 1 over F_p
+
+    def product(self, a, cols, den: int):
+        p = self.p
+        return tuple([tuple([sum(map(mul, r, c)) % p for c in cols]) for r in a]), 1
+
+    def pivot_row(self, row, c: int) -> list:
+        s, p = pow(row[c], -1, self.p), self.p
+        return [x * s % p for x in row]
+
+    def eliminate(self, row, top, f: int, pc: int, prev: int) -> list:
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, top)]
+
+
+@cache
+def _kernel(p: int | None) -> _Kernel:
+    return _Rationals(Field()) if p is None else _Residues(Field(p))
+
+
+@cache
+def _identity_rows(n: int) -> tuple:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries over a fixed field."""
+    """Immutable dense matrix with exact entries over a fixed field.
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    The entries are ``ints[i][j] / den``: ``ints`` holds integer row
+    tuples and ``den`` is a positive integer sharing no factor with all
+    of them; over F_p, ``den`` is 1 and the entries are residues.  The
+    form is unique, so ``==`` and ``hash`` are structural.
+    """
+
+    __slots__ = ("_k", "ints", "den", "nrows", "ncols")
 
     def __init__(self, field: Field, rows: Iterable[Sequence], ncols: int | None = None):
-        data = tuple(tuple(field.of(x) for x in row) for row in rows)
+        data = [[field.of(x) for x in row] for row in rows]
         if data:
             ncols = len(data[0])
             if any(len(r) != ncols for r in data):
                 raise ValueError("ragged rows")
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        self.field = field
-        self.rows = data
-        self.nrows = len(data)
-        self.ncols = ncols
+        self._k, self.nrows, self.ncols = _kernel(field.p), len(data), ncols
+        self.ints, self.den = self._k.coerce(data)
 
     @classmethod
-    def _raw(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
-        # trusted constructor: rows already canonical scalars
+    def _new(cls, k, ints: tuple, den: int, ncols: int) -> "Matrix":
+        # trusted constructor: (ints, den) already canonical for kernel k
         m = object.__new__(cls)
-        m.field = field
-        m.rows = rows
-        m.nrows = len(rows)
-        m.ncols = ncols
+        m._k, m.ints, m.den, m.nrows, m.ncols = k, ints, den, len(ints), ncols
         return m
 
     @classmethod
+    def from_ints(cls, field: Field, ints: Sequence[Sequence[int]], den: int,
+                  ncols: int) -> "Matrix":
+        """The matrix ``ints / den`` for integer rows and a nonzero integer ``den``."""
+        k = _kernel(field.p)
+        return cls._new(k, *k.canon(ints, den), ncols)
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._raw(
-            field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n
-        )
+        return cls._new(_kernel(field.p), _identity_rows(n), 1, n)
 
     @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls._raw(field, tuple((0,) * ncols for _ in range(nrows)), ncols)
+        return cls._new(_kernel(field.p), ((0,) * ncols,) * nrows, 1, ncols)
+
+    @property
+    def field(self) -> Field:
+        return self._k.field
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as field scalars, row by row.  A view: when
+        ``den`` is 1 it is ``ints`` itself, else it is computed on access."""
+        den = self.den
+        if den == 1:
+            return self.ints
+        scalar = self._k.scalar
+        return tuple(tuple(scalar(x, den) for x in r) for r in self.ints)
 
     @classmethod
     def hstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        nrows = mats[0].nrows
-        if any(m.nrows != nrows or m.field != mats[0].field for m in mats):
+        if any(m.nrows != mats[0].nrows for m in mats):
             raise ValueError("hstack needs equal row counts over one field")
-        rows = tuple(
-            tuple(x for m in mats for x in m.rows[i]) for i in range(nrows)
-        )
-        return cls._raw(mats[0].field, rows, sum(m.ncols for m in mats))
+        return cls.vstack([m.transpose() for m in mats]).transpose()
 
     @classmethod
     def vstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        ncols = mats[0].ncols
-        if any(m.ncols != ncols or m.field != mats[0].field for m in mats):
+        if any(m.ncols != mats[0].ncols or m._k is not mats[0]._k for m in mats):
             raise ValueError("vstack needs equal column counts over one field")
-        rows = tuple(r for m in mats for r in m.rows)
-        return cls._raw(mats[0].field, rows, ncols)
+        den = lcm(*(m.den for m in mats))
+        return cls.from_ints(mats[0].field, [[x * (den // m.den) for x in r]
+                                             for m in mats for r in m.ints], den, mats[0].ncols)
 
-    def _require_same_shape(self, other: "Matrix"):
-        if self.field != other.field or self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape or field mismatch")
+    def _columns(self) -> tuple:
+        return tuple(zip(*self.ints)) or ((),) * self.ncols
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field or self.ncols != other.nrows:
+        k = self._k
+        if k is not other._k or self.ncols != other.nrows:
             raise ValueError("shape or field mismatch in product")
-        cols = tuple(zip(*other.rows)) if other.rows else ()
-        p = self.field.p
-        if p is None:
-            rows = tuple(
-                tuple(_norm(sum(a * b for a, b in zip(row, col))) for col in cols)
-                for row in self.rows
-            )
-        else:
-            rows = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-                for row in self.rows
-            )
-        return Matrix._raw(self.field, rows, other.ncols)
+        ints, den = k.product(self.ints, other._columns(), self.den * other.den)
+        return Matrix._new(k, ints, den, other.ncols)
+
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        if self._k is not other._k or self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape or field mismatch")
+        a, b, den = self.ints, other.ints, lcm(self.den, other.den)
+        if self.den != other.den:
+            a = [map((den // self.den).__mul__, r) for r in a]
+            b = [map((den // other.den).__mul__, r) for r in b]
+        return Matrix._new(self._k, *self._k.canon([list(map(op, r1, r2)) for r1, r2 in zip(a, b)],
+                                                    den), self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        p = self.field.p
-        if p is None:
-            rows = tuple(
-                tuple(_norm(a + b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        else:
-            rows = tuple(
-                tuple((a + b) % p for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        return Matrix._raw(self.field, rows, self.ncols)
+        return self._combine(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        p = self.field.p
-        if p is None:
-            rows = tuple(
-                tuple(_norm(a - b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        else:
-            rows = tuple(
-                tuple((a - b) % p for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        return Matrix._raw(self.field, rows, self.ncols)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Matrix":
-        p = self.field.p
-        if p is None:
-            rows = tuple(tuple(-a for a in r) for r in self.rows)
-        else:
-            rows = tuple(tuple((-a) % p for a in r) for r in self.rows)
-        return Matrix._raw(self.field, rows, self.ncols)
+        return self.scale(-1)
 
     def scale(self, s) -> "Matrix":
         s = self.field.of(s)
-        p = self.field.p
-        if p is None:
-            rows = tuple(tuple(_norm(s * a) for a in r) for r in self.rows)
-        else:
-            rows = tuple(tuple(s * a % p for a in r) for r in self.rows)
-        return Matrix._raw(self.field, rows, self.ncols)
+        return Matrix.from_ints(self.field, [[s.numerator * x for x in r] for r in self.ints],
+                                self.den * s.denominator, self.ncols)
 
     def __pow__(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -186,13 +295,12 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix._raw(self.field, tuple(zip(*self.rows)) if self.rows else (), self.nrows)
+        return Matrix._new(self._k, self._columns(), self.den, self.nrows)
 
     def trace(self) -> Scalar:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
-        t = sum(self.rows[i][i] for i in range(self.nrows))
-        return t % self.field.p if self.field.p is not None else _norm(t)
+        return self._k.scalar(sum(r[i] for i, r in enumerate(self.ints)), self.den)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -203,36 +311,47 @@ class Matrix:
         return ech.transform
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.ints))
 
     def is_identity(self) -> bool:
-        return self.nrows == self.ncols and all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-        )
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
+        return self.den == 1 and self.nrows == self.ncols and \
+            self.ints == _identity_rows(self.nrows)
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self.rows[i][j]
+        return self._k.scalar(self.ints[i][j], self.den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
-            and self.field == other.field
+            and self._k is other._k
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ncols, self.rows))
+        return hash((self.ncols, self.den, self.ints))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix({self.field}, [{body}])"
+
+
+def flat(m: Matrix) -> tuple:
+    """``m.ints`` in row-major order: ``den`` times the flattened matrix,
+    so the same line, which is all a RowSpan needs."""
+    return tuple(chain.from_iterable(m.ints))
+
+
+def row_times(v: Sequence[Scalar], m: Matrix) -> tuple:
+    """The row vector ``v * m``, as field scalars."""
+    k = m._k
+    (ints,), den = k.coerce([[m.field.of(x) for x in v]])
+    if len(ints) != m.nrows:
+        raise ValueError("length mismatch")
+    den *= m.den
+    return tuple(k.scalar(x, den) for x in _combination(ints, m.ints, m.ncols))
 
 
 @dataclass(frozen=True)
@@ -252,172 +371,79 @@ class Echelon:
 def rref(m: Matrix) -> Echelon:
     """Unique reduced row-echelon form of ``m``, with transform."""
     n, w = m.nrows, m.ncols
-    field = m.field
-    p = field.p
-    # augmented working rows [m | I]
-    aug = [list(m.rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    width = w + n
-    pivots: list[int] = []
-
-    if p is None:
-        # clear denominators row by row, then run Bareiss on integers
-        for row in aug:
-            d = lcm(*(x.denominator for x in row if isinstance(x, Fraction))) if any(
-                isinstance(x, Fraction) for x in row
-            ) else 1
-            if d != 1:
-                for j in range(width):
-                    row[j] = int(row[j] * d) if isinstance(row[j], Fraction) else row[j] * d
-        prev = 1
-        r = 0
-        for c in range(w):
-            piv = next((i for i in range(r, n) if aug[i][c]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                aug[r], aug[piv] = aug[piv], aug[r]
-            pc = aug[r][c]
-            for i in range(r + 1, n):
-                aic = aug[i][c]
-                rowi, rowr = aug[i], aug[r]
-                if prev == 1:
-                    aug[i] = [pc * rowi[j] - aic * rowr[j] for j in range(width)]
-                else:
-                    aug[i] = [
-                        _exact_div(pc * rowi[j] - aic * rowr[j], prev) for j in range(width)
-                    ]
-            prev = pc
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
-        # normalise pivots to 1 and eliminate upwards, now in exact rationals
-        for k in reversed(range(len(pivots))):
-            c = pivots[k]
-            pc = aug[k][c]
-            if pc != 1:
-                aug[k] = [_norm(Fraction(x, pc)) for x in aug[k]]
-            for i in range(k):
-                f = aug[i][c]
-                if f:
-                    rowk = aug[k]
-                    aug[i] = [_norm(x - f * y) for x, y in zip(aug[i], rowk)]
-    else:
-        r = 0
-        for c in range(w):
-            piv = next((i for i in range(r, n) if aug[i][c]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                aug[r], aug[piv] = aug[piv], aug[r]
-            inv = pow(aug[r][c], -1, p)
-            aug[r] = [x * inv % p for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    rowr = aug[r]
-                    aug[i] = [(x - f * y) % p for x, y in zip(aug[i], rowr)]
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
-
-    reduced = Matrix._raw(field, tuple(tuple(row[:w]) for row in aug), w)
-    transform = Matrix._raw(field, tuple(tuple(row[w:]) for row in aug), n)
-    return Echelon(reduced, tuple(pivots), len(pivots), transform)
+    k = m._k
+    # eliminate [ints | I]; transform * ints == reduced * den, and
+    # m = ints / m.den, so the transform of m is m.den times that one
+    aug = [list(r) + [0] * n for r in m.ints]
+    for i in range(n):
+        aug[i][w + i] = 1
+    pivots, den = k.echelon(aug, w)
+    reduced = Matrix._new(k, *k.canon([r[:w] for r in aug], den), w)
+    transform = Matrix._new(k, *k.canon([[m.den * x for x in r[w:]] for r in aug], den), n)
+    # share stored rows where the result is the input or the identity
+    return Echelon(m if reduced == m else reduced, tuple(pivots), len(pivots),
+                   Matrix.identity(k.field, n) if transform.is_identity() else transform)
 
 
-def express_in_rows(m: Matrix, target: Sequence[Scalar], ech: Echelon | None = None):
-    """Coefficients x with x * m == target, or None if target is not in the row span."""
+def express_in_rows(m: Matrix, target: Matrix, ech: Echelon | None = None):
+    """Coefficients x with x * m == target for a one-row matrix ``target``,
+    or None if target is not in the row span."""
     if ech is None:
         ech = rref(m)
-    field = m.field
-    t = [field.of(x) for x in target]
-    if len(t) != m.ncols:
+    if target._k is not m._k or target.nrows != 1 or target.ncols != m.ncols:
         raise ValueError("length mismatch")
-    p = field.p
-    coeffs = []
-    for k, c in enumerate(ech.pivots):
-        f = t[c]
-        coeffs.append(f)
-        if f:
-            rowk = ech.reduced.rows[k]
-            if p is None:
-                t = [_norm(x - f * y) for x, y in zip(t, rowk)]
-            else:
-                t = [(x - f * y) % p for x, y in zip(t, rowk)]
-    if any(t):
+    k = m._k
+    t = target.ints[0]
+    red = ech.reduced
+    if any(k.residual(t, red.ints, red.den, ech.pivots)):
         return None
-    # x = coeffs * (first rank rows of the transform)
-    x = [0] * m.nrows
-    for k, f in enumerate(coeffs):
-        if f:
-            rowk = ech.transform.rows[k]
-            x = [xi + f * yi for xi, yi in zip(x, rowk)]
-    if p is None:
-        return tuple(_norm(xi) for xi in x)
-    return tuple(xi % p for xi in x)
+    # target = sum_k t[c_k] / target.den * (reduced row k), and reduced
+    # row k = (transform row k) * m
+    tr = ech.transform
+    den = target.den * tr.den
+    coeffs = _combination([t[c] for c in ech.pivots], tr.ints, m.nrows)
+    return tuple(k.scalar(x, den) for x in coeffs)
 
 
 class RowSpan:
-    """Mutable row space kept in reduced echelon form; used for closures."""
+    """Growing row space for closures, kept as reduced echelon integer
+    rows over one common denominator (the form a Subspace basis has).
 
-    __slots__ = ("field", "width", "rows", "pivots")
+    Vectors go in as integer sequences.  A vector stands for the line it
+    spans, so over Q any nonzero multiple, such as ``flat(m)``, will do.
+    """
+
+    __slots__ = ("field", "width", "rows", "pivots", "den", "_k")
 
     def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.rows: list[list] = []
+        self.field, self.width, self._k = field, width, _kernel(field.p)
+        self.rows: list[tuple] = []
         self.pivots: list[int] = []
+        self.den = 1
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self._k.residual(vec, self.rows, self.den, self.pivots))
 
-    def reduce(self, vec: Sequence[Scalar]) -> list:
-        p = self.field.p
-        v = list(vec)
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f:
-                if p is None:
-                    v = [_norm(x - f * y) for x, y in zip(v, row)]
-                else:
-                    v = [(x - f * y) % p for x, y in zip(v, row)]
-        return v
-
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(vec))
-
-    def absorb(self, vec: Sequence[Scalar]) -> bool:
+    def absorb(self, vec: Sequence[int]) -> bool:
         """Add ``vec`` to the span; True iff the dimension grew."""
-        v = self.reduce(vec)
+        k = self._k
+        v = k.residual(vec, self.rows, self.den, self.pivots)
         lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             return False
-        p = self.field.p
-        if p is None:
-            inv = Fraction(1, 1) / v[lead]
-            v = [_norm(inv * x) for x in v]
-        else:
-            inv = pow(v[lead], -1, p)
-            v = [inv * x % p for x in v]
-        for i, row in enumerate(self.rows):
-            f = row[lead]
-            if f:
-                if p is None:
-                    self.rows[i] = [_norm(x - f * y) for x, y in zip(row, v)]
-                else:
-                    self.rows[i] = [(x - f * y) % p for x, y in zip(row, v)]
-        at = next((i for i, c in enumerate(self.pivots) if c > lead), len(self.pivots))
-        self.rows.insert(at, v)
+        # rows R_i / den and new row v / v[lead]: clearing column lead leaves all over den * a
+        a, den = v[lead], self.den
+        rows = [[a * x - r[lead] * y for x, y in zip(r, v)] if r[lead] else
+                [a * x for x in r] for r in self.rows]
+        at = bisect(self.pivots, lead)
+        rows.insert(at, [den * x for x in v])
+        rows, self.den = k.canon(rows, den * a)
+        self.rows = list(rows)
         self.pivots.insert(at, lead)
         return True
 
     def to_subspace(self) -> "Subspace":
-        basis = Matrix._raw(
-            self.field, tuple(tuple(r) for r in self.rows), self.width
-        )
+        basis = Matrix._new(self._k, tuple(self.rows), self.den, self.width)
         return Subspace._raw(self.field, self.width, basis, tuple(self.pivots))
 
 
@@ -434,20 +460,23 @@ class Subspace:
         m = Matrix(field, rows, ncols=ambient_dim)
         if m.ncols != ambient_dim:
             raise ValueError("row length does not match the ambient dimension")
-        ech = rref(m)
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.basis = Matrix._raw(field, ech.reduced.rows[: ech.rank], ambient_dim)
-        self.pivots = ech.pivots
+        s = Subspace._spanned(field, ambient_dim, m.ints)
+        self.field, self.ambient_dim, self.basis, self.pivots = field, ambient_dim, s.basis, s.pivots
 
     @classmethod
     def _raw(cls, field, ambient_dim, basis, pivots) -> "Subspace":
         s = object.__new__(cls)
-        s.field = field
-        s.ambient_dim = ambient_dim
-        s.basis = basis
-        s.pivots = pivots
+        s.field, s.ambient_dim, s.basis, s.pivots = field, ambient_dim, basis, pivots
         return s
+
+    @classmethod
+    def _spanned(cls, field: Field, ambient_dim: int, rows) -> "Subspace":
+        # span of integer rows, each standing for its line
+        k = _kernel(field.p)
+        rows = list(k.canon(rows, 1)[0])
+        pivots, den = k.echelon(rows, ambient_dim)
+        basis = Matrix._new(k, *k.canon(rows[:len(pivots)], den), ambient_dim)
+        return cls._raw(field, ambient_dim, basis, tuple(pivots))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -455,14 +484,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls._raw(
-            field, ambient_dim, Matrix.identity(field, ambient_dim), tuple(range(ambient_dim))
-        )
-
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "Subspace":
-        """Row space of ``m``."""
-        return cls(m.field, m.ncols, m.rows)
+        n = ambient_dim
+        return cls._raw(field, n, Matrix.identity(field, n), tuple(range(n)))
 
     @property
     def dim(self) -> int:
@@ -479,25 +502,24 @@ class Subspace:
         pivset = set(self.pivots)
         return tuple(j for j in range(self.ambient_dim) if j not in pivset)
 
+    def _residual(self, ints: Sequence[int]) -> list:
+        # basis.den times the coset representative of the integer vector
+        b = self.basis
+        return b._k.residual(ints, b.ints, b.den, self.pivots)
+
     def reduce(self, vec: Sequence[Scalar]) -> tuple:
         """Canonical coset representative: pivot coordinates eliminated."""
-        p = self.field.p
-        v = [self.field.of(x) for x in vec]
-        for row, c in zip(self.basis.rows, self.pivots):
-            f = v[c]
-            if f:
-                if p is None:
-                    v = [_norm(x - f * y) for x, y in zip(v, row)]
-                else:
-                    v = [(x - f * y) % p for x, y in zip(v, row)]
-        return tuple(v)
+        k = self.basis._k
+        (v,), den = k.coerce([[self.field.of(x) for x in vec]])
+        den *= self.basis.den
+        return tuple(k.scalar(x, den) for x in self._residual(v))
 
     def contains_vector(self, vec: Sequence[Scalar]) -> bool:
         return not any(self.reduce(vec))
 
     def contains(self, other: "Subspace") -> bool:
         self._require_compatible(other)
-        return all(self.contains_vector(r) for r in other.basis.rows)
+        return not any(any(self._residual(r)) for r in other.basis.ints)
 
     def _require_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -505,23 +527,14 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._require_compatible(other)
-        return Subspace(
-            self.field, self.ambient_dim, self.basis.rows + other.basis.rows
-        )
+        return Subspace._spanned(self.field, self.ambient_dim,
+                                 self.basis.ints + other.basis.ints)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._require_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.field, self.ambient_dim)
-        stacked = Matrix.vstack([self.basis, other.basis])
-        ker = kernel(stacked)
-        k1 = self.basis.nrows
-        rows = [
-            tuple(sum(z[i] * self.basis.rows[i][j] for i in range(k1))
-                  for j in range(self.ambient_dim))
-            for z in ker.basis.rows
-        ]
-        return Subspace(self.field, self.ambient_dim, rows)
+        ker = kernel(Matrix.vstack([self.basis, other.basis]))
+        rows = [_combination(z, self.basis.ints, self.ambient_dim) for z in ker.basis.ints]
+        return Subspace._spanned(self.field, self.ambient_dim, rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -541,16 +554,7 @@ class Subspace:
 def kernel(m: Matrix) -> Subspace:
     """Left kernel {v : v * m = 0}, canonical."""
     ech = rref(m)
-    rows = ech.transform.rows[ech.rank:]
-    return Subspace(m.field, m.nrows, rows)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersection(b)
+    return Subspace._spanned(m.field, m.nrows, ech.transform.ints[ech.rank:])
 
 
 def fixed_space(mats: Sequence[Matrix]) -> Subspace:
@@ -576,18 +580,13 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
     """
     if m.nrows != m.ncols or m.nrows != w.ambient_dim or m.field != w.field:
         raise ValueError("matrix does not act on the subspace's ambient space")
-    for v in w.basis.rows:
-        img = tuple(
-            sum(v[i] * m.rows[i][j] for i in range(m.nrows)) for j in range(m.ncols)
-        )
-        if not w.contains_vector(img):
-            raise NotInvariantError(v, img)
+    for ints, vec in zip(w.basis.ints, w.basis.rows):
+        if any(w._residual(_combination(ints, m.ints, m.ncols))):
+            raise NotInvariantError(vec, row_times(vec, m))
     free = w.complement_coordinates()
-    rows = []
-    for j in free:
-        red = w.reduce(m.rows[j])  # e_j * m is row j of m
-        rows.append(tuple(red[c] for c in free))
-    return Matrix(m.field, rows, ncols=len(free))
+    # e_j * m is row j of m
+    rows = [[red[c] for c in free] for red in (w._residual(m.ints[j]) for j in free)]
+    return Matrix.from_ints(m.field, rows, w.basis.den * m.den, len(free))
 
 
 class Flag:
@@ -639,10 +638,10 @@ def assemble_flag_basis(f: Flag) -> Matrix:
     span = RowSpan(f.field, f.ambient_dim)
     rows = []
     for step in f.steps[1:]:
-        for row in step.basis.rows:
-            if span.absorb(row):
+        for ints, row in zip(step.basis.ints, step.basis.rows):
+            if span.absorb(ints):
                 rows.append(row)
-    m = Matrix._raw(f.field, tuple(rows), f.ambient_dim)
+    m = Matrix(f.field, rows, ncols=f.ambient_dim)
     if m.nrows != f.ambient_dim or rref(m).rank != f.ambient_dim:
         raise ValueError("malformed flag: assembled basis is not invertible")
     return m

@@ -26,7 +26,15 @@ from .algebra import (
     trace_radical,
 )
 from .fields import Field
-from .linalg import Flag, Matrix, Subspace, assemble_flag_basis, fixed_space, quotient_action
+from .linalg import (
+    Flag,
+    Matrix,
+    Subspace,
+    assemble_flag_basis,
+    fixed_space,
+    quotient_action,
+    row_times,
+)
 
 
 class Representation:
@@ -115,10 +123,11 @@ class EnvelopingData:
     CharacteristicTooSmallError over too-small prime fields.
     """
 
-    __slots__ = ("representation", "algebra", "augmentation_ideal", "_radical")
+    __slots__ = ("algebra", "augmentation_ideal", "_radical")
 
     def __init__(self, rep: Representation):
-        self.representation = rep
+        # no reference back to rep: the representation caches this
+        # object, and a cycle would outlive the last reference to either
         self.algebra = span_closure(rep.field, rep.generators)
         one = rep.identity()
         self.augmentation_ideal = ideal_closure(self.algebra, [g - one for g in rep.generators])
@@ -186,17 +195,13 @@ def _lift_from_quotient(w: Subspace, rows: Sequence[Sequence]) -> list[tuple]:
     return lifted
 
 
-def _row_times(v: Sequence, m: Matrix) -> tuple:
-    return tuple(sum(v[i] * m.rows[i][j] for i in range(m.nrows)) for j in range(m.ncols))
-
-
 def _verify_flag_drops(rep: Representation, flag: Flag):
     one = rep.identity()
     for g in rep.generators:
         diff = g - one
         for below, step in zip(flag.steps, flag.steps[1:]):
             for v in step.basis.rows:
-                if not below.contains_vector(_row_times(v, diff)):
+                if not below.contains_vector(row_times(v, diff)):
                     raise InternalInconsistencyError(
                         "flag verification failed: a difference does not drop a step"
                     )
@@ -243,20 +248,37 @@ def generator_identity_witness(rep: Representation, n: int) -> tuple[str, ...] |
         raise ValueError("identity length must be at least 1")
     one = rep.identity()
     diffs = [(name, rep.generator(name) - one) for name in rep.names]
+    return _first_live_tuple(diffs, n, Matrix.is_zero, one)
 
-    def walk(prefix: Matrix, chosen: tuple[str, ...]):
-        if len(chosen) == n:
-            return chosen if not prefix.is_zero() else None
-        for name, d in diffs:
-            prod = prefix * d
-            if prod.is_zero():
+
+def _first_live_tuple(diffs, n: int, dead, start: Matrix | None = None):
+    """Lexicographically first name tuple of length n whose product
+    ``start * d_1 * ... * d_n`` (just ``d_1 * ... * d_n`` when start is
+    None) is not ``dead``, or None.  ``dead`` must carry over to every
+    right multiple, so a dead prefix prunes its whole subtree.  The walk
+    is depth-first with an explicit stack, so n is not bounded by the
+    recursion limit."""
+    names: list[str] = []
+    prefixes = [start]
+    pending = [iter(diffs)]
+    while pending:
+        for name, d in pending[-1]:
+            prefix = prefixes[-1]
+            prod = d if prefix is None else prefix * d
+            if dead(prod):
                 continue
-            hit = walk(prod, chosen + (name,))
-            if hit is not None:
-                return hit
-        return None
-
-    return walk(one, ())
+            if len(names) + 1 == n:
+                return tuple(names) + (name,)
+            names.append(name)
+            prefixes.append(prod)
+            pending.append(iter(diffs))
+            break
+        else:
+            pending.pop()
+            prefixes.pop()
+            if names:
+                names.pop()
+    return None
 
 
 def difference_product_spans(rep: Representation, upto: int) -> list[Subspace]:
@@ -271,7 +293,7 @@ def difference_product_spans(rep: Representation, upto: int) -> list[Subspace]:
     spans = [Subspace.full(field, n)]
     for _ in range(upto):
         prev = spans[-1]
-        rows = [_row_times(v, d) for d in diffs for v in prev.basis.rows]
+        rows = [row_times(v, d) for d in diffs for v in prev.basis.rows]
         spans.append(Subspace(field, n, rows))
     return spans
 
@@ -338,23 +360,10 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
         raise ValueError("the ideal is not nilpotent")
     one = rep.identity()
     diffs = [(name, rep.generator(name) - one) for name in rep.names]
-
     # prefixes already inside the ideal stay inside under right multiplication
-    def check(prefix: Matrix, chosen: tuple[str, ...]):
-        if a1.contains(prefix):
-            return None
-        if len(chosen) == n:
-            return chosen
-        for name, d in diffs:
-            hit = check(prefix * d, chosen + (name,))
-            if hit is not None:
-                return hit
-        return None
-
-    for name, d in diffs:
-        hit = check(d, (name,))
-        if hit is not None:
-            raise LiftHypothesisError(hit)
+    hit = _first_live_tuple(diffs, n, a1.contains)
+    if hit is not None:
+        raise LiftHypothesisError(hit)
 
     bound = m * n
     spans = difference_product_spans(rep, bound)
@@ -400,9 +409,10 @@ class UnipotentRadical:
         self.representation = rep
         self.algebra = env.algebra
         self.ideal = env.radical
+        members = self.ideal.matrices
         for name in rep.names:
             g, gi = rep.generator(name), rep.inverse(name)
-            for r in self.ideal.matrices:
+            for r in members:
                 if not self.ideal.contains(gi * r * g):
                     raise InternalInconsistencyError(
                         "radical is not stable under generator conjugation"

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+import time
 
 from kolchin import GF, QQ
 from kolchin.fields import Field, is_prime
@@ -60,3 +61,21 @@ def test_field_equality():
     assert GF(5) == GF(5)
     assert GF(5) != GF(7)
     assert QQ != GF(5)
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    start = time.monotonic()
+    assert is_prime(2**61 - 1)
+    assert time.monotonic() - start < 1.0
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(1000003 * (2**61 - 1))
+    for n in range(2, 3000):
+        assert is_prime(n) == all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_refuses_above_the_deterministic_bound():
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)  # prime, but beyond what the fixed bases decide
+    with pytest.raises(ValueError):
+        Field(2**89 - 1)

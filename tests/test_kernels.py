@@ -1,0 +1,196 @@
+"""Differential and property tests of the integer-row matrix kernels.
+
+Every operation is compared with a naive reference that computes on
+lists of ``Fraction`` entries (or residues mod p) and shares no code
+with the package.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from kolchin import GF, QQ, Matrix, Subspace, rref
+from kolchin.linalg import RowSpan, express_in_rows, flat
+
+F7 = GF(7)
+
+
+# -- naive reference ---------------------------------------------------------
+
+def ref_entries(m):
+    return [[Fraction(x) for x in row] for row in m.rows]
+
+
+def ref_reduce(field, x):
+    return x if field.p is None else Fraction(x.numerator * pow(x.denominator, -1, field.p)
+                                              % field.p)
+
+
+def ref_mul(field, a, b):
+    return [[ref_reduce(field, sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_rref(field, a):
+    """Plain Gauss-Jordan on [a | I]: (reduced, pivots, transform)."""
+    n, w = len(a), len(a[0])
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+    pivots = []
+    for c in range(w):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c] if field.p is None else Fraction(pow(int(rows[r][c]), -1, field.p))
+        rows[r] = [ref_reduce(field, x * inv) for x in rows[r]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [ref_reduce(field, x - f * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [r[:w] for r in rows], tuple(pivots), [r[w:] for r in rows]
+
+
+def same(m, ref):
+    """The Matrix equals the reference entries, and stores canonical scalars."""
+    assert all(type(x) is int or x.denominator != 1 for row in m.rows for x in row)
+    return [list(r) for r in m.rows] == [[ref_reduce(m.field, x) for x in r] for r in ref]
+
+
+# -- strategies ----------------------------------------------------------------
+
+def entries(field):
+    if field.p is None:
+        return st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def matrices(draw, field=QQ, nrows=None, ncols=None):
+    n = draw(st.integers(1, 6)) if nrows is None else nrows
+    w = draw(st.integers(1, 6)) if ncols is None else ncols
+    rows = draw(st.lists(st.lists(entries(field), min_size=w, max_size=w),
+                         min_size=n, max_size=n))
+    return Matrix(field, rows)
+
+
+@st.composite
+def square_pairs(draw, field=QQ):
+    n = draw(st.integers(1, 6))
+    return draw(matrices(field, n, n)), draw(matrices(field, n, n))
+
+
+FIELDS = st.sampled_from([QQ, F7])
+squares = st.integers(1, 6).flatmap(lambda n: matrices(QQ, n, n))
+
+
+# -- arithmetic ----------------------------------------------------------------
+
+@given(FIELDS.flatmap(square_pairs))
+def test_product_sum_difference_negation(pair):
+    a, b = pair
+    field = a.field
+    ra, rb = ref_entries(a), ref_entries(b)
+    assert same(a * b, ref_mul(field, ra, rb))
+    assert same(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)])
+    assert same(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)])
+    assert same(-a, [[-x for x in r] for r in ra])
+
+
+@given(matrices(), st.fractions(min_value=-9, max_value=9, max_denominator=9))
+def test_scale_and_trace(m, s):
+    ref = ref_entries(m)
+    assert same(m.scale(s), [[s * x for x in r] for r in ref])
+    if m.nrows == m.ncols:
+        t = m.trace()
+        assert t == sum((ref[i][i] for i in range(m.nrows)), Fraction(0))
+        assert type(t) is int or t.denominator != 1
+
+
+@given(squares, st.integers(-3, 4))
+def test_powers_including_negative(m, k):
+    _, pivots, inverse = ref_rref(QQ, ref_entries(m))
+    base = ref_entries(m)
+    if k < 0:
+        assume(len(pivots) == m.nrows)
+        base = inverse
+    expected = [[Fraction(int(i == j)) for j in range(m.nrows)] for i in range(m.nrows)]
+    for _ in range(abs(k)):
+        expected = ref_mul(QQ, expected, base)
+    assert same(m ** k, expected)
+
+
+@given(squares)
+def test_inverse_against_reference(m):
+    _, pivots, inverse = ref_rref(QQ, ref_entries(m))
+    if len(pivots) < m.nrows:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert same(m.inverse(), inverse)
+        assert (m * m.inverse()).is_identity()
+
+
+@given(FIELDS.flatmap(lambda f: matrices(f)))
+def test_rref_against_reference(m):
+    e = rref(m)
+    reduced, pivots, _ = ref_rref(m.field, ref_entries(m))
+    assert same(e.reduced, reduced)
+    assert e.pivots == pivots and e.rank == len(pivots)
+    assert e.transform * m == e.reduced
+    assert rref(e.transform).rank == m.nrows
+
+
+# -- canonical form: == and hash -------------------------------------------------
+
+@given(square_pairs())
+def test_equality_and_hash_agree_across_constructions(pair):
+    m, g = pair
+    assume(rref(g).rank == g.nrows)
+    reached = (m * g) * g.inverse()
+    built = Matrix(QQ, [[str(x) for x in r] for r in ref_entries(m)])
+    assert reached == m == built
+    assert hash(reached) == hash(m) == hash(built)
+    assert (reached.ints, reached.den) == (built.ints, built.den)
+
+
+def test_equal_values_in_different_forms_are_equal():
+    half = Matrix(QQ, [[Fraction(1, 2), 1]])
+    assert half == Matrix(QQ, [["2/4", "3/3"]]) == Matrix.from_ints(QQ, [[-3, -6]], -6, 2)
+    assert half.scale(2) == Matrix(QQ, [[1, 2]])
+    assert half.scale(2).den == 1 and hash(half.scale(2)) == hash(Matrix(QQ, [[1, 2]]))
+
+
+# -- elimination kernels ---------------------------------------------------------
+
+@given(st.tuples(FIELDS, st.integers(1, 6))
+       .flatmap(lambda fw: st.lists(matrices(fw[0], 1, fw[1]), min_size=1, max_size=7)))
+def test_row_span_absorb_matches_subspace(vectors):
+    field, width = vectors[0].field, vectors[0].ncols
+    refs = [ref_entries(v)[0] for v in vectors]
+    span = RowSpan(field, width)
+    rank = 0
+    for k, v in enumerate(vectors):
+        reduced, pivots, _ = ref_rref(field, refs[:k + 1])
+        assert span.absorb(flat(v)) == (len(pivots) > rank)
+        assert span.contains(flat(v))
+        rank = len(pivots)
+    s = span.to_subspace()
+    assert s.pivots == pivots and same(s.basis, reduced[:rank])
+    assert s == Subspace(field, width, [v.rows[0] for v in vectors])
+
+
+@given(FIELDS.flatmap(lambda f: matrices(f)), st.data())
+def test_express_in_rows(m, data):
+    field = m.field
+    x = data.draw(st.lists(entries(field), min_size=m.nrows, max_size=m.nrows))
+    target = Matrix(field, [x]) * m
+    coeffs = express_in_rows(m, target)
+    assert coeffs is not None
+    assert Matrix(field, [coeffs]) * m == target
+    outside = data.draw(matrices(field, 1, m.ncols))
+    inside = Subspace(field, m.ncols, m.rows).contains_vector(outside.rows[0])
+    assert (express_in_rows(m, outside) is not None) == inside

@@ -15,8 +15,6 @@ from kolchin import (
     kernel,
     quotient_action,
     rref,
-    subspace_intersection,
-    subspace_sum,
 )
 from corpus import random_matrix, unit_matrix
 
@@ -167,11 +165,11 @@ def test_subspace_sum_intersection_examples():
     w = Subspace(QQ, 3, [[1, 0, 0], [0, 1, 0]])
     zero = Subspace.zero(QQ, 3)
     full = Subspace.full(QQ, 3)
-    assert subspace_sum(w, zero) == w
-    assert subspace_intersection(w, full) == w
+    assert w.sum(zero) == w
+    assert w.intersection(full) == w
     e12 = Subspace(QQ, 3, [[1, 0, 0], [0, 1, 0]])
     e23 = Subspace(QQ, 3, [[0, 1, 0], [0, 0, 1]])
-    assert subspace_intersection(e12, e23) == Subspace(QQ, 3, [[0, 1, 0]])
+    assert e12.intersection(e23) == Subspace(QQ, 3, [[0, 1, 0]])
 
 
 def test_subspace_dimension_formula():

@@ -258,3 +258,44 @@ def test_save_and_load(tmp_path):
     from kolchin import load_representation
 
     assert load_representation(path) == rep
+
+
+def test_cli_long_identity_check_has_no_traceback(tmp_path, capsys):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 2, "generators": {"a": [[2, 0], [0, 1]]}}))
+    assert main(["identity-check", str(path), "--length", "5000"]) == 2
+    assert main(["identity-check", str(path), "--length", "5000",
+                 "--lift-through-radical"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_maps_arithmetic_recursion_and_os_errors(heis_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["kolchin", heis_file, "--cert", str(cert)]) == 0
+    # ArithmeticError: a zero denominator inside a certificate payload
+    doc = json.loads(cert.read_text())
+    doc["payload"]["base_change"][0][0] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-cert", heis_file, str(bad)]) == 1
+    # RecursionError: a certificate nested deeper than the recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check-cert", heis_file, str(deep)]) == 3
+    # OSError: a missing certificate, and a certificate path that cannot be written
+    assert main(["check-cert", heis_file, str(tmp_path / "missing.json")]) == 1
+    assert main(["kolchin", heis_file, "--cert", str(tmp_path / "no-dir" / "c.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_large_prime_fields(tmp_path):
+    path = tmp_path / "big.json"
+
+    def write(p):
+        path.write_text(json.dumps({"field": {"Fp": p}, "dim": 2,
+                                    "generators": {"a": [[1, 1], [0, 1]]}}))
+
+    write(2**61 - 1)
+    assert main(["kolchin", str(path)]) == 0
+    write(2**89 - 1)  # beyond the deterministic primality bound: refused
+    assert main(["kolchin", str(path)]) == 1

@@ -328,3 +328,50 @@ def test_conjugated_corpus_round_trip():
     cert = kolchin_flag(rep)
     assert isinstance(cert, UnitriCertificate)
     assert unitriangular_degree(rep) is not None
+
+
+def _recursive_first_tuple(diffs, n, dead, start):
+    """The recursive sweep the iterative one replaced, kept as a reference."""
+    def walk(prefix, chosen):
+        if len(chosen) == n:
+            return chosen
+        for name, d in diffs:
+            prod = d if prefix is None else prefix * d
+            if not dead(prod):
+                hit = walk(prod, chosen + (name,))
+                if hit is not None:
+                    return hit
+        return None
+
+    return walk(start, ())
+
+
+def test_iterative_sweeps_match_recursive_reference():
+    rng = random.Random(97)
+    for trial in range(12):
+        rep = conjugated_unitriangular_rep(rng, rng.randint(3, 4), rng.randint(2, 3))
+        if trial % 3 == 0:  # a non-unipotent generator makes some branches live forever
+            rep = Representation(QQ, list(rep.items()) + [
+                ("d", Matrix(QQ, [[2 if i == j == 0 else int(i == j) for j in range(rep.dim)]
+                                  for i in range(rep.dim)]))])
+        one = rep.identity()
+        diffs = [(name, rep.generator(name) - one) for name in rep.names]
+        radical = rep.enveloping().radical
+        for n in range(1, 5):
+            assert generator_identity_witness(rep, n) == \
+                _recursive_first_tuple(diffs, n, Matrix.is_zero, one)
+            expected = _recursive_first_tuple(diffs, n, radical.contains, None)
+            if expected is None:
+                lift_identity_through_nilpotent_ideal(rep, radical, n)
+            else:
+                with pytest.raises(LiftHypothesisError) as info:
+                    lift_identity_through_nilpotent_ideal(rep, radical, n)
+                assert info.value.witness == expected
+
+
+def test_long_identity_sweeps_do_not_recurse():
+    rep = Representation(QQ, {"a": Matrix(QQ, [[2, 0], [0, 1]])})
+    assert generator_identity_witness(rep, 5000) == ("a",) * 5000
+    with pytest.raises(LiftHypothesisError) as info:
+        lift_identity_through_nilpotent_ideal(rep, rep.enveloping().radical, 5000)
+    assert info.value.witness == ("a",) * 5000
