@@ -141,7 +141,7 @@ def check_certificate(rep: Representation, cert: dict) -> str:
         return checker(rep, result, payload)
     except CertificateError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
         raise CertificateError(f"malformed certificate payload: {e}") from e
 
 

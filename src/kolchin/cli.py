@@ -9,12 +9,14 @@ cap, a characteristic restriction or the recursion limit got in the
 way).
 
 Default caps honour the environment variables KOLCHIN_DEPTH_CAP,
-KOLCHIN_ELEMENT_CAP, KOLCHIN_WORD_LENGTH_CAP and KOLCHIN_SAMPLE_BUDGET.
+KOLCHIN_ELEMENT_CAP, KOLCHIN_WORD_LENGTH_CAP and KOLCHIN_SAMPLE_BUDGET,
+read on every call; a value that is not an integer is an error (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -41,6 +43,9 @@ from .reps import (
     unipotent_radical,
 )
 from .words import (
+    DEFAULT_DEPTH_CAP,
+    DEFAULT_ELEMENT_CAP,
+    DEFAULT_WORD_LENGTH_CAP,
     NotFiniteError,
     Word,
     algebraic_element_probe,
@@ -54,9 +59,31 @@ from .words import (
 OK, USAGE_ERROR, PROPERTY_FAILS, INCONCLUSIVE = 0, 1, 2, 3
 
 
+# option dest -> (environment variable, default when it is unset)
+_ENV_DEFAULTS = {
+    "depth_cap": ("KOLCHIN_DEPTH_CAP", DEFAULT_DEPTH_CAP),
+    "element_cap": ("KOLCHIN_ELEMENT_CAP", DEFAULT_ELEMENT_CAP),
+    "sample_budget": ("KOLCHIN_SAMPLE_BUDGET", 1000),
+    "length_cap": ("KOLCHIN_WORD_LENGTH_CAP", DEFAULT_WORD_LENGTH_CAP),
+}
+
+
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return default if value is None else int(value)
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _resolve_env_defaults(args) -> None:
+    """Fill the cap options left unset from the environment."""
+    for dest, (name, default) in _ENV_DEFAULTS.items():
+        value = _env_int(name, default)
+        if getattr(args, dest, 0) is None:
+            setattr(args, dest, value)
 
 
 class UsageError(Exception):
@@ -70,7 +97,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Cap options default
+    to None and are resolved from the environment by ``main``."""
     parser = _Parser(prog="kolchin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -102,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="test this word for membership (repeatable)")
     p.add_argument("--oracle", action="store_true",
                    help="on finite groups, cross-check against brute force")
-    p.add_argument("--element-cap", type=int,
-                   default=_env_int("KOLCHIN_ELEMENT_CAP", 100_000))
+    p.add_argument("--element-cap", type=int)
     p.add_argument("--cert", help="write a certificate here")
 
     p = add("probe", "sampling probes for nil / Engel / algebraic behaviour")
@@ -111,13 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", metavar="WORD", help="probe element (word; '1' is the identity)")
     p.add_argument("--x", metavar="WORD", help="companion element (default: first generator)")
     p.add_argument("--n", type=int, default=2, help="Engel depth")
-    p.add_argument("--depth-cap", type=int, default=_env_int("KOLCHIN_DEPTH_CAP", 10))
-    p.add_argument("--element-cap", type=int,
-                   default=_env_int("KOLCHIN_ELEMENT_CAP", 100_000))
-    p.add_argument("--sample-budget", type=int,
-                   default=_env_int("KOLCHIN_SAMPLE_BUDGET", 1000))
-    p.add_argument("--length-cap", type=int,
-                   default=_env_int("KOLCHIN_WORD_LENGTH_CAP", 8))
+    p.add_argument("--depth-cap", type=int)
+    p.add_argument("--element-cap", type=int)
+    p.add_argument("--sample-budget", type=int)
+    p.add_argument("--length-cap", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cert", help="write a certificate here")
 
@@ -263,7 +289,7 @@ def cmd_unipotent_radical(rep, args) -> int:
             if not table.closed:
                 raise NotFiniteError("enumeration hit the element cap")
             members = {m for m in table.elements if rad.contains(m)}
-            brute = set(brute_force_unipotent_radical(rep, args.element_cap))
+            brute = set(brute_force_unipotent_radical(rep, elements=table))
             agree = members == brute
             print(f"group order {len(table)}; radical subgroup order {len(brute)}; "
                   + ("oracle agrees" if agree else "ORACLE DISAGREES"))
@@ -356,6 +382,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     try:
+        _resolve_env_defaults(args)
         if args.command == "check-cert":
             return cmd_check_cert(args)
         rep = load_representation(args.repfile)

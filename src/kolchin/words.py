@@ -2,8 +2,10 @@
 
 Breadth-first element enumeration with shortest witness words,
 commutator machinery for nil/Engel/algebraic probes, and the
-brute-force normal-subgroup oracle used to validate the unipotent
-radical on finite groups.
+brute-force oracle used to validate the unipotent radical on finite
+groups: an index Cayley table built from the witness words, conjugacy
+classes read from it, and a walk over the lattice of normal subgroups
+(joins of conjugacy classes) with no cap on the number of classes.
 
 Commutator convention, used everywhere: [x, g] = x^-1 g^-1 x g, and
 left-normed iteration [[x, g], g], ...  Probes return None rather than
@@ -234,73 +236,117 @@ def algebraic_element_probe(
     return None
 
 
-def _multiplication_table(elems: Sequence[Matrix]) -> list[list[int]]:
+def cayley_table(rep: "Representation", table: ElementTable) -> list[list[int]]:
+    """Right multiplication on a closed table, as index permutations:
+    ``right[b][a]`` is the index of ``elems[a] * elems[b]`` in
+    enumeration order.
+
+    Each element b other than 1 is its witness word's parent times one
+    letter, and BFS puts the parent first, so column b is the letter's
+    column read through the parent's.  Only the letter columns take
+    matrix products: order * 2k of them for k generators.
+    """
+    elems = list(table.elements)
+    words = [w.letters for w in table.elements.values()]
     index = {m: i for i, m in enumerate(elems)}
-    return [[index[a * b] for b in elems] for a in elems]
+    position = {w: i for i, w in enumerate(words)}
+    letters = {}
+    for name in rep.names:
+        for e, mat in ((1, rep.generator(name)), (-1, rep.inverse(name))):
+            letters[name, e] = [index[m * mat] for m in elems]
+    right = [list(range(len(elems)))]
+    for w in words[1:]:
+        column = letters[w[-1]]
+        right.append([column[x] for x in right[position[w[:-1]]]])
+    return right
 
 
-def conjugacy_classes(elems: Sequence[Matrix]) -> list[tuple[int, ...]]:
-    """Partition of element indices into conjugacy classes (identity first)."""
-    index = {m: i for i, m in enumerate(elems)}
-    inverses = [index[m.inverse()] for m in elems]
-    seen = [False] * len(elems)
+def conjugacy_classes(right: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Partition of element indices into conjugacy classes (identity
+    first), from the right-multiplication table of ``cayley_table``."""
+    inverses = [column.index(0) for column in right]
+    seen = [False] * len(right)
     classes = []
-    for i in range(len(elems)):
+    for i in range(len(right)):
         if seen[i]:
             continue
-        cls = set()
-        for j, h in enumerate(elems):
-            k = index[elems[inverses[j]] * elems[i] * h]
-            cls.add(k)
+        cls = {right[right[h][i]][inverses[h]] for h in range(len(right))}
         for k in cls:
             seen[k] = True
         classes.append(tuple(sorted(cls)))
     return classes
 
 
+def _extend(
+    right: Sequence[Sequence[int]], group: frozenset[int], gens: Sequence[int]
+) -> frozenset[int]:
+    """The subgroup generated by the subgroup ``group`` together with
+    ``gens`` (which must include generators of ``group``): the right
+    cosets of ``group`` reached from 1 by right multiplication with the
+    generators (Dimino's method)."""
+    members = set(group)
+    reps = [0]
+    for r in reps:
+        for s in gens:
+            x = right[s][r]
+            if x not in members:
+                members.update(right[x][h] for h in group)
+                reps.append(x)
+    return frozenset(members)
+
+
 def brute_force_unipotent_radical(
     rep: "Representation",
     element_cap: int = DEFAULT_ELEMENT_CAP,
     length_cap: int | None = None,
+    elements: ElementTable | None = None,
 ) -> tuple[Matrix, ...]:
-    """Oracle: largest normal subgroup acting unitriangularly, by
-    exhaustive search over unions of conjugacy classes.
+    """Oracle: largest normal subgroup acting unitriangularly, by an
+    exhaustive walk over the lattice of normal subgroups.
+
+    The walk starts at {1} and joins each unitriangular normal subgroup
+    with every conjugacy class outside it.  Supergroups of a subgroup
+    that does not act unitriangularly are never unitriangular, so it is
+    not extended; every unitriangular normal subgroup M is still reached,
+    by joining the classes of M one at a time.  Each subgroup is tested
+    on a greedy generating set (an element joins only if the closure
+    does not contain it yet), at most log2 of its order in size.
 
     Requires the group to be finite (NotFiniteError otherwise); asserts
     that the maximal qualifying subgroup is unique before returning its
-    elements in enumeration order.
+    elements in enumeration order.  ``elements``, a closed enumeration
+    of ``rep`` already at hand, saves enumerating again.
     """
     from .reps import Representation, unitriangular_degree
 
-    table = enumerate_elements(rep, element_cap, length_cap)
+    table = elements if elements is not None else enumerate_elements(rep, element_cap, length_cap)
     if not table.closed:
         raise NotFiniteError("group enumeration hit a cap; the group may be infinite")
     elems = list(table.elements)
-    order = len(elems)
-    mt = _multiplication_table(elems)
-    classes = conjugacy_classes(elems)
-    identity_class = next(c for c in classes if 0 in c)  # BFS starts at the identity
-    others = [c for c in classes if c is not identity_class]
-    if len(others) > 22:
-        raise NotImplementedError("too many conjugacy classes for exhaustive search")
+    right = cayley_table(rep, table)
+    classes = conjugacy_classes(right)
 
-    candidates: list[frozenset[int]] = []
-    for mask in range(1 << len(others)):
-        union = set(identity_class)
-        for b, cls in enumerate(others):
-            if mask >> b & 1:
-                union.update(cls)
-        if order % len(union):
-            continue
-        if all(mt[i][j] in union for i in union for j in union):
-            candidates.append(frozenset(union))
-
+    trivial = frozenset((0,))  # BFS starts at the identity
+    seen = {trivial}
+    todo: list[tuple[frozenset[int], list[int]]] = [(trivial, [])]
     unitriangular: list[frozenset[int]] = []
-    for cand in candidates:
-        gens = [(f"n{i}", elems[i]) for i in sorted(cand)]
-        sub = Representation(rep.field, gens)
-        if unitriangular_degree(sub) is not None:
-            unitriangular.append(cand)
+    while todo:
+        group, gens = todo.pop()
+        sub = Representation(rep.field, [(f"n{i}", elems[i]) for i in gens or [0]])
+        if unitriangular_degree(sub) is None:
+            continue
+        unitriangular.append(group)
+        for cls in classes:
+            if cls[0] in group:
+                continue
+            join, join_gens = group, gens
+            for c in cls:
+                if c not in join:
+                    join_gens = join_gens + [c]
+                    join = _extend(right, join, join_gens)
+            if join not in seen:
+                seen.add(join)
+                todo.append((join, join_gens))
 
     best = max(unitriangular, key=len)
     for cand in unitriangular:

@@ -272,12 +272,12 @@ def test_cli_long_identity_check_has_no_traceback(tmp_path, capsys):
 def test_cli_maps_arithmetic_recursion_and_os_errors(heis_file, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert main(["kolchin", heis_file, "--cert", str(cert)]) == 0
-    # ArithmeticError: a zero denominator inside a certificate payload
+    # a zero denominator inside a certificate payload is a failed check
     doc = json.loads(cert.read_text())
     doc["payload"]["base_change"][0][0] = "1/0"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert main(["check-cert", heis_file, str(bad)]) == 1
+    assert main(["check-cert", heis_file, str(bad)]) == 2
     # RecursionError: a certificate nested deeper than the recursion limit
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
@@ -286,6 +286,69 @@ def test_cli_maps_arithmetic_recursion_and_os_errors(heis_file, tmp_path, capsys
     assert main(["check-cert", heis_file, str(tmp_path / "missing.json")]) == 1
     assert main(["kolchin", heis_file, "--cert", str(tmp_path / "no-dir" / "c.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_cert_zero_denominator_fails_verification(heis_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["kolchin", heis_file, "--cert", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    doc["payload"]["base_change"][1][2] = "1/0"
+    with pytest.raises(CertificateError):
+        check_certificate(heisenberg(), doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check-cert", heis_file, str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert "certificate verification FAILED" in err and "Traceback" not in err
+
+
+S3_DOC = {"field": {"Fp": 3}, "dim": 2,
+          "generators": {"u": [[1, 1], [0, 1]], "d": [[-1, 0], [0, 1]]}}
+
+
+def test_cli_malformed_env_cap_is_a_usage_error(heis_file, monkeypatch, capsys):
+    monkeypatch.setenv("KOLCHIN_ELEMENT_CAP", "abc")
+    assert main(["kolchin", heis_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "KOLCHIN_ELEMENT_CAP" in err
+    assert "Traceback" not in err
+
+
+def test_cli_env_caps_are_read_on_every_call(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3_DOC))
+    argv = ["unipotent-radical", str(path), "--oracle"]
+    monkeypatch.delenv("KOLCHIN_ELEMENT_CAP", raising=False)
+    assert main(argv) == 0
+    monkeypatch.setenv("KOLCHIN_ELEMENT_CAP", "3")  # below the group order 6
+    assert main(argv) == 3
+    assert main(argv + ["--element-cap", "6"]) == 0
+    monkeypatch.delenv("KOLCHIN_ELEMENT_CAP")
+    assert main(argv) == 0
+    assert "inconclusive oracle" in capsys.readouterr().err
+
+
+def test_cli_repeated_options_do_not_leak_between_calls(tmp_path, capsys):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3_DOC))
+    assert main(["unipotent-radical", str(path), "--test", "d"]) == 2
+    capsys.readouterr()
+    assert main(["unipotent-radical", str(path), "--test", "u"]) == 0
+    out = capsys.readouterr().out
+    assert "word 'u': member" in out and "word 'd'" not in out
+    assert main(["unipotent-radical", str(path)]) == 0
+    assert "word" not in capsys.readouterr().out
+
+
+def test_cli_oracle_on_many_conjugacy_classes(tmp_path, capsys):
+    # GL(2,5): 24 conjugacy classes, beyond what a search over unions of
+    # classes can enumerate
+    path = tmp_path / "gl25.json"
+    path.write_text(json.dumps({"field": {"Fp": 5}, "dim": 2, "generators": {
+        "a": [[2, 0], [0, 1]], "b": [[-1, 1], [-1, 0]]}}))
+    assert main(["unipotent-radical", str(path), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "group order 480; radical subgroup order 1; oracle agrees" in out
 
 
 def test_cli_large_prime_fields(tmp_path):

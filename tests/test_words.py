@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kolchin import (
     GF,
@@ -18,7 +20,7 @@ from kolchin import (
     left_normed_commutator,
     nil_index_probe,
 )
-from kolchin.words import conjugacy_classes, random_word
+from kolchin.words import cayley_table, conjugacy_classes, random_word
 from corpus import heisenberg, unit_matrix
 
 
@@ -195,8 +197,9 @@ def test_algebraic_probe_inconclusive():
 
 
 def test_conjugacy_classes_symmetric_group():
-    table = enumerate_elements(order_six_rep())
-    classes = conjugacy_classes(list(table.elements))
+    rep = order_six_rep()
+    table = enumerate_elements(rep)
+    classes = conjugacy_classes(cayley_table(rep, table))
     assert sorted(len(c) for c in classes) == [1, 2, 3]
 
 
@@ -231,3 +234,90 @@ def test_caps_must_be_positive():
         enumerate_elements(rep, element_cap=0)
     with pytest.raises(ValueError):
         enumerate_elements(rep, element_cap=10, length_cap=0)
+
+
+def reference_conjugacy_classes(elems):
+    """Classes from matrix products, as the oracle found them before it
+    worked on the Cayley table."""
+    index = {m: i for i, m in enumerate(elems)}
+    seen = set()
+    classes = []
+    for i, g in enumerate(elems):
+        if i in seen:
+            continue
+        cls = {index[h.inverse() * g * h] for h in elems}
+        seen |= cls
+        classes.append(tuple(sorted(cls)))
+    return classes
+
+
+def reference_radical(rep):
+    """The former oracle: every union of conjugacy classes closed under
+    products, then the unitriangular ones, each tested with all of its
+    elements as generators."""
+    from kolchin import unitriangular_degree
+
+    elems = list(enumerate_elements(rep).elements)
+    index = {m: i for i, m in enumerate(elems)}
+    mt = [[index[a * b] for b in elems] for a in elems]
+    identity_class, *others = reference_conjugacy_classes(elems)
+    unitriangular = []
+    for mask in range(1 << len(others)):
+        union = set(identity_class)
+        for b, cls in enumerate(others):
+            if mask >> b & 1:
+                union.update(cls)
+        if len(elems) % len(union):
+            continue
+        if all(mt[i][j] in union for i in union for j in union):
+            sub = Representation(rep.field, [(f"n{i}", elems[i]) for i in sorted(union)])
+            if unitriangular_degree(sub) is not None:
+                unitriangular.append(frozenset(union))
+    best = max(unitriangular, key=len)
+    assert all(cand <= best for cand in unitriangular)
+    return tuple(elems[i] for i in sorted(best))
+
+
+def _gl2(p):
+    return st.tuples(*[st.integers(0, p - 1)] * 4).filter(
+        lambda e: (e[0] * e[3] - e[1] * e[2]) % p).map(lambda e: (e[:2], e[2:]))
+
+
+_UPPER3 = st.tuples(*[st.sampled_from((1, 2))] * 3, *[st.integers(0, 2)] * 3).map(
+    lambda e: ((e[0], e[3], e[4]), (0, e[1], e[5]), (0, 0, e[2])))
+
+FINITE_GROUPS = st.one_of(
+    st.tuples(st.just(3), st.lists(_gl2(3), min_size=1, max_size=2)),
+    st.tuples(st.just(5), st.lists(_gl2(5), min_size=1, max_size=2)),
+    st.tuples(st.just(3), st.lists(_UPPER3, min_size=1, max_size=2)),
+)
+
+
+@settings(max_examples=60)
+@given(FINITE_GROUPS)
+@example((3, [((1, 1), (0, 1)), ((0, 1), (1, 1))]))  # GL(2,3): Sylow 3-subgroups not normal
+@example((5, [((1, 1), (0, 1)), ((2, 0), (0, 1))]))  # order 20, radical of order 5
+def test_oracle_matches_class_mask_search(draw):
+    p, mats = draw
+    rep = Representation(GF(p), {f"g{i}": Matrix(GF(p), m) for i, m in enumerate(mats)})
+    table = enumerate_elements(rep)
+    classes = conjugacy_classes(cayley_table(rep, table))
+    assert classes == reference_conjugacy_classes(list(table.elements))
+    # the mask search takes 2^classes unions and order^2 products
+    if len(classes) <= 14 and len(table) <= 160:
+        assert brute_force_unipotent_radical(rep) == reference_radical(rep)
+
+
+def test_oracle_matches_class_mask_search_over_q():
+    # the dihedral group of order 8, conjugated to have fraction entries
+    p = Matrix(QQ, [[1, "1/2"], [0, 3]])
+    rep = Representation(QQ, {
+        "r": p.inverse() * Matrix(QQ, [[0, -1], [1, 0]]) * p,
+        "s": p.inverse() * Matrix(QQ, [[1, 0], [0, -1]]) * p,
+    })
+    table = enumerate_elements(rep)
+    assert len(table) == 8
+    classes = conjugacy_classes(cayley_table(rep, table))
+    assert classes == reference_conjugacy_classes(list(table.elements))
+    assert sorted(map(len, classes)) == [1, 1, 2, 2, 2]
+    assert brute_force_unipotent_radical(rep) == reference_radical(rep) == (rep.identity(),)
