@@ -3,6 +3,12 @@
 Span closures of matrix sets, two-sided ideals with their power chains,
 the nilpotent radical via the trace form, and exhaustive sweeps for the
 standard alternating identities.
+
+Algebras and ideals are stored the same way: as the span of their
+matrices flattened row-major into F^(n^2), in reduced echelon form.
+Every membership test is then one integer residual of ``flat(m)``
+against an echelon span; coordinates in an algebra basis are computed
+only where they are the answer (``AlgebraBasis.coordinates``).
 """
 
 from __future__ import annotations
@@ -31,15 +37,22 @@ def _unflatten(field: Field, row: Sequence[int], den: int, n: int) -> Matrix:
     return Matrix.from_ints(field, [row[i * n:(i + 1) * n] for i in range(n)], den, n)
 
 
+def _matrices(span: Subspace, n: int) -> tuple[Matrix, ...]:
+    # the n x n matrices whose flattenings are the basis rows of span
+    b = span.basis
+    return tuple(_unflatten(span.field, row, b.den, n) for row in b.ints)
+
+
 class AlgebraBasis:
     """Basis of a unital subalgebra of the n x n matrices.
 
     The basis is product-closed as a span and contains the identity in
-    its span; ``coordinates`` expresses arbitrary matrices in the basis
-    or reports non-membership.
+    its span.  ``span`` is the echelon span of the flattened basis in
+    F^(n^2), against which ``contains`` tests membership;
+    ``coordinates`` expresses a member in the basis.
     """
 
-    __slots__ = ("field", "matrix_size", "basis", "_ech", "_flat_matrix")
+    __slots__ = ("field", "matrix_size", "basis", "span", "_ech", "_flat_matrix")
 
     def __init__(self, field: Field, matrix_size: int, basis: Sequence[Matrix]):
         self.field = field
@@ -56,6 +69,7 @@ class AlgebraBasis:
         self._ech = rref(self._flat_matrix)
         if self._ech.rank != len(self.basis):
             raise ValueError("basis matrices are linearly dependent")
+        self.span = Subspace._raw(field, matrix_size ** 2, self._ech.reduced, self._ech.pivots)
         self._check_closure()
 
     def _check_closure(self):
@@ -70,25 +84,24 @@ class AlgebraBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, m: Matrix):
-        """Coefficients of ``m`` in the basis, or None if m lies outside."""
+    def _flat(self, m: Matrix) -> tuple:
         if m.nrows != self.matrix_size or m.ncols != self.matrix_size or m.field != self.field:
             raise ValueError("matrix has the wrong size or field for this algebra")
+        return flat(m)
+
+    def coordinates(self, m: Matrix):
+        """Coefficients of ``m`` in the basis, or None if m lies outside."""
+        self._flat(m)  # size and field check
         return express_in_rows(self._flat_matrix, _flatten(m), self._ech)
 
     def contains(self, m: Matrix) -> bool:
-        return self.coordinates(m) is not None
+        return not any(self.span._residual(self._flat(m)))
 
     def from_coordinates(self, coords: Sequence) -> Matrix:
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        return self._members(Matrix(self.field, [coords]))[0]
-
-    def _members(self, coords: Matrix) -> tuple[Matrix, ...]:
-        # the matrices whose coordinates are the rows of ``coords``
-        flat_rows = coords * self._flat_matrix
-        return tuple(_unflatten(self.field, row, flat_rows.den, self.matrix_size)
-                     for row in flat_rows.ints)
+        row = Matrix(self.field, [coords]) * self._flat_matrix
+        return _unflatten(self.field, row.ints[0], row.den, self.matrix_size)
 
     def __eq__(self, other) -> bool:
         # bases are canonical, so value equality is span equality
@@ -106,14 +119,15 @@ class AlgebraBasis:
         return f"AlgebraBasis(dim {self.dim} in M_{self.matrix_size}({self.field}))"
 
 
-def span_closure(field: Field, generators: Sequence[Matrix],
-                 include_identity: bool = True) -> AlgebraBasis:
-    """Smallest subalgebra of M_n spanning the generators.
+def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
+    """Smallest unital subalgebra of M_n containing the generators.
 
-    Fixpoint iteration: pairwise products of the working elements are
-    absorbed until the dimension stabilises.  The returned basis is the
-    canonical one: the reduced echelon rows of the span, reshaped into
-    matrices, so it does not depend on generator order.
+    Spin closure: the algebra is spanned by the words in the generators,
+    so it is enough to multiply every kept element, starting from the
+    identity, on the right by each generator, and to keep the products
+    that grow the span.  The returned basis is the canonical one: the
+    reduced echelon rows of the span, reshaped into matrices, so it does
+    not depend on generator order.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -121,75 +135,79 @@ def span_closure(field: Field, generators: Sequence[Matrix],
     for g in generators:
         if g.nrows != n or g.ncols != n or g.field != field:
             raise ValueError("generators must be square of one size over the field")
+    one = Matrix.identity(field, n)
     span = RowSpan(field, n * n)
-    work: list[Matrix] = []
-    seed = ([Matrix.identity(field, n)] if include_identity else []) + list(generators)
-    for m in seed:
-        if span.absorb(flat(m)):
-            work.append(m)
-    k = 0
-    while k < len(work):
-        wk = work[k]
-        for j in range(k + 1):
-            for prod in (wk * work[j], work[j] * wk):
-                if span.absorb(flat(prod)):
-                    work.append(prod)
-        k += 1
-    flat_basis = span.to_subspace().basis
-    basis = [_unflatten(field, row, flat_basis.den, n) for row in flat_basis.ints]
-    return AlgebraBasis(field, n, basis)
+    span.absorb(flat(one))
+    work = [one]
+    for m in work:  # grows while it is walked
+        for g in generators:
+            prod = m * g
+            if span.absorb(flat(prod)):
+                work.append(prod)
+    return AlgebraBasis(field, n, _matrices(span.to_subspace(), n))
 
 
 class Ideal:
-    """Two-sided ideal of an AlgebraBasis, as a subspace of coordinates.
+    """Two-sided ideal of an AlgebraBasis.
 
-    ``space`` lives in the parent's coordinate space; ``matrices`` are
-    the corresponding canonical matrix representatives.
+    Stored as ``span``, the canonical echelon span of its matrices
+    flattened into F^(n^2), the space the parent's ``span`` lives in.
+    The constructor takes a subspace of the parent's coordinate space
+    and maps it to matrices once; ``matrices`` are the canonical
+    representatives, the reshaped basis rows of ``span``.
     """
 
-    __slots__ = ("parent", "space")
+    __slots__ = ("parent", "span")
 
     def __init__(self, parent: AlgebraBasis, space: Subspace):
         if space.ambient_dim != parent.dim or space.field != parent.field:
             raise ValueError("ideal coordinates do not match the parent algebra")
+        flat_rows = space.basis * parent._flat_matrix
         self.parent = parent
-        self.space = space
+        self.span = Subspace._spanned(parent.field, parent.matrix_size ** 2, flat_rows.ints)
         self._check_ideal()
+
+    @classmethod
+    def _of_span(cls, parent: AlgebraBasis, span: Subspace) -> "Ideal":
+        # an ideal from its canonical flattened span
+        i = object.__new__(cls)
+        i.parent, i.span = parent, span
+        i._check_ideal()
+        return i
 
     @property
     def matrices(self) -> tuple[Matrix, ...]:
-        # computed on access: an algebra's ideals are cached with it, and
-        # the coordinate rows in ``space`` already hold the same information
-        return self.parent._members(self.space.basis)
+        return _matrices(self.span, self.parent.matrix_size)
 
     def _check_ideal(self):
+        inside, residual = self.parent.span._residual, self.span._residual
         for u in self.matrices:
+            if any(inside(flat(u))):
+                raise ValueError("ideal matrix lies outside the algebra")
             for b in self.parent.basis:
                 for prod in (b * u, u * b):
-                    coords = self.parent.coordinates(prod)
-                    if coords is None or not self.space.contains_vector(coords):
+                    if any(residual(flat(prod))):
                         raise ValueError("subspace is not closed under algebra multiplication")
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return self.span.dim
 
     def is_zero(self) -> bool:
-        return self.space.is_zero()
+        return self.span.is_zero()
 
     def contains(self, m: Matrix) -> bool:
-        coords = self.parent.coordinates(m)
-        return coords is not None and self.space.contains_vector(coords)
+        return not any(self.span._residual(self.parent._flat(m)))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Ideal)
             and self.parent == other.parent
-            and self.space == other.space
+            and self.span == other.span
         )
 
     def __hash__(self) -> int:
-        return hash(self.space)
+        return hash(self.span)
 
     def __repr__(self) -> str:
         return f"Ideal(dim {self.dim} of {self.parent!r})"
@@ -197,57 +215,44 @@ class Ideal:
 
 def ideal_closure(a: AlgebraBasis, seeds: Sequence[Matrix]) -> Ideal:
     """Smallest two-sided ideal of ``a`` containing the seed matrices."""
-    coords_of = []
     for s in seeds:
-        c = a.coordinates(s)
-        if c is None:
+        if not a.contains(s):
             raise ValueError("seed matrix lies outside the algebra")
-        coords_of.append(c)
     span = RowSpan(a.field, a.matrix_size ** 2)
-    elems: list[Matrix] = []
-    for s in seeds:
-        if span.absorb(flat(s)):
-            elems.append(s)
-    k = 0
-    while k < len(elems):
-        u = elems[k]
+    elems = [s for s in seeds if span.absorb(flat(s))]
+    for u in elems:  # grows while it is walked
         for b in a.basis:
             for prod in (b * u, u * b):
                 if span.absorb(flat(prod)):
                     elems.append(prod)
-        k += 1
-    rows = [a.coordinates(m) for m in elems]
-    space = Subspace(a.field, a.dim, rows)
-    return Ideal(a, space)
+    return Ideal._of_span(a, span.to_subspace())
 
 
 def ideal_power_chain(a: AlgebraBasis, i: Ideal):
     """Descending chain I, I^2, ... until zero or stabilisation.
 
-    Returns (chain, nilpotency_index); the index is None when the chain
-    stabilises at a nonzero space.  The zero ideal has index 1.
+    Returns (chain, nilpotency_index): the chain holds the spans of the
+    powers in F^(n^2), as ``Ideal.span`` does; the index is None when
+    the chain stabilises at a nonzero space.  The zero ideal has index 1.
     """
     if i.parent != a:
         raise ValueError("ideal does not belong to the algebra")
-    chain = [i.space]
+    chain = [i.span]
     if i.is_zero():
         return chain, 1
     gens = current = i.matrices
     while True:
         span = RowSpan(a.field, a.matrix_size ** 2)
-        mats: list[Matrix] = []
         for u in current:
             for v in gens:
-                prod = u * v
-                if span.absorb(flat(prod)):
-                    mats.append(prod)
-        space = Subspace(a.field, a.dim, [a.coordinates(m) for m in mats])
+                span.absorb(flat(u * v))
+        space = span.to_subspace()
         chain.append(space)
         if space.is_zero():
             return chain, len(chain)
         if space == chain[-2]:
             return chain, None
-        current = a._members(space.basis)
+        current = _matrices(space, a.matrix_size)
 
 
 def trace_radical(a: AlgebraBasis) -> Ideal:
@@ -274,15 +279,6 @@ def trace_radical(a: AlgebraBasis) -> Ideal:
     if index is None:
         raise InternalInconsistencyError("trace-form kernel failed nilpotency verification")
     return rad
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def standard_identity_eval(k: int, mats: Sequence[Matrix]) -> Matrix:

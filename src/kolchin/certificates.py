@@ -19,12 +19,13 @@ import tempfile
 
 from . import __version__
 from .algebra import standard_identity_eval
-from .linalg import Flag, Matrix, RowSpan, Subspace, flat, row_times, rref
+from .linalg import Flag, Matrix, RowSpan, Subspace, flag_drops, flat, rref
 from .repfile import matrix_from_rows, matrix_to_rows, representation_to_dict
 from .reps import Representation
 from .words import Word, evaluate_word
 
 CERT_FORMAT = "kolchin.certificate/1"
+FLAG_DROP_FAILS = "flag drop fails: a generator difference leaves a step boundary"
 
 
 class CertificateError(ValueError):
@@ -86,18 +87,6 @@ def _require(cond: bool, message: str):
         raise CertificateError(message)
 
 
-def _check_flag_drops(rep: Representation, steps: list[Subspace]):
-    one = rep.identity()
-    for g in rep.generators:
-        diff = g - one
-        for below, step in zip(steps, steps[1:]):
-            for v in step.basis.rows:
-                _require(
-                    below.contains_vector(row_times(v, diff)),
-                    "flag drop fails: a generator difference leaves a step boundary",
-                )
-
-
 def _span_is_nilpotent(mats: list[Matrix]) -> bool:
     """The span of ``mats`` has some vanishing power.
 
@@ -141,7 +130,7 @@ def check_certificate(rep: Representation, cert: dict) -> str:
         return checker(rep, result, payload)
     except CertificateError:
         raise
-    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as e:
         raise CertificateError(f"malformed certificate payload: {e}") from e
 
 
@@ -150,7 +139,7 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
         steps = [_subspace_from_rows(rep, rows) for rows in payload["flag"]]
         flag = Flag(steps)  # validates ascent from 0 to V
         _require(flag.degree == payload["degree"], "degree does not match the flag")
-        _check_flag_drops(rep, steps)
+        _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
         base = matrix_from_rows(rep.field, payload["base_change"], rep.dim)
         _require(rref(base).rank == rep.dim, "base change is not invertible")
         # base-change rows fill the flag from the bottom up
@@ -172,14 +161,19 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
 def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> str:
     from .reps import unipotency_index
 
-    for label, claimed in payload["indices"].items():
+    indices = payload["indices"]
+    _require(all(name in indices for name in rep.names),
+             "a generator has no unipotency index")
+    for label, claimed in indices.items():
         if label.startswith("word:"):
             m = evaluate_word(rep, Word.parse(label[5:]))
         else:
             m = rep.generator(label)
         _require(unipotency_index(rep, m) == claimed,
                  f"unipotency index mismatch for {label!r}")
-    return f"unipotency indices verified for {len(payload['indices'])} elements"
+    derived = "unipotent" if None not in indices.values() else "not-unipotent"
+    _require(result == derived, f"result {result!r} contradicts the indices")
+    return f"unipotency indices verified for {len(indices)} elements"
 
 
 def _check_identity(rep: Representation, result: str, payload: dict) -> str:
@@ -198,8 +192,8 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
             from .reps import difference_product_spans
 
             bound = payload["lifted_bound"]
-            spans = difference_product_spans(rep, bound)
-            _require(spans[bound].is_zero(), "lifted bound fails at matrix level")
+            _require(difference_product_spans(rep, bound)[-1].is_zero(),
+                     "lifted bound fails at matrix level")
             return f"lifted identity bound {bound} verified"
         from .reps import generator_identity_witness
 
@@ -208,7 +202,7 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
         if "series" in payload:
             steps = [_subspace_from_rows(rep, rows) for rows in payload["series"]]
             Flag(steps)
-            _check_flag_drops(rep, steps)
+            _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
         return f"length-{n} identity verified"
     raise CertificateError(f"unknown result kind {result!r}")
 

@@ -344,16 +344,6 @@ def flat(m: Matrix) -> tuple:
     return tuple(chain.from_iterable(m.ints))
 
 
-def row_times(v: Sequence[Scalar], m: Matrix) -> tuple:
-    """The row vector ``v * m``, as field scalars."""
-    k = m._k
-    (ints,), den = k.coerce([[m.field.of(x) for x in v]])
-    if len(ints) != m.nrows:
-        raise ValueError("length mismatch")
-    den *= m.den
-    return tuple(k.scalar(x, den) for x in _combination(ints, m.ints, m.ncols))
-
-
 @dataclass(frozen=True)
 class Echelon:
     """Reduced row-echelon form with the witnessing row transform.
@@ -581,12 +571,27 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
     if m.nrows != m.ncols or m.nrows != w.ambient_dim or m.field != w.field:
         raise ValueError("matrix does not act on the subspace's ambient space")
     for ints, vec in zip(w.basis.ints, w.basis.rows):
-        if any(w._residual(_combination(ints, m.ints, m.ncols))):
-            raise NotInvariantError(vec, row_times(vec, m))
+        image = _combination(ints, m.ints, m.ncols)
+        if any(w._residual(image)):
+            den = w.basis.den * m.den
+            raise NotInvariantError(vec, [m._k.scalar(x, den) for x in image])
     free = w.complement_coordinates()
     # e_j * m is row j of m
     rows = [[red[c] for c in free] for red in (w._residual(m.ints[j]) for j in free)]
     return Matrix.from_ints(m.field, rows, w.basis.den * m.den, len(free))
+
+
+def flag_drops(mats: Sequence[Matrix], steps: Sequence[Subspace]) -> bool:
+    """True iff every m - 1, for m in ``mats``, maps each step into the
+    one below (v * (m - 1) in W_{i-1} for every basis vector v of W_i):
+    every matrix acts trivially on each factor of the chain."""
+    for m in mats:
+        d = m - Matrix.identity(m.field, m.nrows)
+        for below, step in zip(steps, steps[1:]):
+            for v in step.basis.ints:
+                if any(below._residual(_combination(v, d.ints, d.ncols))):
+                    return False
+    return True
 
 
 class Flag:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    AlgebraBasis,
     Ideal,
     InternalInconsistencyError,
     ideal_closure,
@@ -32,8 +31,8 @@ from .linalg import (
     Subspace,
     assemble_flag_basis,
     fixed_space,
+    flag_drops,
     quotient_action,
-    row_times,
 )
 
 
@@ -195,16 +194,7 @@ def _lift_from_quotient(w: Subspace, rows: Sequence[Sequence]) -> list[tuple]:
     return lifted
 
 
-def _verify_flag_drops(rep: Representation, flag: Flag):
-    one = rep.identity()
-    for g in rep.generators:
-        diff = g - one
-        for below, step in zip(flag.steps, flag.steps[1:]):
-            for v in step.basis.rows:
-                if not below.contains_vector(row_times(v, diff)):
-                    raise InternalInconsistencyError(
-                        "flag verification failed: a difference does not drop a step"
-                    )
+FLAG_DROP_FAILED = "flag verification failed: a difference does not drop a step"
 
 
 def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
@@ -233,7 +223,8 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
         qmats = [quotient_action(g, w) for g in rep.generators]
         stage += 1
     flag = Flag(steps)
-    _verify_flag_drops(rep, flag)
+    if not flag_drops(rep.generators, flag.steps):
+        raise InternalInconsistencyError(FLAG_DROP_FAILED)
     return UnitriCertificate(flag, assemble_flag_basis(flag), flag.degree)
 
 
@@ -285,7 +276,10 @@ def difference_product_spans(rep: Representation, upto: int) -> list[Subspace]:
     """Spans V_k of all vectors x (h_1-1)...(h_k-1), for k = 0..upto.
 
     Satisfies V_k = sum over generators of V_{k-1} (g-1), which keeps
-    the computation linear in ``upto``.
+    the computation linear in ``upto``.  Since V_k is a function of
+    V_{k-1}, the list stops early at a zero span or before a span
+    equal to the last one: its entries strictly descend, and the last
+    one is V_upto.
     """
     field, n = rep.field, rep.dim
     one = rep.identity()
@@ -293,8 +287,12 @@ def difference_product_spans(rep: Representation, upto: int) -> list[Subspace]:
     spans = [Subspace.full(field, n)]
     for _ in range(upto):
         prev = spans[-1]
-        rows = [row_times(v, d) for d in diffs for v in prev.basis.rows]
-        spans.append(Subspace(field, n, rows))
+        if prev.is_zero():
+            break
+        nxt = Subspace(field, n, [r for d in diffs for r in (prev.basis * d).ints])
+        if nxt == prev:
+            break
+        spans.append(nxt)
     return spans
 
 
@@ -311,14 +309,11 @@ def invariant_series_from_identity(rep: Representation, n: int) -> Flag:
     if witness is not None:
         raise ValueError(f"length-{n} generator identity fails on tuple {witness}")
     spans = difference_product_spans(rep, n)
-    if not spans[n].is_zero():
+    if not spans[-1].is_zero():
         raise InternalInconsistencyError("verified identity left a nonzero span")
-    steps = [spans[n]]
-    for k in range(n - 1, -1, -1):
-        if spans[k] != steps[-1]:
-            steps.append(spans[k])
-    flag = Flag(steps)
-    _verify_flag_drops(rep, flag)
+    flag = Flag(spans[::-1])
+    if not flag_drops(rep.generators, flag.steps):
+        raise InternalInconsistencyError(FLAG_DROP_FAILED)
     return flag
 
 
@@ -366,8 +361,7 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
         raise LiftHypothesisError(hit)
 
     bound = m * n
-    spans = difference_product_spans(rep, bound)
-    if not spans[bound].is_zero():
+    if not difference_product_spans(rep, bound)[-1].is_zero():
         raise InternalInconsistencyError("lifted identity failed matrix-level verification")
     return bound
 
@@ -438,21 +432,24 @@ def unipotent_radical(rep: Representation) -> UnipotentRadical:
     return UnipotentRadical(rep)
 
 
+KALOUJNINE_POOL = 32
+
+
 def kaloujnine_class_check(
     rep: Representation,
     degree: int,
     sample_budget: int = 1000,
     word_length_cap: int = 8,
     seed: int = 0,
-    pool_size: int = 32,
 ):
     """Sampling check that weight-``degree`` left-normed commutators are
     trivial, as they must be in a faithful representation that is
     unitriangular of that degree.
 
-    Evidence, not proof: samples draw tuples from a pool of freshly
-    sampled random words of bounded length.  Returns None when every
-    sampled commutator is the identity, else the witness word tuple.
+    Evidence, not proof: samples draw tuples from a pool of
+    ``KALOUJNINE_POOL`` freshly sampled random words of bounded length.
+    Returns None when every sampled commutator is the identity, else
+    the witness word tuple.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -461,12 +458,12 @@ def kaloujnine_class_check(
     rng = random.Random(seed)
     pool: list[Word] = []
     mats: list[tuple[Matrix, Matrix]] = []
-    for _ in range(pool_size):
+    for _ in range(KALOUJNINE_POOL):
         w = random_word(rng, rep.names, word_length_cap)
         pool.append(w)
         mats.append((evaluate_word(rep, w), evaluate_word(rep, w.inverse())))
     for _ in range(sample_budget):
-        picks = [rng.randrange(pool_size) for _ in range(degree)]
+        picks = [rng.randrange(KALOUJNINE_POOL) for _ in range(degree)]
         c, ci = mats[picks[0]]
         trivial = c.is_identity()
         for t in picks[1:]:

@@ -16,6 +16,7 @@ from kolchin import (
     quotient_action,
     rref,
 )
+from kolchin.linalg import flag_drops
 from corpus import random_matrix, unit_matrix
 
 
@@ -278,6 +279,21 @@ def test_assemble_flag_basis_invertible_random():
         for step in f.steps[1:]:
             for v in basis.rows[: step.dim]:
                 assert step.contains_vector(v)
+
+
+def test_flag_drops_needs_trivial_factor_actions():
+    u = Matrix(QQ, [[1, 1], [0, 1]])
+    d = Matrix(QQ, [[2, 0], [0, 1]])
+    zero, full = Subspace.zero(QQ, 2), Subspace.full(QQ, 2)
+    e1, e2 = Subspace(QQ, 2, [[1, 0]]), Subspace(QQ, 2, [[0, 1]])
+    assert flag_drops([u], [zero, e2, full])
+    assert not flag_drops([u], [zero, e1, full])
+    # span(e1) is invariant under d, but d acts as 2 on it
+    assert not flag_drops([d], [zero, e1, full])
+    assert not flag_drops([u, d], [zero, e2, full])
+    f7 = GF(7)
+    assert flag_drops([Matrix(f7, [[1, 3], [0, 1]])],
+                      [Subspace.zero(f7, 2), Subspace(f7, 2, [[0, 4]]), Subspace.full(f7, 2)])
 
 
 def test_flag_validation():

@@ -1,6 +1,8 @@
 import copy
 import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +253,15 @@ def test_certificate_tampering_detected(tmp_path):
         check_certificate(rep, bad)
 
 
+def test_certificate_invariant_flag_without_drops_rejected():
+    # span(e1) is invariant under diag(2, 1), but the factor actions are not trivial
+    rep = Representation(QQ, {"d": Matrix(QQ, [[2, 0], [0, 1]])})
+    payload = {"degree": 2, "flag": [[], [["1", "0"]], [["1", "0"], ["0", "1"]]],
+               "base_change": [["1", "0"], ["0", "1"]]}
+    with pytest.raises(CertificateError, match="flag drop fails"):
+        check_certificate(rep, make_certificate("kolchin", rep, "unitriangular", payload))
+
+
 def test_save_and_load(tmp_path):
     rep = heisenberg()
     path = str(tmp_path / "out.json")
@@ -362,3 +373,54 @@ def test_cli_large_prime_fields(tmp_path):
     assert main(["kolchin", str(path)]) == 0
     write(2**89 - 1)  # beyond the deterministic primality bound: refused
     assert main(["kolchin", str(path)]) == 1
+
+
+def _edited(cert_path, tmp_path, edit):
+    doc = json.loads(Path(cert_path).read_text())
+    edit(doc)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
+def test_check_cert_unipotent_result_must_follow_indices(heis_file, tmp_path, capsys):
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"field": "Q", "dim": 2, "generators": {
+        "u": [[1, 1], [0, 1]], "d": [[2, 0], [0, 1]]}}))
+    cert = str(tmp_path / "cert.json")
+    assert main(["check-unipotent", str(mixed), "--cert", cert]) == 2
+    assert main(["check-cert", str(mixed), cert]) == 0
+    # "unipotent" although the index of d is null
+    assert json.loads(Path(cert).read_text())["payload"]["indices"]["d"] is None
+    bad = _edited(cert, tmp_path, lambda d: d.update(result="unipotent"))
+    assert main(["check-cert", str(mixed), bad]) == 2
+    # a generator left out: the rest of the certificate stays consistent
+    assert main(["check-unipotent", heis_file, "--cert", cert]) == 0
+    bad = _edited(cert, tmp_path, lambda d: d["payload"]["indices"].pop("b"))
+    assert main(["check-cert", heis_file, bad]) == 2
+    assert "no unipotency index" in capsys.readouterr().err
+    # a list where the payload holds a mapping is malformed, not a crash
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(indices=["a", "b"]))
+    assert main(["check-cert", heis_file, bad]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_cert_huge_lifted_bound_stops_at_a_stable_span(heis_file, tmp_path):
+    cert = str(tmp_path / "cert.json")
+    assert main(["identity-check", heis_file, "--length", "1",
+                 "--lift-through-radical", "--cert", cert]) == 0
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(lifted_bound=10**7))
+    start = time.perf_counter()
+    assert main(["check-cert", heis_file, bad]) == 0  # V_3 = 0 already
+    assert time.perf_counter() - start < 2
+    # diag(2, 1) is not unipotent: V_1 = V_2 != 0, so no bound holds
+    diag = tmp_path / "diag.json"
+    diag.write_text(json.dumps({"field": "Q", "dim": 2, "generators": {"d": [[2, 0], [0, 1]]}}))
+    rep = loads_representation(diag.read_text())
+    doc = make_certificate("identity-check", rep, "verified",
+                           {"length": 1, "lifted_bound": 10**7, "modulo_radical": True})
+    bad = tmp_path / "diag-cert.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["check-cert", str(diag), str(bad)]) == 2
+    assert time.perf_counter() - start < 2
