@@ -7,8 +7,8 @@ standard alternating identities.
 Algebras and ideals are stored the same way: as the span of their
 matrices flattened row-major into F^(n^2), in reduced echelon form.
 Every membership test is then one integer residual of ``flat(m)``
-against an echelon span; coordinates in an algebra basis are computed
-only where they are the answer (``AlgebraBasis.coordinates``).
+against an echelon span, and the coordinates of a member in the
+algebra basis are its entries at the span's pivots.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .fields import Field
-from .linalg import Matrix, RowSpan, Subspace, express_in_rows, flat, kernel, rref
+from .linalg import Matrix, RowSpan, Subspace, flat, kernel
 
 
 class CharacteristicTooSmallError(ValueError):
@@ -26,11 +26,6 @@ class CharacteristicTooSmallError(ValueError):
 
 class InternalInconsistencyError(RuntimeError):
     """A structural self-check failed; indicates a bug, not bad input."""
-
-
-def _flatten(m: Matrix) -> Matrix:
-    # the 1 x n^2 matrix of the entries of m in row-major order
-    return Matrix.from_ints(m.field, (flat(m),), m.den, m.nrows * m.ncols)
 
 
 def _unflatten(field: Field, row: Sequence[int], den: int, n: int) -> Matrix:
@@ -46,30 +41,30 @@ def _matrices(span: Subspace, n: int) -> tuple[Matrix, ...]:
 class AlgebraBasis:
     """Basis of a unital subalgebra of the n x n matrices.
 
-    The basis is product-closed as a span and contains the identity in
-    its span.  ``span`` is the echelon span of the flattened basis in
-    F^(n^2), against which ``contains`` tests membership;
-    ``coordinates`` expresses a member in the basis.
+    The algebra is its ``span``: the canonical reduced echelon span of
+    its matrices flattened into F^(n^2).  ``basis`` is that span's rows
+    reshaped into matrices, so it is the same for every spanning input
+    and ``==`` is span equality.  ``contains`` reduces ``flat(m)``
+    against the span; ``coordinates`` reads the entries of a member at
+    the pivots, since each basis matrix is 1 at its own pivot and 0 at
+    the others.
     """
 
-    __slots__ = ("field", "matrix_size", "basis", "span", "_ech", "_flat_matrix")
+    __slots__ = ("field", "matrix_size", "basis", "span")
 
     def __init__(self, field: Field, matrix_size: int, basis: Sequence[Matrix]):
-        self.field = field
-        self.matrix_size = matrix_size
-        self.basis = tuple(basis)
-        if not self.basis:
+        mats = tuple(basis)
+        if not mats:
             raise ValueError("an algebra basis cannot be empty")
-        for b in self.basis:
+        for b in mats:
             if b.nrows != matrix_size or b.ncols != matrix_size or b.field != field:
                 raise ValueError("basis matrices must be square of the stated size")
-        self._flat_matrix = Matrix.vstack([_flatten(b) for b in self.basis])
-        # for a basis already in echelon form (span_closure's), rref
-        # returns the flat matrix itself as ``reduced``
-        self._ech = rref(self._flat_matrix)
-        if self._ech.rank != len(self.basis):
+        self.field = field
+        self.matrix_size = matrix_size
+        self.span = Subspace._spanned(field, matrix_size ** 2, [flat(b) for b in mats])
+        if self.span.dim != len(mats):
             raise ValueError("basis matrices are linearly dependent")
-        self.span = Subspace._raw(field, matrix_size ** 2, self._ech.reduced, self._ech.pivots)
+        self.basis = _matrices(self.span, matrix_size)
         self._check_closure()
 
     def _check_closure(self):
@@ -91,8 +86,11 @@ class AlgebraBasis:
 
     def coordinates(self, m: Matrix):
         """Coefficients of ``m`` in the basis, or None if m lies outside."""
-        self._flat(m)  # size and field check
-        return express_in_rows(self._flat_matrix, _flatten(m), self._ech)
+        v = self._flat(m)
+        if any(self.span._residual(v)):
+            return None
+        n = self.matrix_size
+        return tuple(m[divmod(c, n)] for c in self.span.pivots)
 
     def contains(self, m: Matrix) -> bool:
         return not any(self.span._residual(self._flat(m)))
@@ -100,20 +98,14 @@ class AlgebraBasis:
     def from_coordinates(self, coords: Sequence) -> Matrix:
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        row = Matrix(self.field, [coords]) * self._flat_matrix
+        row = Matrix(self.field, [coords]) * self.span.basis
         return _unflatten(self.field, row.ints[0], row.den, self.matrix_size)
 
     def __eq__(self, other) -> bool:
-        # bases are canonical, so value equality is span equality
-        return (
-            isinstance(other, AlgebraBasis)
-            and self.field == other.field
-            and self.matrix_size == other.matrix_size
-            and self.basis == other.basis
-        )
+        return isinstance(other, AlgebraBasis) and self.span == other.span
 
     def __hash__(self) -> int:
-        return hash((self.field, self.matrix_size, self.basis))
+        return hash(self.span)
 
     def __repr__(self) -> str:
         return f"AlgebraBasis(dim {self.dim} in M_{self.matrix_size}({self.field}))"
@@ -162,7 +154,7 @@ class Ideal:
     def __init__(self, parent: AlgebraBasis, space: Subspace):
         if space.ambient_dim != parent.dim or space.field != parent.field:
             raise ValueError("ideal coordinates do not match the parent algebra")
-        flat_rows = space.basis * parent._flat_matrix
+        flat_rows = space.basis * parent.span.basis
         self.parent = parent
         self.span = Subspace._spanned(parent.field, parent.matrix_size ** 2, flat_rows.ints)
         self._check_ideal()

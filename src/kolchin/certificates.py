@@ -3,8 +3,18 @@
 A certificate records the command, a digest of the input
 representation, the result kind, and a payload rich enough that
 ``check_certificate`` can re-verify every claim from scratch with
-exact row reduction and matrix products: flag drops, product
-vanishing, radical membership, nilpotency of embedded spans.
+exact row reduction and matrix products, without re-running the
+algorithm that made it:
+
+- flags and series: every generator difference drops each step;
+- an identity verified at length (or lifted bound) n: the span of all
+  vectors x (h_1-1)...(h_n-1) in V is zero;
+- pi-check: the embedded basis spans exactly the enveloping algebra,
+  which the checker spins itself; each witness evaluates to nonzero,
+  the claimed degree holds, and the degree below it has a witness;
+- unipotent-radical: the embedded radical is exactly the kernel of the
+  trace form Tr(xy) on that algebra (characteristic 0 or p > n), is
+  nilpotent and conjugation-stable, and the membership verdicts follow.
 
 Identical inputs and seeds produce byte-identical certificates; no
 timestamps or environment data are embedded.
@@ -18,10 +28,11 @@ import os
 import tempfile
 
 from . import __version__
-from .algebra import standard_identity_eval
-from .linalg import Flag, Matrix, RowSpan, Subspace, flag_drops, flat, rref
+from .algebra import AlgebraBasis, standard_identity_eval, standard_identity_witness
+from .linalg import (Flag, Matrix, RowSpan, Subspace, fixed_space, flag_drops, flat, kernel,
+                     quotient_action, rref)
 from .repfile import matrix_from_rows, matrix_to_rows, representation_to_dict
-from .reps import Representation
+from .reps import Representation, difference_product_spans, unipotency_index
 from .words import Word, evaluate_word
 
 CERT_FORMAT = "kolchin.certificate/1"
@@ -79,12 +90,35 @@ def flag_to_payload(flag: Flag) -> list[list[list]]:
 
 
 def _subspace_from_rows(rep: Representation, rows: list) -> Subspace:
-    return Subspace(rep.field, rep.dim, [[rep.field.of(x) for x in r] for r in rows])
+    return Subspace(rep.field, rep.dim, rows)
 
 
 def _require(cond: bool, message: str):
     if not cond:
         raise CertificateError(message)
+
+
+def _enveloping_span(rep: Representation) -> Subspace:
+    """The enveloping algebra as the span of its matrices flattened into
+    F^(n^2), spun here from the identity by right multiplication with
+    the generators."""
+    one = rep.identity()
+    span = RowSpan(rep.field, rep.dim ** 2)
+    span.absorb(flat(one))
+    work = [one]
+    for m in work:  # grows while it is walked
+        for g in rep.generators:
+            prod = m * g
+            if span.absorb(flat(prod)):
+                work.append(prod)
+    return span.to_subspace()
+
+
+def _embedded_span(rep: Representation, mats: list[Matrix]) -> RowSpan:
+    span = RowSpan(rep.field, rep.dim ** 2)
+    for m in mats:
+        _require(span.absorb(flat(m)), "embedded basis is linearly dependent")
+    return span
 
 
 def _span_is_nilpotent(mats: list[Matrix]) -> bool:
@@ -130,7 +164,7 @@ def check_certificate(rep: Representation, cert: dict) -> str:
         return checker(rep, result, payload)
     except CertificateError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as e:
+    except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as e:
         raise CertificateError(f"malformed certificate payload: {e}") from e
 
 
@@ -149,8 +183,6 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
         return f"unitriangular certificate of degree {payload['degree']} verified"
     if result == "not-unipotent":
         reached = _subspace_from_rows(rep, payload["reached"])
-        from .linalg import fixed_space, quotient_action
-
         qmats = [quotient_action(g, reached) for g in rep.generators]
         _require(fixed_space(qmats).is_zero(),
                  "claimed obstruction has a nonzero fixed space")
@@ -159,8 +191,6 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
 
 
 def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> str:
-    from .reps import unipotency_index
-
     indices = payload["indices"]
     _require(all(name in indices for name in rep.names),
              "a generator has no unipotency index")
@@ -187,54 +217,57 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
         _require(not prod.is_zero(), "claimed witness product vanishes")
         return f"identity witness of length {n} verified"
     if result == "verified":
-        if payload.get("modulo_radical"):
-            # the checkable claim is the lifted bound itself
-            from .reps import difference_product_spans
-
-            bound = payload["lifted_bound"]
-            _require(difference_product_spans(rep, bound)[-1].is_zero(),
-                     "lifted bound fails at matrix level")
-            return f"lifted identity bound {bound} verified"
-        from .reps import generator_identity_witness
-
-        _require(generator_identity_witness(rep, n) is None,
-                 "re-sweep found a violating generator tuple")
+        # all length-n generator products vanish iff V (h_1-1)...(h_n-1) = 0
+        lifted = payload.get("modulo_radical")
+        bound = payload["lifted_bound"] if lifted else n
+        _require(difference_product_spans(rep, bound)[-1].is_zero(),
+                 f"difference products of length {bound} do not all vanish")
         if "series" in payload:
             steps = [_subspace_from_rows(rep, rows) for rows in payload["series"]]
             Flag(steps)
             _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
+        if lifted:
+            return f"lifted identity bound {bound} verified"
         return f"length-{n} identity verified"
     raise CertificateError(f"unknown result kind {result!r}")
 
 
 def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     basis = [matrix_from_rows(rep.field, rows, rep.dim) for rows in payload["algebra_basis"]]
-    span = RowSpan(rep.field, rep.dim * rep.dim)
-    for b in basis:
-        _require(span.absorb(flat(b)),
-                 "embedded algebra basis is linearly dependent")
-    for g in rep.generators:
-        _require(span.contains(flat(g)),
-                 "embedded algebra does not contain a generator")
-    for k_str, combo in payload.get("witnesses", {}).items():
+    _require(_embedded_span(rep, basis).to_subspace() == _enveloping_span(rep),
+             "embedded basis does not span the enveloping algebra")
+    witnesses = payload.get("witnesses", {})
+    for k_str, combo in witnesses.items():
         value = standard_identity_eval(int(k_str), [basis[i] for i in combo])
         _require(not value.is_zero(), f"degree-{k_str} witness evaluates to zero")
     minimal = payload.get("minimal_degree")
-    if minimal is not None:
-        from .algebra import AlgebraBasis, standard_identity_witness
-
-        alg = AlgebraBasis(rep.field, rep.dim, basis)
-        _require(standard_identity_witness(alg, minimal) is None,
-                 "claimed minimal degree fails a re-sweep")
-        return f"standard identity of degree {minimal} verified"
-    return "standard identity witnesses verified"
+    _require(result == ("not-found" if minimal is None else "degree-found"),
+             f"result {result!r} contradicts the minimal degree")
+    # S_j holding implies S_(j+1) holds, so a witness one below the claimed
+    # degree, or at the top of a sweep that found none, shows all below fail
+    below = payload["max_degree"] if minimal is None else minimal - 1
+    _require(below < 2 or str(below) in witnesses, f"no degree-{below} witness")
+    if minimal is None:
+        return "standard identity witnesses verified"
+    alg = AlgebraBasis(rep.field, rep.dim, basis)
+    _require(standard_identity_witness(alg, minimal) is None,
+             "claimed minimal degree fails a re-sweep")
+    return f"standard identity of degree {minimal} verified"
 
 
 def _check_radical(rep: Representation, result: str, payload: dict) -> str:
-    basis = [matrix_from_rows(rep.field, rows, rep.dim) for rows in payload["radical_basis"]]
-    span = RowSpan(rep.field, rep.dim * rep.dim)
-    for b in basis:
-        span.absorb(flat(b))
+    n, p = rep.dim, rep.field.characteristic()
+    _require(not 0 < p <= n, f"no trace-form radical in characteristic {p} <= {n}")
+    basis = [matrix_from_rows(rep.field, rows, n) for rows in payload["radical_basis"]]
+    span = _embedded_span(rep, basis)
+    # the radical is the kernel of the trace form on the algebra, and
+    # Tr(xy) is flat(x) dotted with flat(y transposed)
+    alg = _enveloping_span(rep).basis
+    swapped = Matrix.from_ints(rep.field, [[r[(c % n) * n + c // n] for c in range(n * n)]
+                                           for r in alg.ints], alg.den, n * n)
+    radical = kernel(alg * swapped.transpose()).basis * alg
+    _require(span.to_subspace() == Subspace._spanned(rep.field, n * n, radical.ints),
+             "embedded radical is not the trace-form kernel of the enveloping algebra")
     _require(_span_is_nilpotent(basis), "embedded radical basis is not nilpotent")
     for name in rep.names:
         g, gi = rep.generator(name), rep.inverse(name)

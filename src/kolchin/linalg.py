@@ -570,11 +570,11 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
     """
     if m.nrows != m.ncols or m.nrows != w.ambient_dim or m.field != w.field:
         raise ValueError("matrix does not act on the subspace's ambient space")
-    for ints, vec in zip(w.basis.ints, w.basis.rows):
+    for i, ints in enumerate(w.basis.ints):
         image = _combination(ints, m.ints, m.ncols)
         if any(w._residual(image)):
             den = w.basis.den * m.den
-            raise NotInvariantError(vec, [m._k.scalar(x, den) for x in image])
+            raise NotInvariantError(w.basis.rows[i], [m._k.scalar(x, den) for x in image])
     free = w.complement_coordinates()
     # e_j * m is row j of m
     rows = [[red[c] for c in free] for red in (w._residual(m.ints[j]) for j in free)]

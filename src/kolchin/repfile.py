@@ -135,4 +135,4 @@ def matrix_to_rows(m: Matrix) -> list[list]:
 
 
 def matrix_from_rows(field: Field, rows: list, ncols: int) -> Matrix:
-    return Matrix(field, [[field.of(x) for x in row] for row in rows], ncols=ncols)
+    return Matrix(field, rows, ncols=ncols)

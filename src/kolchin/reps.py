@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -116,27 +117,27 @@ class Representation:
 class EnvelopingData:
     """Enveloping algebra of a representation with its two key ideals.
 
-    ``algebra`` is the span closure of the generators and the identity;
-    ``augmentation_ideal`` is generated by the differences g - 1; the
-    ``radical`` is computed lazily by the trace form and raises
+    ``algebra`` is the span closure of the generators and the identity.
+    The ideals are computed on first read and then kept:
+    ``augmentation_ideal`` is generated by the differences g - 1, and
+    ``radical`` comes from the trace form and raises
     CharacteristicTooSmallError over too-small prime fields.
     """
-
-    __slots__ = ("algebra", "augmentation_ideal", "_radical")
 
     def __init__(self, rep: Representation):
         # no reference back to rep: the representation caches this
         # object, and a cycle would outlive the last reference to either
         self.algebra = span_closure(rep.field, rep.generators)
-        one = rep.identity()
-        self.augmentation_ideal = ideal_closure(self.algebra, [g - one for g in rep.generators])
-        self._radical = None
+        self._generators = rep.generators
 
-    @property
+    @cached_property
+    def augmentation_ideal(self) -> Ideal:
+        one = Matrix.identity(self.algebra.field, self.algebra.matrix_size)
+        return ideal_closure(self.algebra, [g - one for g in self._generators])
+
+    @cached_property
     def radical(self) -> Ideal:
-        if self._radical is None:
-            self._radical = trace_radical(self.algebra)
-        return self._radical
+        return trace_radical(self.algebra)
 
 
 def unipotency_index(rep: Representation, g: Matrix) -> int | None:
@@ -289,7 +290,7 @@ def difference_product_spans(rep: Representation, upto: int) -> list[Subspace]:
         prev = spans[-1]
         if prev.is_zero():
             break
-        nxt = Subspace(field, n, [r for d in diffs for r in (prev.basis * d).ints])
+        nxt = Subspace._spanned(field, n, [r for d in diffs for r in (prev.basis * d).ints])
         if nxt == prev:
             break
         spans.append(nxt)

@@ -311,13 +311,16 @@ def brute_force_unipotent_radical(
     by joining the classes of M one at a time.  Each subgroup is tested
     on a greedy generating set (an element joins only if the closure
     does not contain it yet), at most log2 of its order in size.
+    The test works in V: a subgroup acts unitriangularly iff its span
+    V (h_1-1)...(h_n-1), n = dim V, is zero, so the oracle runs none of
+    the algebra code behind the radical it cross-checks.
 
     Requires the group to be finite (NotFiniteError otherwise); asserts
     that the maximal qualifying subgroup is unique before returning its
     elements in enumeration order.  ``elements``, a closed enumeration
     of ``rep`` already at hand, saves enumerating again.
     """
-    from .reps import Representation, unitriangular_degree
+    from .reps import Representation, difference_product_spans
 
     table = elements if elements is not None else enumerate_elements(rep, element_cap, length_cap)
     if not table.closed:
@@ -333,7 +336,7 @@ def brute_force_unipotent_radical(
     while todo:
         group, gens = todo.pop()
         sub = Representation(rep.field, [(f"n{i}", elems[i]) for i in gens or [0]])
-        if unitriangular_degree(sub) is None:
+        if not difference_product_spans(sub, rep.dim)[-1].is_zero():
             continue
         unitriangular.append(group)
         for cls in classes:

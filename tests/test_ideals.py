@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolchin import (GF, QQ, Ideal, Matrix, Subspace, ideal_closure, ideal_power_chain,
-                     trace_radical)
+from kolchin import (GF, QQ, AlgebraBasis, Ideal, Matrix, Subspace, ideal_closure,
+                     ideal_power_chain, trace_radical)
 from kolchin.algebra import span_closure
-from kolchin.linalg import RowSpan, flat
+from kolchin.linalg import RowSpan, express_in_rows, flat
 
 F5 = GF(5)
 
@@ -167,6 +167,34 @@ def test_membership_and_power_chain_match_coordinate_route(case):
     except ValueError:
         accepted = False
     assert accepted == ref_is_ideal(a, trial)
+
+
+def flattened(m):
+    return Matrix.from_ints(m.field, (flat(m),), m.den, m.nrows * m.ncols)
+
+
+@settings(max_examples=60)
+@given(cases())
+def test_coordinates_match_express_in_rows_on_the_flat_basis(case):
+    field, gens, a, i, probes, trial = case
+    flat_basis = Matrix.vstack([flattened(b) for b in a.basis])
+    for m in probes + list(a.basis) + list(i.matrices):
+        assert a.coordinates(m) == express_in_rows(flat_basis, flattened(m))
+
+
+@settings(max_examples=60)
+@given(algebras(), st.data())
+def test_any_spanning_basis_gives_the_canonical_algebra(case, data):
+    field, gens = case
+    a = span_closure(field, gens)
+    shuffled = data.draw(st.permutations(a.basis))
+    # b_i + sum over j > i of c_ij b_j: a unitriangular, so invertible, recombination
+    recombined = [b + combination(data.draw, field, shuffled[k + 1:]) if k + 1 < a.dim else b
+                  for k, b in enumerate(shuffled)]
+    for basis in (shuffled, recombined):
+        other = AlgebraBasis(field, a.matrix_size, basis)
+        assert other == a and hash(other) == hash(a)
+        assert other.basis == a.basis
 
 
 def test_non_ideal_rejected_and_outside_seed_refused():

@@ -424,3 +424,72 @@ def test_check_cert_huge_lifted_bound_stops_at_a_stable_span(heis_file, tmp_path
     start = time.perf_counter()
     assert main(["check-cert", str(diag), str(bad)]) == 2
     assert time.perf_counter() - start < 2
+
+
+def test_check_cert_identity_length_below_the_degree_rejected(heis_file, tmp_path, capsys):
+    # the Heisenberg group has degree 3: products of two differences survive
+    cert = str(tmp_path / "cert.json")
+    assert main(["identity-check", heis_file, "--length", "3", "--cert", cert]) == 0
+    assert main(["check-cert", heis_file, cert]) == 0
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(length=2))
+    assert main(["check-cert", heis_file, bad]) == 2
+    assert main(["identity-check", heis_file, "--length", "1",
+                 "--lift-through-radical", "--cert", cert]) == 0
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(lifted_bound=2))
+    assert main(["check-cert", heis_file, bad]) == 2
+    assert "length 2 do not all vanish" in capsys.readouterr().err
+
+
+def test_check_cert_pi_embedding_must_be_the_enveloping_algebra(tmp_path, capsys):
+    # diag(2, 1) spans the commutative diagonal algebra, whose minimal degree is 2;
+    # the basis of M_2 has witnesses at degrees 2 and 3 and satisfies S_4
+    diag = tmp_path / "diag.json"
+    diag.write_text(json.dumps({"field": "Q", "dim": 2, "generators": {"d": [[2, 0], [0, 1]]}}))
+    cert = str(tmp_path / "cert.json")
+    assert main(["pi-check", str(diag), "--max-degree", "4", "--cert", cert]) == 0
+    assert main(["check-cert", str(diag), cert]) == 0
+    m2 = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(
+        algebra_basis=m2, witnesses={"2": [0, 1], "3": [0, 1, 2]}, minimal_degree=4))
+    assert main(["check-cert", str(diag), bad]) == 2
+    assert "does not span the enveloping algebra" in capsys.readouterr().err
+
+
+def test_check_cert_pi_needs_a_witness_below_the_claimed_degree(heis_file, tmp_path, capsys):
+    cert = str(tmp_path / "cert.json")
+    assert main(["pi-check", heis_file, "--max-degree", "6", "--cert", cert]) == 0
+    assert main(["check-cert", heis_file, cert]) == 0
+    payload = json.loads(Path(cert).read_text())["payload"]
+    assert payload["minimal_degree"] == 4 and set(payload["witnesses"]) == {"2", "3"}
+    bad = _edited(cert, tmp_path, lambda d: d["payload"]["witnesses"].pop("3"))
+    assert main(["check-cert", heis_file, bad]) == 2
+    assert "no degree-3 witness" in capsys.readouterr().err
+    # a sweep that found nothing needs a witness at its top degree
+    assert main(["pi-check", heis_file, "--max-degree", "3", "--cert", cert]) == 3
+    assert main(["check-cert", heis_file, cert]) == 0
+    bad = _edited(cert, tmp_path, lambda d: d["payload"]["witnesses"].pop("3"))
+    assert main(["check-cert", heis_file, bad]) == 2
+    # a witness index outside the basis is malformed, not a crash
+    bad = _edited(cert, tmp_path, lambda d: d["payload"]["witnesses"].update({"2": [0, 99]}))
+    assert main(["check-cert", heis_file, bad]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_cert_radical_must_be_the_whole_trace_form_kernel(heis_file, tmp_path, capsys):
+    cert = str(tmp_path / "cert.json")
+    assert main(["unipotent-radical", heis_file, "--test", "a", "--cert", cert]) == 0
+    assert main(["check-cert", heis_file, cert]) == 0
+    # an empty radical is nilpotent and conjugation-stable, and a is then no member
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(radical_basis=[],
+                                                                tests={"a": False}))
+    assert main(["check-cert", heis_file, bad]) == 2
+    assert "not the trace-form kernel" in capsys.readouterr().err
+    # over F_3 with n = 3 the trace form cannot see the radical: no certificate holds
+    f3 = tmp_path / "f3.json"
+    f3.write_text(json.dumps({**HEIS_DOC, "field": {"Fp": 3}}))
+    rep = loads_representation(f3.read_text())
+    forged = tmp_path / "f3-cert.json"
+    forged.write_text(json.dumps(make_certificate("unipotent-radical", rep, "report",
+                                                  {"radical_basis": [], "tests": {}})))
+    assert main(["check-cert", str(f3), str(forged)]) == 2
+    assert "characteristic 3 <= 3" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -24,6 +25,7 @@ from kolchin import (
     unipotent_radical,
     unitriangular_degree,
 )
+from kolchin import reps
 from kolchin.algebra import Ideal
 from kolchin.words import brute_force_unipotent_radical, enumerate_elements, evaluate_word, random_word
 from corpus import (
@@ -153,6 +155,25 @@ def test_augmentation_ideal_heisenberg():
     chain, index = ideal_power_chain(env.algebra, env.augmentation_ideal)
     assert index == 3
     assert [s.dim for s in chain] == [3, 1, 0]
+
+
+def test_enveloping_computes_each_ideal_once_on_first_read():
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    with mock.patch.object(reps, "ideal_closure", counted("augmentation", reps.ideal_closure)), \
+            mock.patch.object(reps, "trace_radical", counted("radical", reps.trace_radical)):
+        env = heisenberg().enveloping()
+        assert env.algebra.dim == 4 and calls == []
+        assert env.radical.dim == 3 and env.radical is env.radical
+        assert calls == ["radical"]
+        assert env.augmentation_ideal.dim == 3 and env.augmentation_ideal is env.augmentation_ideal
+        assert calls == ["radical", "augmentation"]
 
 
 def test_kolchin_iff_finite_degree():

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,9 @@ from kolchin import (
     evaluate_word,
     left_normed_commutator,
     nil_index_probe,
+    unitriangular_degree,
 )
+from kolchin import reps
 from kolchin.words import cayley_table, conjugacy_classes, random_word
 from corpus import heisenberg, unit_matrix
 
@@ -306,6 +309,26 @@ def test_oracle_matches_class_mask_search(draw):
     # the mask search takes 2^classes unions and order^2 products
     if len(classes) <= 14 and len(table) <= 160:
         assert brute_force_unipotent_radical(rep) == reference_radical(rep)
+
+
+@settings(max_examples=60)
+@given(FINITE_GROUPS)
+def test_oracle_span_test_agrees_with_unitriangular_degree(draw):
+    p, mats = draw
+    rep = Representation(GF(p), {f"g{i}": Matrix(GF(p), m) for i, m in enumerate(mats)})
+    tested = []
+    original = reps.difference_product_spans
+
+    def recording(sub, upto):
+        spans = original(sub, upto)
+        tested.append((sub, spans[-1].is_zero()))
+        return spans
+
+    with mock.patch.object(reps, "difference_product_spans", recording):
+        brute_force_unipotent_radical(rep)
+    assert tested
+    for sub, unitriangular in tested:
+        assert unitriangular == (unitriangular_degree(sub) is not None)
 
 
 def test_oracle_matches_class_mask_search_over_q():
