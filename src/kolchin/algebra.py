@@ -9,6 +9,10 @@ matrices flattened row-major into F^(n^2), in reduced echelon form.
 Every membership test is then one integer residual of ``flat(m)``
 against an echelon span, and the coordinates of a member in the
 algebra basis are its entries at the span's pivots.
+
+An algebra records its ``generators``, the spun matrices or else its
+basis.  Closures and their self-checks multiply by them only, since the
+words in them span the algebra: d*k products instead of d*d.
 """
 
 from __future__ import annotations
@@ -48,9 +52,13 @@ class AlgebraBasis:
     against the span; ``coordinates`` reads the entries of a member at
     the pivots, since each basis matrix is 1 at its own pivot and 0 at
     the others.
+
+    ``generators`` is the basis when built here, the spun matrices in
+    ``span_closure``; the closure check puts 1, each generator and each
+    basis matrix times a generator in the span.
     """
 
-    __slots__ = ("field", "matrix_size", "basis", "span")
+    __slots__ = ("field", "matrix_size", "basis", "span", "generators")
 
     def __init__(self, field: Field, matrix_size: int, basis: Sequence[Matrix]):
         mats = tuple(basis)
@@ -64,16 +72,23 @@ class AlgebraBasis:
         self.span = Subspace._spanned(field, matrix_size ** 2, [flat(b) for b in mats])
         if self.span.dim != len(mats):
             raise ValueError("basis matrices are linearly dependent")
-        self.basis = _matrices(self.span, matrix_size)
+        self.basis = self.generators = _matrices(self.span, matrix_size)
         self._check_closure()
+
+    @classmethod
+    def _spun(cls, span: Subspace, matrix_size: int, generators: Sequence[Matrix]):
+        a = object.__new__(cls)
+        a.field, a.matrix_size, a.span = span.field, matrix_size, span
+        a.basis, a.generators = _matrices(span, matrix_size), tuple(generators)
+        a._check_closure()
+        return a
 
     def _check_closure(self):
         if not self.contains(Matrix.identity(self.field, self.matrix_size)):
             raise ValueError("algebra span does not contain the identity")
-        for a in self.basis:
-            for b in self.basis:
-                if not self.contains(a * b):
-                    raise ValueError("basis is not product-closed as a span")
+        for g in self.generators:
+            if not all(self.contains(m) for m in (g, *(b * g for b in self.basis))):
+                raise ValueError("span is not closed under the generators")
 
     @property
     def dim(self) -> int:
@@ -119,7 +134,8 @@ def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
     identity, on the right by each generator, and to keep the products
     that grow the span.  The returned basis is the canonical one: the
     reduced echelon rows of the span, reshaped into matrices, so it does
-    not depend on generator order.
+    not depend on generator order.  The spin makes the span one of
+    words in the generators, so the closure check multiplies by them.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -136,7 +152,7 @@ def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
             prod = m * g
             if span.absorb(flat(prod)):
                 work.append(prod)
-    return AlgebraBasis(field, n, _matrices(span.to_subspace(), n))
+    return AlgebraBasis._spun(span.to_subspace(), n, generators)
 
 
 class Ideal:
@@ -176,8 +192,8 @@ class Ideal:
         for u in self.matrices:
             if any(inside(flat(u))):
                 raise ValueError("ideal matrix lies outside the algebra")
-            for b in self.parent.basis:
-                for prod in (b * u, u * b):
+            for g in self.parent.generators:
+                for prod in (g * u, u * g):
                     if any(residual(flat(prod))):
                         raise ValueError("subspace is not closed under algebra multiplication")
 
@@ -206,15 +222,16 @@ class Ideal:
 
 
 def ideal_closure(a: AlgebraBasis, seeds: Sequence[Matrix]) -> Ideal:
-    """Smallest two-sided ideal of ``a`` containing the seed matrices."""
+    """Smallest two-sided ideal of ``a`` containing the seeds: their span
+    closed under multiplication by the generators of ``a`` on both sides."""
     for s in seeds:
         if not a.contains(s):
             raise ValueError("seed matrix lies outside the algebra")
     span = RowSpan(a.field, a.matrix_size ** 2)
     elems = [s for s in seeds if span.absorb(flat(s))]
     for u in elems:  # grows while it is walked
-        for b in a.basis:
-            for prod in (b * u, u * b):
+        for g in a.generators:
+            for prod in (g * u, u * g):
                 if span.absorb(flat(prod)):
                     elems.append(prod)
     return Ideal._of_span(a, span.to_subspace())
@@ -252,20 +269,18 @@ def trace_radical(a: AlgebraBasis) -> Ideal:
 
     Valid in characteristic 0 or p > matrix size; smaller prime fields
     are rejected because the trace criterion is unsound there.  The
-    result is re-verified nilpotent before it is returned.
+    Gram matrix is one product, as Tr(xy) = flat(x) . flat(y transposed).
+    The result is re-verified nilpotent before it is returned.
     """
     p = a.field.characteristic()
     if 0 < p <= a.matrix_size:
         raise CharacteristicTooSmallError(
             f"characteristic {p} <= matrix size {a.matrix_size}: trace form cannot see the radical"
         )
-    k = a.dim
-    gram = Matrix(
-        a.field,
-        [[(a.basis[i] * a.basis[j]).trace() for j in range(k)] for i in range(k)],
-        ncols=k,
-    )
-    space = kernel(gram)
+    n, fb = a.matrix_size, a.span.basis
+    swapped = Matrix.from_ints(a.field, [[r[(c % n) * n + c // n] for c in range(n * n)]
+                                         for r in fb.ints], fb.den, n * n)
+    space = kernel(fb * swapped.transpose())
     rad = Ideal(a, space)
     _, index = ideal_power_chain(a, rad)
     if index is None:

@@ -202,6 +202,12 @@ class Matrix:
         return m
 
     @classmethod
+    def _of_scalars(cls, field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> "Matrix":
+        # trusted constructor: equal-length rows of values Field.of returned
+        k = _kernel(field.p)
+        return cls._new(k, *k.coerce(rows), ncols)
+
+    @classmethod
     def from_ints(cls, field: Field, ints: Sequence[Sequence[int]], den: int,
                   ncols: int) -> "Matrix":
         """The matrix ``ints / den`` for integer rows and a nonzero integer ``den``."""

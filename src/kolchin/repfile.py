@@ -61,11 +61,9 @@ def _parse_matrix(field: Field, dim: int, data: Any, where: str) -> Matrix:
         rows = [data[i * dim:(i + 1) * dim] for i in range(dim)]
     if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim for r in rows):
         raise RepFileError(f"{where}: expected a {dim}x{dim} matrix")
-    return Matrix(
-        field,
-        [[_parse_entry(field, x, where) for x in row] for row in rows],
-        ncols=dim,
-    )
+    # each entry is coerced once, here, where a bad one can be named
+    entries = [[_parse_entry(field, x, where) for x in row] for row in rows]
+    return Matrix._of_scalars(field, entries, dim)
 
 
 def representation_from_dict(doc: Any) -> Representation:

@@ -128,12 +128,11 @@ class EnvelopingData:
         # no reference back to rep: the representation caches this
         # object, and a cycle would outlive the last reference to either
         self.algebra = span_closure(rep.field, rep.generators)
-        self._generators = rep.generators
 
     @cached_property
     def augmentation_ideal(self) -> Ideal:
         one = Matrix.identity(self.algebra.field, self.algebra.matrix_size)
-        return ideal_closure(self.algebra, [g - one for g in self._generators])
+        return ideal_closure(self.algebra, [g - one for g in self.algebra.generators])
 
     @cached_property
     def radical(self) -> Ideal:
@@ -282,9 +281,15 @@ def difference_product_spans(rep: Representation, upto: int) -> list[Subspace]:
     equal to the last one: its entries strictly descend, and the last
     one is V_upto.
     """
-    field, n = rep.field, rep.dim
-    one = rep.identity()
-    diffs = [g - one for g in rep.generators]
+    return _difference_product_spans(rep.field, rep.dim, rep.generators, upto)
+
+
+def _difference_product_spans(field: Field, n: int, generators: Sequence[Matrix],
+                              upto: int) -> list[Subspace]:
+    # the same spans for bare n x n matrices, so the radical oracle can
+    # test a candidate subgroup without wrapping (and inverting) it
+    one = Matrix.identity(field, n)
+    diffs = [g - one for g in generators]
     spans = [Subspace.full(field, n)]
     for _ in range(upto):
         prev = spans[-1]

@@ -320,7 +320,7 @@ def brute_force_unipotent_radical(
     elements in enumeration order.  ``elements``, a closed enumeration
     of ``rep`` already at hand, saves enumerating again.
     """
-    from .reps import Representation, difference_product_spans
+    from .reps import _difference_product_spans
 
     table = elements if elements is not None else enumerate_elements(rep, element_cap, length_cap)
     if not table.closed:
@@ -335,8 +335,8 @@ def brute_force_unipotent_radical(
     unitriangular: list[frozenset[int]] = []
     while todo:
         group, gens = todo.pop()
-        sub = Representation(rep.field, [(f"n{i}", elems[i]) for i in gens or [0]])
-        if not difference_product_spans(sub, rep.dim)[-1].is_zero():
+        sub = [elems[i] for i in gens or [0]]
+        if not _difference_product_spans(rep.field, rep.dim, sub, rep.dim)[-1].is_zero():
             continue
         unitriangular.append(group)
         for cls in classes:

@@ -6,17 +6,22 @@ of the parent algebra's coordinate space, and every membership test
 goes through ``AlgebraBasis.coordinates``.  The algebra closure is
 compared with the former pairwise closure, which multiplies every pair
 of kept elements on both sides.
+
+Closures and self-checks now multiply by the algebra's generators; the
+former versions that multiply by every basis matrix, and the Gram
+matrix of d*d traces, are kept here as references for them.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kolchin import (GF, QQ, AlgebraBasis, Ideal, Matrix, Subspace, ideal_closure,
-                     ideal_power_chain, trace_radical)
-from kolchin.algebra import span_closure
+                     ideal_power_chain, matrix_algebra, trace_radical, upper_triangular_algebra)
+from kolchin.algebra import _matrices, span_closure
+from kolchin.linalg import kernel
 from kolchin.linalg import RowSpan, express_in_rows, flat
 
 F5 = GF(5)
@@ -75,6 +80,69 @@ def ref_power_chain(a, space):
         if nxt == chain[-2]:
             return chain, None
         current = ref_members(a, nxt)
+
+
+# -- basis-quantified references ----------------------------------------------
+
+def inside(span, m):
+    return not any(span._residual(flat(m)))
+
+
+def ref_check_closure(span, n, generators):
+    """The former closure check, 1 and every product of two basis matrices
+    in the span, together with the generators a spin's span must hold."""
+    basis = _matrices(span, n)
+    return (inside(span, Matrix.identity(span.field, n))
+            and all(inside(span, g) for g in generators)
+            and all(inside(span, x * y) for x in basis for y in basis))
+
+
+def ref_check_ideal(a, span):
+    """The former ideal check, over every basis matrix of the algebra."""
+    return all(inside(a.span, u) and all(inside(span, prod) for b in a.basis
+                                         for prod in (b * u, u * b))
+               for u in _matrices(span, a.matrix_size))
+
+
+def spin(a, seeds, mats, sides=("left", "right")):
+    """Span of the seeds closed under multiplication by ``mats`` on the
+    given sides.  With the whole basis on both sides it is the former
+    ideal closure; with one side it makes one-sided ideals."""
+    span = RowSpan(a.field, a.matrix_size ** 2)
+    elems = [s for s in seeds if span.absorb(flat(s))]
+    for u in elems:
+        for b in mats:
+            for side in sides:
+                prod = b * u if side == "left" else u * b
+                if span.absorb(flat(prod)):
+                    elems.append(prod)
+    return span.to_subspace()
+
+
+def ref_radical_span(a):
+    """The trace-form kernel from the former Gram matrix of d*d traces."""
+    k = a.dim
+    gram = Matrix(a.field, [[(a.basis[i] * a.basis[j]).trace() for j in range(k)]
+                            for i in range(k)], ncols=k)
+    flat_rows = kernel(gram).basis * a.span.basis
+    return Subspace._spanned(a.field, a.matrix_size ** 2, flat_rows.ints)
+
+
+def accepts(build):
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+def spanned(field, n, mats):
+    return Subspace._spanned(field, n * n, [flat(m) for m in mats])
+
+
+def without_row(span, r):
+    rows = span.basis.ints
+    return Subspace._spanned(span.field, span.ambient_dim, rows[:r] + rows[r + 1:])
 
 
 # -- strategies ----------------------------------------------------------------
@@ -211,3 +279,103 @@ def test_non_ideal_rejected_and_outside_seed_refused():
     # the self-check refuses a flattened span that leaves the algebra
     with pytest.raises(ValueError, match="outside the algebra"):
         Ideal._of_span(a, Subspace(QQ, 9, [flat(e.transpose())]))
+
+
+@settings(max_examples=60)
+@given(cases(), st.data())
+def test_generator_closures_match_basis_references(case, data):
+    field, gens, a, i, probes, trial = case
+    n = a.matrix_size
+    one = Matrix.identity(field, n)
+    assert a.generators == tuple(gens)
+    seeds = data.draw(st.sampled_from([
+        [g - one for g in gens],
+        [combination(data.draw, field, a.basis)],
+        [combination(data.draw, field, a.basis), gens[0]],
+    ]))
+    assert ideal_closure(a, seeds).span == spin(a, seeds, a.basis)
+    assert trace_radical(a).span == ref_radical_span(a)  # p = 5 > n over GF(5)
+    if i.dim:
+        assert i.span == spin(a, i.matrices, a.basis)
+
+
+@settings(max_examples=60)
+@given(cases(), st.data())
+def test_generator_checks_accept_and_reject_as_the_references(case, data):
+    field, gens, a, i, probes, trial = case
+    n = a.matrix_size
+    # ideal check: the ideal, a coordinate trial space, and spans that
+    # may reach outside the algebra
+    trial_mats = [a.from_coordinates(row) for row in trial.basis.rows]
+    outside = Matrix(field, [[data.draw(entries(field)) for _ in range(n)] for _ in range(n)])
+    candidates = [i.span, spanned(field, n, trial_mats), spanned(field, n, [outside]),
+                  spanned(field, n, trial_mats + [outside])]
+    if i.dim:
+        candidates.append(spanned(field, n, list(i.matrices) + [outside]))
+    if trial_mats:
+        candidates += [spin(a, trial_mats, a.generators, [side]) for side in ("left", "right")]
+    for span in candidates:
+        assert accepts(lambda: Ideal._of_span(a, span)) == ref_check_ideal(a, span)
+    # closure check on the spans a spin can make, subspaces of the algebra
+    for span in [a.span] + [without_row(a.span, r) for r in range(a.dim)]:
+        assert (accepts(lambda: AlgebraBasis._spun(span, n, gens))
+                == ref_check_closure(span, n, gens) == (span == a.span))
+
+
+@settings(max_examples=60)
+@given(algebras(), st.data())
+def test_outside_basis_keeps_the_full_product_check(case, data):
+    field, gens = case
+    n = gens[0].nrows
+    extra = [combination(data.draw, field, gens) for _ in range(data.draw(st.integers(0, 1)))]
+    span = spanned(field, n, [Matrix.identity(field, n)] + gens + extra)
+    basis = _matrices(span, n)
+    accepted = accepts(lambda: AlgebraBasis(field, n, basis))
+    assert accepted == ref_check_closure(span, n, basis)
+    if accepted:
+        a = AlgebraBasis(field, n, basis)
+        assert a.generators == a.basis
+        assert a == span_closure(field, gens)
+
+
+@settings(max_examples=60)
+@given(algebras(), st.data())
+def test_tampered_spun_algebra_raises(case, data):
+    field, gens = case
+    a = span_closure(field, gens)
+    n = a.matrix_size
+    r = data.draw(st.integers(0, a.dim - 1))
+    with pytest.raises(ValueError):
+        AlgebraBasis._spun(without_row(a.span, r), n, gens)
+    assume(a.dim < n * n)
+    unit = next(u for u in matrix_algebra(field, n).basis if not a.contains(u))
+    with pytest.raises(ValueError, match="not closed under the generators"):
+        AlgebraBasis._spun(a.span, n, list(gens) + [unit])
+
+
+def test_fixed_cases_rejected_by_the_checks_and_their_references():
+    a = span_closure(QQ, [Matrix(QQ, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])])
+    e = Matrix(QQ, [[0, 0, Fraction(1, 2)], [0, 0, 0], [0, 0, 0]])
+    for span in (spanned(QQ, 3, [Matrix.identity(QQ, 3)]), spanned(QQ, 3, [e.transpose()])):
+        assert not ref_check_ideal(a, span)
+        with pytest.raises(ValueError):
+            Ideal._of_span(a, span)
+    assert ref_check_ideal(a, spanned(QQ, 3, [e]))
+    Ideal._of_span(a, spanned(QQ, 3, [e]))
+    # in the upper triangular 2 x 2 matrices, span{E11} is only a left
+    # ideal and span{E22} only a right one
+    b = span_closure(QQ, [Matrix(QQ, [[1, 1], [0, 1]]), Matrix(QQ, [[1, 0], [0, 2]])])
+    assert b == upper_triangular_algebra(QQ, 2)
+    for unit in (Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])):
+        span = spanned(QQ, 2, [unit])
+        assert not ref_check_ideal(b, span)
+        with pytest.raises(ValueError, match="not closed"):
+            Ideal._of_span(b, span)
+    # span{1, E12, E21} holds 1 but not E12 * E21
+    units = matrix_algebra(QQ, 2).basis
+    basis = [Matrix.identity(QQ, 2), units[1], units[2]]
+    assert not ref_check_closure(spanned(QQ, 2, basis), 2, basis)
+    with pytest.raises(ValueError, match="not closed under the generators"):
+        AlgebraBasis(QQ, 2, basis)
+    for full in (matrix_algebra(QQ, 2), upper_triangular_algebra(F5, 3)):
+        assert full.generators == full.basis

@@ -2,7 +2,9 @@ import copy
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -16,11 +18,13 @@ from kolchin import (
     check_certificate,
     dumps_representation,
     load_certificate,
+    load_representation,
     loads_representation,
     make_certificate,
     representation_digest,
 )
 from kolchin.cli import main
+from kolchin.fields import Field
 from kolchin.repfile import representation_from_dict, save_representation
 from corpus import conjugated_unitriangular_rep, heisenberg
 
@@ -493,3 +497,21 @@ def test_check_cert_radical_must_be_the_whole_trace_form_kernel(heis_file, tmp_p
                                                   {"radical_basis": [], "tests": {}})))
     assert main(["check-cert", str(f3), str(forged)]) == 2
     assert "characteristic 3 <= 3" in capsys.readouterr().err
+
+
+def test_loading_coerces_each_entry_once():
+    path = Path(__file__).parent / "golden" / "heis_frac.json"
+    calls = []
+    original = Field.of
+
+    def counting(self, value):
+        calls.append(value)
+        return original(self, value)
+
+    with mock.patch.object(Field, "of", counting):
+        rep = load_representation(str(path))
+    assert len(calls) == 2 * 3 * 3  # two 3x3 generators
+    doc = json.loads(path.read_text())
+    assert rep == Representation(QQ, {name: Matrix(QQ, rows)
+                                      for name, rows in doc["generators"].items()})
+    assert rep.generator("a")[0, 0] == Fraction(97, 93)

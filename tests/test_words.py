@@ -317,14 +317,15 @@ def test_oracle_span_test_agrees_with_unitriangular_degree(draw):
     p, mats = draw
     rep = Representation(GF(p), {f"g{i}": Matrix(GF(p), m) for i, m in enumerate(mats)})
     tested = []
-    original = reps.difference_product_spans
+    original = reps._difference_product_spans
 
-    def recording(sub, upto):
-        spans = original(sub, upto)
+    def recording(field, n, gens, upto):
+        spans = original(field, n, gens, upto)
+        sub = Representation(field, {f"n{i}": g for i, g in enumerate(gens)})
         tested.append((sub, spans[-1].is_zero()))
         return spans
 
-    with mock.patch.object(reps, "difference_product_spans", recording):
+    with mock.patch.object(reps, "_difference_product_spans", recording):
         brute_force_unipotent_radical(rep)
     assert tested
     for sub, unitriangular in tested:
