@@ -87,7 +87,7 @@ class AlgebraBasis:
         if not self.contains(Matrix.identity(self.field, self.matrix_size)):
             raise ValueError("algebra span does not contain the identity")
         for g in self.generators:
-            if not all(self.contains(m) for m in (g, *(b * g for b in self.basis))):
+            if not self.contains(g) or not all(self.contains(b * g) for b in self.basis):
                 raise ValueError("span is not closed under the generators")
 
     @property

@@ -330,10 +330,12 @@ def test_outside_basis_keeps_the_full_product_check(case, data):
     extra = [combination(data.draw, field, gens) for _ in range(data.draw(st.integers(0, 1)))]
     span = spanned(field, n, [Matrix.identity(field, n)] + gens + extra)
     basis = _matrices(span, n)
-    accepted = accepts(lambda: AlgebraBasis(field, n, basis))
-    assert accepted == ref_check_closure(span, n, basis)
-    if accepted:
+    try:
         a = AlgebraBasis(field, n, basis)
+    except ValueError:
+        a = None
+    assert (a is not None) == ref_check_closure(span, n, basis)
+    if a is not None:
         assert a.generators == a.basis
         assert a == span_closure(field, gens)
 
