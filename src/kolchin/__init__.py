@@ -78,6 +78,7 @@ from .repfile import (
 )
 from .certificates import (
     CertificateError,
+    CheckInconclusive,
     check_certificate,
     load_certificate,
     make_certificate,

@@ -23,6 +23,7 @@ import sys
 from .algebra import CharacteristicTooSmallError, standard_identity_witness
 from .certificates import (
     CertificateError,
+    CheckInconclusive,
     check_certificate,
     flag_to_payload,
     load_certificate,
@@ -360,6 +361,9 @@ def cmd_check_cert(args) -> int:
     except CertificateError as e:
         print(f"certificate verification FAILED: {e}", file=sys.stderr)
         return PROPERTY_FAILS
+    except CheckInconclusive as e:
+        print(f"certificate check inconclusive: {e}", file=sys.stderr)
+        return INCONCLUSIVE
     print(summary)
     return OK
 

@@ -455,33 +455,32 @@ def kaloujnine_class_check(
     Evidence, not proof: samples draw tuples from a pool of
     ``KALOUJNINE_POOL`` freshly sampled random words of bounded length.
     Returns None when every sampled commutator is the identity, else
-    the witness word tuple.
+    the witness word tuple.  Each step is trivial iff the two matrices
+    commute, which two products decide; the last step is that test
+    alone, and only steps two or more before it build an inverse, so
+    the pool carries inverses only from degree 3 on.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    from .words import Word, evaluate_word, random_word
+    from .words import Word, _commutator_step, evaluate_word, random_word
 
     rng = random.Random(seed)
     pool: list[Word] = []
-    mats: list[tuple[Matrix, Matrix]] = []
+    mats: list[tuple[Matrix, Matrix | None]] = []
     for _ in range(KALOUJNINE_POOL):
         w = random_word(rng, rep.names, word_length_cap)
         pool.append(w)
-        mats.append((evaluate_word(rep, w), evaluate_word(rep, w.inverse())))
+        mats.append((evaluate_word(rep, w),
+                     evaluate_word(rep, w.inverse()) if degree > 2 else None))
     for _ in range(sample_budget):
         picks = [rng.randrange(KALOUJNINE_POOL) for _ in range(degree)]
-        c, ci = mats[picks[0]]
-        trivial = c.is_identity()
-        for t in picks[1:]:
-            if trivial:
+        c = mats[picks[0]]
+        if c[0].is_identity():
+            continue
+        for ahead, t in zip(reversed(range(degree - 1)), picks[1:]):
+            c = _commutator_step(c, mats[t], ahead)
+            if c is None:
                 break
-            g, gi = mats[t]
-            a = c * g
-            pre = ci * gi
-            q1 = gi * ci
-            q2 = g * c
-            c, ci = pre * a, q1 * q2
-            trivial = c.is_identity()
-        if not trivial:
+        else:
             return tuple(pool[t] for t in picks)
     return None

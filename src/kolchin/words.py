@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .linalg import Matrix
@@ -77,11 +79,12 @@ class Word:
 
 
 def evaluate_word(rep: "Representation", w: Word) -> Matrix:
-    """Product of generator matrices and inverses in word order."""
-    acc = rep.identity()
-    for name, e in w.letters:
-        acc = acc * (rep.generator(name) if e == 1 else rep.inverse(name))
-    return acc
+    """Product of generator matrices and inverses in word order: k - 1
+    products for k letters, and the identity for the empty word."""
+    if not w.letters:
+        return rep.identity()
+    mats = [rep.generator(name) if e == 1 else rep.inverse(name) for name, e in w.letters]
+    return reduce(mul, mats)
 
 
 def random_word(rng: random.Random, names: Sequence[str], max_len: int) -> Word:
@@ -149,26 +152,50 @@ def commutator(x: Matrix, g: Matrix) -> Matrix:
     return x.inverse() * g.inverse() * x * g
 
 
+def _commutator_step(
+    c_pair: tuple[Matrix, Matrix | None], g_pair: tuple[Matrix, Matrix | None], ahead: int
+) -> tuple[Matrix | None, Matrix | None] | None:
+    """One step c <- [c, g] of a left-normed walk over (matrix, inverse)
+    pairs; None when [c, g] = 1.
+
+    [c, g] = (g c)^-1 (c g) is trivial iff a = c g equals b = g c, so a
+    trivial step takes two products and no identity test.  Otherwise
+    the step returns ([c, g], [c, g]^-1) = ((c^-1 g^-1) a, (g^-1 c^-1) b),
+    building each only if it is read.  ``ahead`` counts the steps after
+    this one, plus one if the caller reads the last commutator itself:
+    the next step reads [c, g], and only a step after that reads its
+    inverse.  Entries not built are None; the inverses passed in may be
+    None too when ``ahead`` is 0.
+    """
+    (c, ci), (g, gi) = c_pair, g_pair
+    a = c * g
+    b = g * c
+    if a == b:
+        return None
+    return (ci * gi * a if ahead >= 1 else None,
+            gi * ci * b if ahead >= 2 else None)
+
+
 def left_normed_commutator(x: Matrix, g: Matrix, n: int) -> Matrix:
     """[[x, g], ..., g] with n commutations."""
     if n < 1:
         raise ValueError("depth must be at least 1")
-    c = x
-    gi = g.inverse()
-    for _ in range(n):
-        c = c.inverse() * gi * c * g
-    return c
+    c, step = (x, x.inverse()), (g, g.inverse())
+    for ahead in reversed(range(1, n + 1)):
+        c = _commutator_step(c, step, ahead)
+        if c is None:
+            return Matrix.identity(x.field, x.nrows)
+    return c[0]
 
 
 def nil_index_probe(g: Matrix, x: Matrix, depth_cap: int = DEFAULT_DEPTH_CAP) -> int | None:
     """First depth where the iterated commutator with g reaches 1, or None."""
     if depth_cap < 1:
         raise ValueError("depth cap must be at least 1")
-    c = x
-    gi = g.inverse()
+    c, step = (x, x.inverse()), (g, g.inverse())
     for n in range(1, depth_cap + 1):
-        c = c.inverse() * gi * c * g
-        if c.is_identity():
+        c = _commutator_step(c, step, depth_cap - n)
+        if c is None:
             return n
     return None
 
@@ -182,8 +209,10 @@ def engel_probe(
 ) -> tuple[Word, Word] | None:
     """Sample word pairs (x, y) and test [[x, y], ..., y] = 1 at depth n.
 
-    None is consistency evidence, not a proof; a pair is a genuine
-    counterexample.
+    The walk carries x^-1 and y^-1, evaluated from the inverse words,
+    and inverts no matrix; at depth 1 it is one commute test and
+    evaluates neither inverse.  None is consistency evidence, not a
+    proof; a pair is a genuine counterexample.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
@@ -191,15 +220,13 @@ def engel_probe(
     for _ in range(sample_budget):
         wx = random_word(rng, rep.names, length_cap)
         wy = random_word(rng, rep.names, length_cap)
-        x = evaluate_word(rep, wx)
-        y = evaluate_word(rep, wy)
-        yi = evaluate_word(rep, wy.inverse())
-        c = x
-        for _ in range(n):
-            if c.is_identity():
+        c = (evaluate_word(rep, wx), evaluate_word(rep, wx.inverse()) if n > 1 else None)
+        step = (evaluate_word(rep, wy), evaluate_word(rep, wy.inverse()) if n > 1 else None)
+        for ahead in reversed(range(n)):
+            c = _commutator_step(c, step, ahead)
+            if c is None:
                 break
-            c = c.inverse() * yi * c * y
-        if not c.is_identity():
+        else:
             return (wx, wy)
     return None
 
@@ -215,6 +242,7 @@ def algebraic_element_probe(
 
     Positive membership found in a truncated closure is still sound,
     so stabilisation can be reported even when the subgroup is infinite.
+    A trivial commutator lies in every subgroup.
     """
     from .reps import Representation
 
@@ -223,13 +251,12 @@ def algebraic_element_probe(
     field = g.field
     table: set[Matrix] = {Matrix.identity(field, g.nrows)}
     sub_gens: list[Matrix] = []
-    c = x
-    gi = g.inverse()
+    c, step = (x, x.inverse()), (g, g.inverse())
     for k in range(1, depth_cap + 1):
-        c = c.inverse() * gi * c * g
-        if c in table:
+        c = _commutator_step(c, step, depth_cap - k + 1)
+        if c is None or c[0] in table:
             return k
-        sub_gens.append(c)
+        sub_gens.append(c[0])
         rep = Representation(field, [(f"c{i}", m) for i, m in enumerate(sub_gens)])
         enum = enumerate_elements(rep, element_cap)
         table = set(enum.elements)

@@ -515,3 +515,66 @@ def test_loading_coerces_each_entry_once():
     assert rep == Representation(QQ, {name: Matrix(QQ, rows)
                                       for name, rows in doc["generators"].items()})
     assert rep.generator("a")[0, 0] == Fraction(97, 93)
+
+
+BOREL = str(Path(__file__).parent / "golden" / "borel_frac.json")
+
+
+def _engel_cert(tmp_path):
+    """An Engel counterexample certificate for the Borel group, whose
+    walk never repeats: its entries grow without bound."""
+    cert = str(tmp_path / "engel.json")
+    assert main(["probe", BOREL, "--kind", "engel", "--n", "2", "--cert", cert]) == 2
+    return cert
+
+
+def test_check_cert_engel_depth_must_be_a_positive_int(tmp_path, capsys):
+    cert = _engel_cert(tmp_path)
+    assert main(["check-cert", BOREL, cert]) == 0
+    for depth in (0, -4, True, 1.5, "2"):
+        bad = _edited(cert, tmp_path, lambda d: d["payload"].update(depth=depth))
+        assert main(["check-cert", BOREL, bad]) == 2
+        assert "Engel depth must be a positive integer" in capsys.readouterr().err
+
+
+def test_check_cert_engel_huge_depth_is_decided_or_capped(tmp_path, heis_file, capsys):
+    from kolchin.certificates import ENGEL_CHECK_STEPS
+
+    start = time.perf_counter()
+    # over Q the Borel walk neither reaches 1 nor repeats: accepted up to
+    # the cap, inconclusive beyond it
+    cert = _engel_cert(tmp_path)
+    at_cap = _edited(cert, tmp_path, lambda d: d["payload"].update(depth=ENGEL_CHECK_STEPS))
+    assert main(["check-cert", BOREL, at_cap]) == 0
+    huge = _edited(cert, tmp_path, lambda d: d["payload"].update(depth=10**7))
+    assert main(["check-cert", BOREL, huge]) == 3
+    assert "neither reaches 1 nor repeats" in capsys.readouterr().err
+    # the Heisenberg group has class 2: the walk reaches 1 at step 2
+    cert = str(tmp_path / "heis-engel.json")
+    assert main(["probe", heis_file, "--kind", "engel", "--n", "1", "--cert", cert]) == 2
+    huge = _edited(cert, tmp_path, lambda d: d["payload"].update(depth=10**7))
+    assert main(["check-cert", heis_file, huge]) == 2
+    assert "claimed Engel counterexample is trivial" in capsys.readouterr().err
+    # in S_3, [u, d] = u for the 3-cycle u and the transposition d: the
+    # walk repeats at once without reaching 1
+    s3 = tmp_path / "s3.json"
+    s3.write_text(json.dumps(S3_DOC))
+    rep = loads_representation(s3.read_text())
+    cycle = tmp_path / "s3-engel.json"
+    cycle.write_text(json.dumps(make_certificate("probe", rep, "counterexample", {
+        "kind": "engel", "depth": 10**7, "counterexample": ["u", "d"]})))
+    assert main(["check-cert", str(s3), str(cycle)]) == 0
+    assert time.perf_counter() - start < 10
+
+
+def test_check_cert_engel_walk_inverts_y_once(tmp_path):
+    # from the definition, each step inverts c; y is inverted once
+    cert = _engel_cert(tmp_path)
+    counts = []
+    for depth in (5, 6):
+        bad = _edited(cert, tmp_path, lambda d: d["payload"].update(depth=depth))
+        with mock.patch.object(Matrix, "inverse", autospec=True,
+                               side_effect=Matrix.inverse) as inverse:
+            assert main(["check-cert", BOREL, bad]) == 0
+        counts.append(inverse.call_count)
+    assert counts[1] - counts[0] == 1

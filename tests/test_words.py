@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,7 +20,9 @@ from kolchin import (
     engel_probe,
     enumerate_elements,
     evaluate_word,
+    kaloujnine_class_check,
     left_normed_commutator,
+    load_representation,
     nil_index_probe,
     unitriangular_degree,
 )
@@ -345,3 +349,200 @@ def test_oracle_matches_class_mask_search_over_q():
     assert classes == reference_conjugacy_classes(list(table.elements))
     assert sorted(map(len, classes)) == [1, 1, 2, 2, 2]
     assert brute_force_unipotent_radical(rep) == reference_radical(rep) == (rep.identity(),)
+
+
+# References for the commutator walks: each step inverts c from scratch
+# and multiplies four matrices, and words are evaluated from the identity.
+
+def reference_evaluate_word(rep, w):
+    acc = rep.identity()
+    for name, e in w.letters:
+        acc = acc * (rep.generator(name) if e == 1 else rep.inverse(name))
+    return acc
+
+
+def reference_kaloujnine(rep, degree, sample_budget, word_length_cap, seed):
+    rng = random.Random(seed)
+    pool = [random_word(rng, rep.names, word_length_cap) for _ in range(reps.KALOUJNINE_POOL)]
+    mats = [reference_evaluate_word(rep, w) for w in pool]
+    for _ in range(sample_budget):
+        picks = [rng.randrange(reps.KALOUJNINE_POOL) for _ in range(degree)]
+        c = mats[picks[0]]
+        for t in picks[1:]:
+            if c.is_identity():
+                break
+            g = mats[t]
+            c = c.inverse() * g.inverse() * c * g
+        if not c.is_identity():
+            return tuple(pool[t] for t in picks)
+    return None
+
+
+def reference_engel(rep, n, sample_budget, length_cap, seed):
+    rng = random.Random(seed)
+    for _ in range(sample_budget):
+        wx = random_word(rng, rep.names, length_cap)
+        wy = random_word(rng, rep.names, length_cap)
+        c, y = reference_evaluate_word(rep, wx), reference_evaluate_word(rep, wy)
+        for _ in range(n):
+            if c.is_identity():
+                break
+            c = c.inverse() * y.inverse() * c * y
+        if not c.is_identity():
+            return (wx, wy)
+    return None
+
+
+def reference_left_normed(x, g, n):
+    c = x
+    for _ in range(n):
+        c = c.inverse() * g.inverse() * c * g
+    return c
+
+
+def reference_nil_index(g, x, depth_cap):
+    c = x
+    for n in range(1, depth_cap + 1):
+        c = c.inverse() * g.inverse() * c * g
+        if c.is_identity():
+            return n
+    return None
+
+
+def reference_algebraic(g, x, depth_cap, element_cap):
+    table = {Matrix.identity(g.field, g.nrows)}
+    sub_gens = []
+    c = x
+    for k in range(1, depth_cap + 1):
+        c = c.inverse() * g.inverse() * c * g
+        if c in table:
+            return k
+        sub_gens.append(c)
+        sub = Representation(g.field, [(f"c{i}", m) for i, m in enumerate(sub_gens)])
+        table = set(enumerate_elements(sub, element_cap).elements)
+    return None
+
+
+@st.composite
+def walk_groups(draw):
+    """One or two conjugated triangular generators over Q (with fraction
+    entries) or F_p, unipotent or not."""
+    p = draw(st.sampled_from((None, 2, 3, 5)))
+    field = QQ if p is None else GF(p)
+    n = draw(st.integers(2, 3))
+    if p is None:
+        entry = st.fractions(-3, 3, max_denominator=4)
+        unit = st.sampled_from((2, -1, Fraction(1, 2)))
+    else:
+        entry, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    unipotent = draw(st.booleans())
+
+    def triangular(above, diagonal):
+        return Matrix(field, [[draw(diagonal) if i == j else draw(entry) if above(i, j) else 0
+                               for j in range(n)] for i in range(n)])
+
+    conj = triangular(lambda i, j: i > j, st.just(1))
+    gens = {}
+    for name in ("a", "b")[:draw(st.integers(1, 2))]:
+        t = triangular(lambda i, j: i < j, st.just(1) if unipotent else unit)
+        gens[name] = conj.inverse() * t * conj
+    return Representation(field, gens)
+
+
+HEIS_FRAC = load_representation(str(Path(__file__).parent / "golden" / "heis_frac.json"))
+HEIS_F3 = Representation(GF(3), {name: Matrix(GF(3), m.rows)
+                                 for name, m in heisenberg().items()})
+
+
+def assert_walks_match(rep, degree, depth, seed, length_cap):
+    """Each of the five walks returns what its reference does; the
+    Kaloujnine and Engel results are returned."""
+    witness = kaloujnine_class_check(rep, degree, 15, length_cap, seed)
+    assert witness == reference_kaloujnine(rep, degree, 15, length_cap, seed)
+    pair = engel_probe(rep, depth, 8, length_cap, seed)
+    assert pair == reference_engel(rep, depth, 8, length_cap, seed)
+    rng = random.Random(seed)
+    wx, wg = random_word(rng, rep.names, length_cap), random_word(rng, rep.names, length_cap)
+    x, g = evaluate_word(rep, wx), evaluate_word(rep, wg)
+    assert x == reference_evaluate_word(rep, wx) and g == reference_evaluate_word(rep, wg)
+    assert left_normed_commutator(x, g, depth) == reference_left_normed(x, g, depth)
+    assert nil_index_probe(g, x, depth) == reference_nil_index(g, x, depth)
+    assert algebraic_element_probe(g, x, depth, 30) == reference_algebraic(g, x, depth, 30)
+    return witness, pair
+
+
+@settings(max_examples=100)
+@given(walk_groups(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 999),
+       st.integers(1, 4))
+@example(HEIS_FRAC, 1, 1, 0, 4)
+@example(HEIS_F3, 2, 1, 5, 3)
+def test_walks_match_their_references(rep, degree, depth, seed, length_cap):
+    assert_walks_match(rep, degree, depth, seed, length_cap)
+
+
+@pytest.mark.parametrize("rep", [HEIS_FRAC, HEIS_F3], ids=["Q", "F3"])
+def test_walk_edge_cases_match_their_references(rep):
+    # a pool of words of length at most 2 holds some a a^-1 that
+    # evaluates to the identity; degree 1 returns the first other pick
+    seed = 3
+    rng = random.Random(seed)
+    pool = [random_word(rng, rep.names, 2) for _ in range(reps.KALOUJNINE_POOL)]
+    assert any(evaluate_word(rep, w).is_identity() for w in pool)
+    witness, pair = assert_walks_match(rep, 1, 1, seed, 2)
+    assert len(witness) == 1 and not evaluate_word(rep, witness[0]).is_identity()
+    # the Heisenberg group has class 2: an Engel pair at depth 1, none at
+    # depth 2, and degree 2 is misdeclared (the true degree is 3)
+    assert pair is not None
+    witness, pair = assert_walks_match(rep, 2, 2, seed, 2)
+    assert witness is not None and pair is None
+    assert assert_walks_match(rep, 3, 3, seed, 2) == (None, None)
+
+
+def count_products(call, *args):
+    """The result of ``call(*args)`` and the number of matrix products it took."""
+    with mock.patch.object(Matrix, "__mul__", autospec=True,
+                           side_effect=Matrix.__mul__) as product:
+        result = call(*args)
+    return result, product.call_count
+
+
+def pool_products(rep, degree, length_cap, seed):
+    """Products ``kaloujnine_class_check`` spends on its pool, and its
+    first picks for a budget of 50 samples."""
+    rng = random.Random(seed)
+    pool = [random_word(rng, rep.names, length_cap) for _ in range(reps.KALOUJNINE_POOL)]
+    count = sum(max(len(w) - 1, 0) for w in pool) * (2 if degree > 2 else 1)
+    picks = [[rng.randrange(reps.KALOUJNINE_POOL) for _ in range(degree)] for _ in range(50)]
+    return count, [[evaluate_word(rep, pool[t]) for t in p] for p in picks]
+
+
+def test_evaluate_word_takes_one_product_per_letter_after_the_first():
+    rep = heisenberg()
+    for text, products in (("1", 0), ("a", 0), ("a b", 1), ("a a^-1", 1), ("a b^-1 a b a", 4)):
+        m, count = count_products(evaluate_word, rep, Word.parse(text))
+        assert count == products and m == reference_evaluate_word(rep, Word.parse(text))
+
+
+def test_kaloujnine_abelian_samples_take_one_commute_test():
+    # E12 and E13 commute: each sample whose first pick is not 1 costs two products
+    rep = Representation(QQ, {"a": unit_matrix(QQ, 3, 0, 1) + Matrix.identity(QQ, 3),
+                              "b": unit_matrix(QQ, 3, 0, 2) + Matrix.identity(QQ, 3)})
+    for degree in (2, 3, 4):
+        pool, picks = pool_products(rep, degree, 4, degree)
+        result, count = count_products(kaloujnine_class_check, rep, degree, 50, 4, degree)
+        assert result is None
+        assert count - pool == 2 * sum(not p[0].is_identity() for p in picks)
+
+
+def test_kaloujnine_degree_three_builds_no_inverse():
+    # class 2: the second step always commutes.  A first step that does
+    # not commute builds [c, g] (two products) but not its inverse.
+    rep = heisenberg()
+    pool, picks = pool_products(rep, 3, 4, 9)
+    expected = 0
+    for c, g, _ in picks:
+        if not c.is_identity():
+            expected += 2 if c * g == g * c else 6
+    result, count = count_products(kaloujnine_class_check, rep, 3, 50, 4, 9)
+    assert result is None and count - pool == expected
+    assert any(c * g != g * c for c, g, _ in picks)
