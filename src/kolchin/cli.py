@@ -22,6 +22,7 @@ import sys
 
 from .algebra import CharacteristicTooSmallError, standard_identity_witness
 from .certificates import (
+    ENGEL_CHECK_STEPS,
     CertificateError,
     CheckInconclusive,
     check_certificate,
@@ -324,6 +325,11 @@ def cmd_probe(rep, args) -> int:
         _emit(args, rep, "probe", "index-found", payload, seed=args.seed)
         return OK
     if kind == "engel":
+        if args.n > ENGEL_CHECK_STEPS:
+            # a counterexample found deeper could not be checked by check-cert
+            print(f"inconclusive: Engel depth {args.n} is above the cap of "
+                  f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
+            return INCONCLUSIVE
         pair = engel_probe(rep, args.n, args.sample_budget, args.length_cap, args.seed)
         payload.update({"depth": args.n, "sample_budget": args.sample_budget,
                         "length_cap": args.length_cap})

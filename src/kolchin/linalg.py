@@ -9,6 +9,8 @@ A matrix is integer rows over one positive common denominator,
 reduced by their gcd (over F_p: residues over 1), so products, sums
 and eliminations run on ``int`` only.  What differs between the fields
 lives in one kernel object per field, chosen when a matrix is built.
+A square product up to 8 x 8 runs as straight-line code generated for
+its size at its first use; other shapes take a generic comprehension.
 Row reduction over Q is fraction-free (Bareiss) Gauss-Jordan; over F_p
 it is plain Gauss-Jordan.
 """
@@ -46,6 +48,45 @@ def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: in
     return [sum(map(mul, fs, col)) for col in zip(*rs)]
 
 
+# largest n with a straight-line n x n product; its source grows as n^3
+# and compiling one size takes up to a few ms, so rarer sizes share
+# the generic comprehension
+SQUARE_PRODUCT_MAX = 8
+
+
+def _is_small_square(a, b, ncols: int) -> bool:
+    return 0 < len(a) == len(b) == ncols <= SQUARE_PRODUCT_MAX
+
+
+def _columns(rows, ncols: int) -> tuple:
+    return tuple(zip(*rows)) or ((),) * ncols
+
+
+@cache
+def _square_product(n: int, residues: bool):
+    """The straight-line product of two n x n integer row tuples: both
+    operands are unpacked into locals and each entry is one sum of n
+    products, taken mod ``p`` (a third argument) over F_p.  Built at the
+    first product of each size, never at import."""
+    a = [[f"a{i}_{k}" for k in range(n)] for i in range(n)]
+    b = [[f"b{k}_{j}" for j in range(n)] for k in range(n)]
+
+    def entry(i, j):
+        s = " + ".join(f"{a[i][k]}*{b[k][j]}" for k in range(n))
+        return f"({s}) % p" if residues else s
+
+    def tuples(rows):
+        return ", ".join(f"({', '.join(r)},)" for r in rows)
+
+    source = (f"def product(A, B{', p' if residues else ''}):\n"
+              f"    {tuples(a)}, = A\n"
+              f"    {tuples(b)}, = B\n"
+              f"    return ({tuples([[entry(i, j) for j in range(n)] for i in range(n)])},)\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["product"]
+
+
 class _Kernel:
     """Integer-row arithmetic for one field, on matrices ``ints / den``.
     Subclasses fix ``canon`` (the canonical form), ``scalar`` (an entry
@@ -61,8 +102,13 @@ class _Kernel:
             rows = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
         return self.canon(rows, den)
 
-    def product(self, a, cols, den: int):
-        rows = tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in a])
+    def product(self, a, b, ncols: int, den: int):
+        """Canonical (ints, den) of the integer rows ``a * b``, over ``den``."""
+        if _is_small_square(a, b, ncols):
+            rows = _square_product(len(a), False)(a, b)
+        else:
+            cols = _columns(b, ncols)
+            rows = tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in a])
         return self.canon(rows, den) if den != 1 else (rows, 1)
 
     def residual(self, v, rows, den: int, pivots) -> tuple:
@@ -149,8 +195,11 @@ class _Residues(_Kernel):
     def scalar(self, x: int, den: int) -> Scalar:
         return x % self.p  # den is always 1 over F_p
 
-    def product(self, a, cols, den: int):
+    def product(self, a, b, ncols: int, den: int):
         p = self.p
+        if _is_small_square(a, b, ncols):
+            return _square_product(len(a), True)(a, b, p), 1
+        cols = _columns(b, ncols)
         return tuple([tuple([sum(map(mul, r, c)) % p for c in cols]) for r in a]), 1
 
     def pivot_row(self, row, c: int) -> list:
@@ -250,16 +299,13 @@ class Matrix:
         return cls.from_ints(mats[0].field, [[x * (den // m.den) for x in r]
                                              for m in mats for r in m.ints], den, mats[0].ncols)
 
-    def _columns(self) -> tuple:
-        return tuple(zip(*self.ints)) or ((),) * self.ncols
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         k = self._k
         if k is not other._k or self.ncols != other.nrows:
             raise ValueError("shape or field mismatch in product")
-        ints, den = k.product(self.ints, other._columns(), self.den * other.den)
+        ints, den = k.product(self.ints, other.ints, other.ncols, self.den * other.den)
         return Matrix._new(k, ints, den, other.ncols)
 
     def _combine(self, other: "Matrix", op) -> "Matrix":
@@ -301,7 +347,7 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix._new(self._k, self._columns(), self.den, self.nrows)
+        return Matrix._new(self._k, _columns(self.ints, self.ncols), self.den, self.nrows)
 
     def trace(self) -> Scalar:
         if self.nrows != self.ncols:

@@ -5,14 +5,19 @@ lists of ``Fraction`` entries (or residues mod p) and shares no code
 with the package.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kolchin
 from kolchin import GF, QQ, Matrix, Subspace, rref
-from kolchin.linalg import RowSpan, express_in_rows, flat
+from kolchin.linalg import SQUARE_PRODUCT_MAX, RowSpan, _square_product, express_in_rows, flat
 
 F7 = GF(7)
 
@@ -28,9 +33,10 @@ def ref_reduce(field, x):
                                               % field.p)
 
 
-def ref_mul(field, a, b):
+def ref_mul(field, a, b, width=None):
+    width = len(b[0]) if width is None else width
     return [[ref_reduce(field, sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)))
-             for j in range(len(b[0]))] for i in range(len(a))]
+             for j in range(width)] for i in range(len(a))]
 
 
 def ref_rref(field, a):
@@ -69,12 +75,13 @@ def entries(field):
 
 
 @st.composite
-def matrices(draw, field=QQ, nrows=None, ncols=None):
+def matrices(draw, field=QQ, nrows=None, ncols=None, elements=None):
     n = draw(st.integers(1, 6)) if nrows is None else nrows
     w = draw(st.integers(1, 6)) if ncols is None else ncols
-    rows = draw(st.lists(st.lists(entries(field), min_size=w, max_size=w),
+    rows = draw(st.lists(st.lists(entries(field) if elements is None else elements,
+                                  min_size=w, max_size=w),
                          min_size=n, max_size=n))
-    return Matrix(field, rows)
+    return Matrix(field, rows, ncols=w)
 
 
 @st.composite
@@ -142,6 +149,64 @@ def test_rref_against_reference(m):
     assert e.pivots == pivots and e.rank == len(pivots)
     assert e.transform * m == e.reduced
     assert rref(e.transform).rank == m.nrows
+
+
+# -- straight-line square products against the reference ---------------------
+
+PRODUCT_FIELDS = [QQ, GF(2), F7, GF(2**61 - 1)]
+
+
+def wide_entries(field):
+    """Small signed fractions, and numerators above 2^64, over Q."""
+    if field.p is None:
+        return st.one_of(entries(field), st.builds(Fraction, st.integers(-2**70, 2**70),
+                                                   st.integers(1, 9)))
+    return entries(field)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+@pytest.mark.parametrize("n", range(1, SQUARE_PRODUCT_MAX + 2))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_square_products_match_reference(field, n, data):
+    # n = SQUARE_PRODUCT_MAX + 1 takes the generic path
+    a, b = (data.draw(matrices(field, n, n, wide_entries(field))) for _ in range(2))
+    assert same(a * b, ref_mul(field, ref_entries(a), ref_entries(b)))
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_rectangular_and_empty_products_match_reference(field, data):
+    m, k, w = (data.draw(st.integers(0, 5)) for _ in range(3))
+    assume(not 0 < m == k == w)
+    a = data.draw(matrices(field, m, k, wide_entries(field)))
+    b = data.draw(matrices(field, k, w, wide_entries(field)))
+    c = a * b
+    assert (c.nrows, c.ncols) == (m, w)
+    assert same(c, ref_mul(field, ref_entries(a), ref_entries(b), w))
+
+
+def test_square_kernels_are_built_once_at_the_first_product():
+    _square_product.cache_clear()
+    m = Matrix(QQ, [[Fraction(i - j, 1 + i) for j in range(4)] for i in range(4)])
+    g = Matrix(QQ, [[i * j - 1 for j in range(4)] for i in range(4)])
+    for _ in range(100):
+        m * g
+    info = _square_product.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_import_and_loading_build_no_kernel():
+    code = ("import sys, kolchin\n"
+            "from kolchin.linalg import _square_product\n"
+            "kolchin.load_representation(sys.argv[1])\n"
+            "print(_square_product.cache_info().currsize)\n")
+    rep = Path(__file__).parent / "golden" / "heis_frac.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(kolchin.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(rep)], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "0"
 
 
 # -- canonical form: == and hash -------------------------------------------------

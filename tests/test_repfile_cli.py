@@ -567,6 +567,25 @@ def test_check_cert_engel_huge_depth_is_decided_or_capped(tmp_path, heis_file, c
     assert time.perf_counter() - start < 10
 
 
+def test_cli_engel_probe_depth_is_capped(tmp_path, capsys):
+    from kolchin.certificates import ENGEL_CHECK_STEPS
+
+    # over Q the Borel walk neither reaches 1 nor repeats, so a deep probe
+    # would run for ever; above the checker's cap it is inconclusive at once
+    start = time.perf_counter()
+    cert = tmp_path / "deep.json"
+    for depth in (ENGEL_CHECK_STEPS + 1, 100000):
+        assert main(["probe", BOREL, "--kind", "engel", "--n", str(depth),
+                     "--sample-budget", "1", "--cert", str(cert)]) == 3
+        assert "above the cap" in capsys.readouterr().err
+    assert not cert.exists()
+    # at the cap the walk runs, and check-cert verifies its counterexample
+    assert main(["probe", BOREL, "--kind", "engel", "--n", str(ENGEL_CHECK_STEPS),
+                 "--sample-budget", "1", "--cert", str(cert)]) == 2
+    assert main(["check-cert", BOREL, str(cert)]) == 0
+    assert time.perf_counter() - start < 10
+
+
 def test_check_cert_engel_walk_inverts_y_once(tmp_path):
     # from the definition, each step inverts c; y is inverted once
     cert = _engel_cert(tmp_path)
