@@ -9,6 +9,12 @@ algorithm that made it:
 - flags and series: every generator difference drops each step;
 - an identity verified at length (or lifted bound) n: the span of all
   vectors x (h_1-1)...(h_n-1) in V is zero;
+- an identity witness of length n: exactly n generator names whose
+  difference product is nonzero, and outside the trace-form radical
+  when the identity was checked modulo the radical;
+- a not-unipotent obstruction: the induced action on V/reached has no
+  fixed vector, checked on the quotient matrices, not in V as the
+  flag algorithm works;
 - pi-check: the embedded basis spans exactly the enveloping algebra,
   which the checker spins itself; each witness evaluates to nonzero,
   the claimed degree holds, and the degree below it has a witness;
@@ -221,13 +227,20 @@ def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> s
 
 def _check_identity(rep: Representation, result: str, payload: dict) -> str:
     n = payload["length"]
+    _require(type(n) is int and n >= 1, "identity length must be a positive integer")
     one = rep.identity()
     if result == "witness":
         names = payload["witness"]
+        _require(isinstance(names, list) and len(names) == n
+                 and all(name in rep.names for name in names),
+                 f"witness must list exactly {n} generator names")
         prod = one
         for name in names:
             prod = prod * (rep.generator(name) - one)
         _require(not prod.is_zero(), "claimed witness product vanishes")
+        if payload.get("modulo_radical"):
+            _require(not _trace_radical(rep).contains_vector(flat(prod)),
+                     "claimed witness product lies in the radical")
         return f"identity witness of length {n} verified"
     if result == "verified":
         # all length-n generator products vanish iff V (h_1-1)...(h_n-1) = 0
@@ -268,18 +281,25 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     return f"standard identity of degree {minimal} verified"
 
 
-def _check_radical(rep: Representation, result: str, payload: dict) -> str:
+def _trace_radical(rep: Representation) -> Subspace:
+    """The radical of the enveloping algebra, flattened into F^(n^2): the
+    kernel of the trace form Tr(xy), refused in characteristic 0 < p <= n,
+    where that kernel can be larger than the radical."""
     n, p = rep.dim, rep.field.characteristic()
     _require(not 0 < p <= n, f"no trace-form radical in characteristic {p} <= {n}")
-    basis = [matrix_from_rows(rep.field, rows, n) for rows in payload["radical_basis"]]
-    span = _embedded_span(rep, basis)
-    # the radical is the kernel of the trace form on the algebra, and
     # Tr(xy) is flat(x) dotted with flat(y transposed)
     alg = _enveloping_span(rep).basis
     swapped = Matrix.from_ints(rep.field, [[r[(c % n) * n + c // n] for c in range(n * n)]
                                            for r in alg.ints], alg.den, n * n)
     radical = kernel(alg * swapped.transpose()).basis * alg
-    _require(span.to_subspace() == Subspace._spanned(rep.field, n * n, radical.ints),
+    return Subspace._spanned(rep.field, n * n, radical.ints)
+
+
+def _check_radical(rep: Representation, result: str, payload: dict) -> str:
+    radical = _trace_radical(rep)
+    basis = [matrix_from_rows(rep.field, rows, rep.dim) for rows in payload["radical_basis"]]
+    span = _embedded_span(rep, basis)
+    _require(span.to_subspace() == radical,
              "embedded radical is not the trace-form kernel of the enveloping algebra")
     _require(_span_is_nilpotent(basis), "embedded radical basis is not nilpotent")
     for name in rep.names:

@@ -68,14 +68,6 @@ class Field:
     def characteristic(self) -> int:
         return 0 if self.p is None else self.p
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def of(self, value: int | str | Fraction) -> Scalar:
         """Coerce an int, Fraction or string like ``"-7/2"`` into the field.
 

@@ -13,6 +13,11 @@ A square product up to 8 x 8 runs as straight-line code generated for
 its size at its first use; other shapes take a generic comprehension.
 Row reduction over Q is fraction-free (Bareiss) Gauss-Jordan; over F_p
 it is plain Gauss-Jordan.
+
+A preimage {v : v * m in w for every m} is one left kernel: that of the
+rows of every m reduced modulo w, placed side by side.  Fixed spaces
+(the preimage of 0 under every m - 1) and each step of a Kolchin flag
+(the preimage of the step below under every g - 1) are computed so.
 """
 
 from __future__ import annotations
@@ -284,12 +289,6 @@ class Matrix:
             return self.ints
         scalar = self._k.scalar
         return tuple(tuple(scalar(x, den) for x in r) for r in self.ints)
-
-    @classmethod
-    def hstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        if any(m.nrows != mats[0].nrows for m in mats):
-            raise ValueError("hstack needs equal row counts over one field")
-        return cls.vstack([m.transpose() for m in mats]).transpose()
 
     @classmethod
     def vstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
@@ -599,18 +598,31 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace._spanned(m.field, m.nrows, ech.transform.ints[ech.rank:])
 
 
-def fixed_space(mats: Sequence[Matrix]) -> Subspace:
-    """Common fixed vectors {v : v * m = v for every m}."""
+def preimage(w: Subspace, mats: Sequence[Matrix]) -> Subspace:
+    """{v : v * m in w for every m in ``mats``}, canonical.
+
+    One left kernel: v * m lies in w iff its residual modulo w vanishes,
+    and that residual is v times the rows of m each reduced modulo w, so
+    the preimage is the left kernel of those reduced rows of every m
+    placed side by side.
+    """
     if not mats:
         raise ValueError("need at least one matrix")
     n = mats[0].nrows
-    field = mats[0].field
-    for m in mats:
-        if m.nrows != m.ncols or m.nrows != n or m.field != field:
-            raise ValueError("matrices must be square of one size over one field")
+    if any(m.nrows != n or m.ncols != w.ambient_dim or m.field != w.field for m in mats):
+        raise ValueError("matrices must map one space into the subspace's ambient space")
+    rows = [list(chain.from_iterable(map(w._residual, rs))) for rs in zip(*(m.ints for m in mats))]
+    return kernel(Matrix.from_ints(w.field, rows, 1, len(mats) * w.ambient_dim))
+
+
+def fixed_space(mats: Sequence[Matrix]) -> Subspace:
+    """Common fixed vectors {v : v * m = v for every m}: the preimage of
+    the zero space under every m - 1."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    field, n = mats[0].field, mats[0].nrows
     one = Matrix.identity(field, n)
-    stacked = Matrix.hstack([m - one for m in mats])
-    return kernel(stacked)
+    return preimage(Subspace.zero(field, n), [m - one for m in mats])
 
 
 def quotient_action(m: Matrix, w: Subspace) -> Matrix:
@@ -693,12 +705,10 @@ def assemble_flag_basis(f: Flag) -> Matrix:
     compatible generator into triangular form.
     """
     span = RowSpan(f.field, f.ambient_dim)
-    rows = []
-    for step in f.steps[1:]:
-        for ints, row in zip(step.basis.ints, step.basis.rows):
-            if span.absorb(ints):
-                rows.append(row)
-    m = Matrix(f.field, rows, ncols=f.ambient_dim)
+    picked = [Matrix.from_ints(f.field, [ints], step.basis.den, f.ambient_dim)
+              for step in f.steps[1:] for ints in step.basis.ints if span.absorb(ints)]
+    # a zero-dimensional space picks no rows, and its stack still needs a width
+    m = Matrix.vstack(picked or [Matrix.zero(f.field, 0, f.ambient_dim)])
     if m.nrows != f.ambient_dim or rref(m).rank != f.ambient_dim:
         raise ValueError("malformed flag: assembled basis is not invertible")
     return m

@@ -1,7 +1,7 @@
 """Representation-level algorithms for finitely generated matrix groups.
 
 Unipotency indices, simultaneous unitriangularization via iterated
-fixed spaces, generator-product identities and their invariant series,
+preimages in V, generator-product identities and their invariant series,
 degree lifting through nilpotent ideals, the right-regular
 representation on the enveloping algebra, and the unipotent radical
 computed from the algebra's nilpotent radical.
@@ -31,8 +31,8 @@ from .linalg import (
     Matrix,
     Subspace,
     assemble_flag_basis,
-    fixed_space,
     flag_drops,
+    preimage,
     quotient_action,
 )
 
@@ -183,45 +183,29 @@ class NotUnipotent:
     quotient_generators: tuple[Matrix, ...]
 
 
-def _lift_from_quotient(w: Subspace, rows: Sequence[Sequence]) -> list[tuple]:
-    free = w.complement_coordinates()
-    lifted = []
-    for q in rows:
-        v = [0] * w.ambient_dim
-        for coord, x in zip(free, q):
-            v[coord] = x
-        lifted.append(tuple(v))
-    return lifted
-
-
 FLAG_DROP_FAILED = "flag verification failed: a difference does not drop a step"
 
 
 def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
-    """Simultaneous unitriangularization by iterated fixed spaces.
+    """Simultaneous unitriangularization by iterated preimages in V.
 
-    Each stage takes the common fixed space of the induced action on
-    the current quotient (the fixed space of the generators is the
-    fixed space of the whole group); the construction succeeds iff
-    every stage finds a nonzero fixed space before V is exhausted.  The
-    certificate is re-verified before it is returned: every generator
-    difference maps each flag step into the previous one.
+    Step i is W_i = {v : v (g-1) in W_(i-1) for every generator g}, one
+    left kernel (``linalg.preimage``); the generators' fixed space on
+    V/W_(i-1) is the fixed space of the whole group there.  The
+    construction succeeds iff every step grows until V is reached; a
+    step that does not grow is returned as the obstruction, with the
+    action on the quotient.  The certificate is re-verified before it
+    is returned: every generator difference maps each flag step into
+    the previous one.
     """
-    field, n = rep.field, rep.dim
-    w = Subspace.zero(field, n)
-    steps = [w]
-    qmats: Sequence[Matrix] = rep.generators
-    stage = 1
-    while not w.is_full():
-        fix = fixed_space(qmats)
-        if fix.is_zero():
-            return NotUnipotent(stage, w, tuple(qmats))
-        w = w.sum(Subspace(field, n, _lift_from_quotient(w, fix.basis.rows)))
+    one = rep.identity()
+    diffs = [g - one for g in rep.generators]
+    steps = [Subspace.zero(rep.field, rep.dim)]
+    while not steps[-1].is_full():
+        w = preimage(steps[-1], diffs)
+        if w.dim == steps[-1].dim:
+            return NotUnipotent(len(steps), w, tuple(quotient_action(g, w) for g in rep.generators))
         steps.append(w)
-        if w.is_full():
-            break
-        qmats = [quotient_action(g, w) for g in rep.generators]
-        stage += 1
     flag = Flag(steps)
     if not flag_drops(rep.generators, flag.steps):
         raise InternalInconsistencyError(FLAG_DROP_FAILED)

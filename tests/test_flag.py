@@ -1,0 +1,201 @@
+"""Differential tests of the Kolchin flag computed as preimages in V.
+
+The references keep the former quotient route: each stage takes the
+common fixed space of the induced action on V/W (``quotient_action``),
+found as the left kernel of the differences m - 1 placed side by side,
+lifts that space back into V through the non-pivot coordinates of W and
+adds it to W.  The base change is assembled from the steps' scalar rows.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kolchin import (GF, QQ, Matrix, NotUnipotent, Representation, Subspace, UnitriCertificate,
+                     fixed_space, kolchin_flag, quotient_action)
+from kolchin.linalg import Flag, RowSpan, kernel, preimage
+
+FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+# -- quotient-route reference ---------------------------------------------------
+
+def ref_hstack(mats):
+    return Matrix.vstack([m.transpose() for m in mats]).transpose()
+
+
+def ref_fixed_space(mats):
+    one = Matrix.identity(mats[0].field, mats[0].nrows)
+    return kernel(ref_hstack([m - one for m in mats]))
+
+
+def ref_lift_from_quotient(w, rows):
+    free = w.complement_coordinates()
+    lifted = []
+    for q in rows:
+        v = [0] * w.ambient_dim
+        for coord, x in zip(free, q):
+            v[coord] = x
+        lifted.append(v)
+    return lifted
+
+
+def ref_assemble_flag_basis(flag):
+    span = RowSpan(flag.field, flag.ambient_dim)
+    rows = [row for step in flag.steps[1:]
+            for ints, row in zip(step.basis.ints, step.basis.rows) if span.absorb(ints)]
+    return Matrix(flag.field, rows, ncols=flag.ambient_dim)
+
+
+def ref_kolchin_flag(rep):
+    field, n = rep.field, rep.dim
+    w = Subspace.zero(field, n)
+    steps = [w]
+    qmats = rep.generators
+    stage = 1
+    while not w.is_full():
+        fix = ref_fixed_space(qmats)
+        if fix.is_zero():
+            return NotUnipotent(stage, w, tuple(qmats))
+        w = w.sum(Subspace(field, n, ref_lift_from_quotient(w, fix.basis.rows)))
+        steps.append(w)
+        if w.is_full():
+            break
+        qmats = [quotient_action(g, w) for g in rep.generators]
+        stage += 1
+    flag = Flag(steps)
+    return UnitriCertificate(flag, ref_assemble_flag_basis(flag), flag.degree)
+
+
+def ref_preimage(w, mats):
+    # v * m lies in w iff it vanishes in the quotient coordinates of V/w
+    free = w.complement_coordinates()
+    n = w.ambient_dim
+    to_quotient = Matrix(w.field, [[w.reduce(e)[c] for c in free] for e in
+                                   Matrix.identity(w.field, n).rows], ncols=len(free))
+    return kernel(ref_hstack([m * to_quotient for m in mats]))
+
+
+def assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, UnitriCertificate):
+        assert got.flag.steps == want.flag.steps
+        assert got.degree == want.degree
+        assert got.base_change == want.base_change
+    else:
+        assert got.stage == want.stage
+        assert got.reached == want.reached
+        assert got.quotient_generators == want.quotient_generators
+
+
+# -- strategies -----------------------------------------------------------------
+
+@st.composite
+def scalars(draw, field, nonzero=False):
+    if field.p is not None:
+        return draw(st.integers(1 if nonzero else 0, field.p - 1))
+    x = draw(st.integers(-4, 4).filter(bool) if nonzero else st.integers(-4, 4))
+    return Fraction(x, draw(st.integers(1, 4))) if draw(st.booleans()) else x
+
+
+def unitriangular(draw, field, n, lower=False, nonzero=False):
+    return Matrix(field, [[1 if i == j else draw(scalars(field, nonzero))
+                           if (i > j if lower else i < j) else 0 for j in range(n)]
+                          for i in range(n)])
+
+
+@st.composite
+def groups(draw):
+    """A group P T_k P^-1 over one field.  Every T_k is upper
+    unitriangular, except that in a blocked group the diagonal block at
+    rows ``lo:hi`` is replaced by an invertible L U D (unit triangular
+    L and U, diagonal D), always in the first generator and by choice
+    in the others.  The first block has nonzero entries in L, U and D,
+    so it is seldom unipotent.  A block at the bottom tends to fail at
+    stage 1, one higher up after the flag has covered the rows below
+    it."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n)) if draw(st.booleans()) else lo
+    p = unitriangular(draw, field, n, lower=True) * unitriangular(draw, field, n)
+    pinv = p.inverse()
+    gens = {}
+    for k in range(draw(st.integers(1, 3))):
+        t = [list(r) for r in unitriangular(draw, field, n).rows]
+        if hi > lo and (k == 0 or draw(st.booleans())):
+            d, first = hi - lo, k == 0
+            diag = Matrix(field, [[draw(scalars(field, True)) if i == j else 0 for j in range(d)]
+                                  for i in range(d)])
+            block = (unitriangular(draw, field, d, lower=True, nonzero=first)
+                     * unitriangular(draw, field, d, nonzero=first) * diag)
+            for i in range(d):
+                t[lo + i][lo:hi] = block.rows[i]
+        gens[f"g{k}"] = p * Matrix(field, t) * pinv
+    return Representation(field, gens)
+
+
+@st.composite
+def matrix_lists(draw):
+    """Square matrices I + A B with A of size n x r and B of size r x n,
+    so that fixed spaces of every dimension occur."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, n))
+        a = Matrix(field, [[draw(scalars(field)) for _ in range(r)] for _ in range(n)], ncols=r)
+        b = Matrix(field, [[draw(scalars(field)) for _ in range(n)] for _ in range(r)], ncols=n)
+        mats.append(Matrix.identity(field, n) + a * b)
+    return mats
+
+
+# -- tests ----------------------------------------------------------------------
+
+@settings(max_examples=200)
+@given(groups())
+def test_flag_matches_quotient_route(rep):
+    assert_same(kolchin_flag(rep), ref_kolchin_flag(rep))
+
+
+@settings(max_examples=100)
+@given(matrix_lists())
+def test_fixed_space_matches_hstack_kernel(mats):
+    assert fixed_space(mats) == ref_fixed_space(mats)
+
+
+@settings(max_examples=100)
+@given(matrix_lists(), st.data())
+def test_preimage_matches_quotient_coordinates(mats, data):
+    field, n = mats[0].field, mats[0].nrows
+    rows = data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=n))
+    w = Subspace(field, n, rows)
+    got = preimage(w, mats)
+    assert got == ref_preimage(w, mats)
+    assert all(w.contains_vector((Matrix(field, [v]) * m).rows[0])
+               for v in got.basis.rows for m in mats)
+
+
+@pytest.mark.parametrize("field, gens, stage", [
+    # no fixed vector at all: the obstruction is at stage 1, on V itself
+    (QQ, [[[2, 0], [0, 3]]], 1),
+    (GF(2), [[[0, 1], [1, 1]], [[1, 0], [0, 1]]], 1),
+    # e_2 is fixed, and d acts on the quotient by 2
+    (QQ, [[[2, 0], [0, 1]]], 2),
+    # e_3 is fixed, then e_1 - e_2 modulo it; g acts by 2 on what is left
+    (GF(3), [[[1, 1, 0], [0, 2, 1], [0, 0, 1]]], 3),
+])
+def test_obstruction_matches_quotient_route(field, gens, stage):
+    rep = Representation(field, {f"g{k}": Matrix(field, g) for k, g in enumerate(gens)})
+    got = kolchin_flag(rep)
+    assert isinstance(got, NotUnipotent) and got.stage == stage
+    assert_same(got, ref_kolchin_flag(rep))
+    if stage == 1:
+        assert got.reached.is_zero() and got.quotient_generators == rep.generators
+
+
+def test_zero_dimensional_space_has_the_empty_flag():
+    rep = Representation(QQ, {"e": Matrix(QQ, [], ncols=0)})
+    assert_same(kolchin_flag(rep), ref_kolchin_flag(rep))

@@ -444,6 +444,43 @@ def test_check_cert_identity_length_below_the_degree_rejected(heis_file, tmp_pat
     assert "length 2 do not all vanish" in capsys.readouterr().err
 
 
+GOLDEN_HEIS = str(Path(__file__).parent / "golden" / "heis_frac.json")
+
+
+@pytest.mark.parametrize("payload, reason", [
+    # shorter than the claimed length, which holds at degree 3
+    ({"length": 3, "witness": ["a"]}, "exactly 3 generator names"),
+    # a string is not a list of names, though it iterates as letters
+    ({"length": 3, "witness": "ab"}, "exactly 3 generator names"),
+    # a - 1 lies in the radical of a unipotent group's enveloping algebra
+    ({"length": 1, "witness": ["a"], "modulo_radical": True}, "lies in the radical"),
+    ({"length": True, "witness": ["a"]}, "positive integer"),
+    ({"length": 0, "witness": []}, "positive integer"),
+])
+def test_check_cert_forged_identity_witness_rejected(tmp_path, capsys, payload, reason):
+    cert = str(tmp_path / "cert.json")
+    assert main(["identity-check", GOLDEN_HEIS, "--length", "3", "--cert", cert]) == 0
+    bad = _edited(cert, tmp_path, lambda d: d.update(result="witness", payload=payload))
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+
+
+def test_check_cert_accepts_cli_identity_witnesses(tmp_path):
+    # diag(2, 1) spans a semisimple algebra: d - 1 is outside its zero radical
+    diag = tmp_path / "diag.json"
+    diag.write_text(json.dumps({"field": "Q", "dim": 2, "generators": {"d": [[2, 0], [0, 1]]}}))
+    cert = str(tmp_path / "cert.json")
+    for path, args in ((GOLDEN_HEIS, ["--length", "2"]),
+                       (str(diag), ["--length", "1"]),
+                       (str(diag), ["--length", "1", "--lift-through-radical"])):
+        assert main(["identity-check", path, *args, "--cert", cert]) == 2
+        assert load_certificate(cert)["result"] == "witness"
+        assert main(["check-cert", path, cert]) == 0
+    assert load_certificate(cert)["payload"] == {"length": 1, "witness": ["d"],
+                                                 "modulo_radical": True}
+
+
 def test_check_cert_pi_embedding_must_be_the_enveloping_algebra(tmp_path, capsys):
     # diag(2, 1) spans the commutative diagonal algebra, whose minimal degree is 2;
     # the basis of M_2 has witnesses at degrees 2 and 3 and satisfies S_4
