@@ -12,9 +12,10 @@ algorithm that made it:
 - an identity witness of length n: exactly n generator names whose
   difference product is nonzero, and outside the trace-form radical
   when the identity was checked modulo the radical;
-- a not-unipotent obstruction: the induced action on V/reached has no
-  fixed vector, checked on the quotient matrices, not in V as the
-  flag algorithm works;
+- a not-unipotent obstruction: the checker rebuilds the chain of
+  common fixed spaces on the quotient matrices, not in V as the flag
+  algorithm works; the chain must stop short of V, at the claimed
+  stage (a positive integer) and the claimed reached subspace;
 - pi-check: the embedded basis spans exactly the enveloping algebra,
   which the checker spins itself; each witness evaluates to nonzero,
   the claimed degree holds, and the degree below it has a witness;
@@ -201,12 +202,40 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
                 _require(step.contains_vector(v), "base change rows do not follow the flag")
         return f"unitriangular certificate of degree {payload['degree']} verified"
     if result == "not-unipotent":
+        stage = payload["stage"]
+        _require(type(stage) is int and stage >= 1, "obstruction stage must be a positive integer")
         reached = _subspace_from_rows(rep, payload["reached"])
-        qmats = [quotient_action(g, reached) for g in rep.generators]
-        _require(fixed_space(qmats).is_zero(),
-                 "claimed obstruction has a nonzero fixed space")
-        return f"non-unipotency obstruction at stage {payload['stage']} verified"
+        own_stage, own_reached = _quotient_chain(rep)
+        _require(own_reached is not None, "the group is unipotent: the fixed-space chain reaches V")
+        _require(stage == own_stage, f"obstruction stage {stage} is not the chain's stage {own_stage}")
+        _require(reached == own_reached,
+                 "claimed obstruction is not where the fixed-space chain stops")
+        return f"non-unipotency obstruction at stage {stage} verified"
     raise CertificateError(f"unknown result kind {result!r}")
+
+
+def _quotient_chain(rep: Representation) -> tuple[int, Subspace | None]:
+    """(stage, reached): the chain W_i = W_(i-1) + the fixed space of the
+    action on V/W_(i-1), built on the quotient matrices, not in V as the
+    flag algorithm works.  Stage i is the first whose fixed space is
+    zero; reached is None when the chain reaches V instead."""
+    w = Subspace.zero(rep.field, rep.dim)
+    stage = 1
+    while not w.is_full():
+        fix = fixed_space([quotient_action(g, w) for g in rep.generators])
+        if fix.is_zero():
+            return stage, w
+        # quotient coordinates are the non-pivot standard coordinates of w
+        free = w.complement_coordinates()
+        lifted = []
+        for q in fix.basis.rows:
+            v = [0] * rep.dim
+            for c, x in zip(free, q):
+                v[c] = x
+            lifted.append(v)
+        w = w.sum(Subspace(rep.field, rep.dim, lifted))
+        stage += 1
+    return stage, None
 
 
 def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> str:

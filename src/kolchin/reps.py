@@ -120,8 +120,17 @@ class EnvelopingData:
     ``algebra`` is the span closure of the generators and the identity.
     The ideals are computed on first read and then kept:
     ``augmentation_ideal`` is generated by the differences g - 1, and
-    ``radical`` comes from the trace form and raises
-    CharacteristicTooSmallError over too-small prime fields.
+    ``augmentation_index`` is its nilpotency index from one power chain,
+    or None when the chain stabilises at a nonzero ideal.
+
+    ``radical`` is the augmentation ideal when that chain reaches zero:
+    the algebra is F*1 plus the augmentation ideal, so a nilpotent
+    augmentation ideal has codimension 1 and is the whole radical.
+    Otherwise it is the kernel of the trace form; a generator difference
+    that is not nilpotent sends a group there before the augmentation
+    ideal is built.  Over prime fields with p <= n it raises
+    CharacteristicTooSmallError on either route, since the certificate
+    checker has only the trace form there.
     """
 
     def __init__(self, rep: Representation):
@@ -135,8 +144,22 @@ class EnvelopingData:
         return ideal_closure(self.algebra, [g - one for g in self.algebra.generators])
 
     @cached_property
+    def augmentation_index(self) -> int | None:
+        _, index = ideal_power_chain(self.algebra, self.augmentation_ideal)
+        return index
+
+    @cached_property
     def radical(self) -> Ideal:
-        return trace_radical(self.algebra)
+        a = self.algebra
+        p = a.field.characteristic()
+        one = Matrix.identity(a.field, a.matrix_size)
+        # the ideal holds every g - 1, so it is nilpotent only if they are;
+        # testing them first spares a non-unipotent group the closure
+        if (not 0 < p <= a.matrix_size
+                and all(_nilpotency_index(g - one) is not None for g in a.generators)
+                and self.augmentation_index is not None):
+            return self.augmentation_ideal
+        return trace_radical(a)
 
 
 def unipotency_index(rep: Representation, g: Matrix) -> int | None:
@@ -146,9 +169,14 @@ def unipotency_index(rep: Representation, g: Matrix) -> int | None:
     """
     if g.nrows != g.ncols or g.nrows != rep.dim or g.field != rep.field:
         raise ValueError("element matrix does not match the representation")
-    nil = g - rep.identity()
+    return _nilpotency_index(g - rep.identity())
+
+
+def _nilpotency_index(nil: Matrix) -> int | None:
+    """Minimal n with nil^n = 0 for a square matrix, or None; n is at
+    most the size."""
     power = nil
-    for n in range(1, rep.dim + 1):
+    for n in range(1, nil.nrows + 1):
         if power.is_zero():
             return n
         power = power * nil
@@ -313,11 +341,11 @@ def unitriangular_degree(rep: Representation) -> int | None:
     The enveloping algebra acts faithfully on V, so the ideal's power
     chain hitting zero at index n is equivalent to the length-n
     identity x (y_1-1)...(y_n-1) = 0 holding for all group elements,
-    not just for generators.
+    not just for generators.  The index is the one the enveloping data
+    keeps (``EnvelopingData.augmentation_index``), so the chain runs
+    once for this degree and the radical together.
     """
-    env = rep.enveloping()
-    _, index = ideal_power_chain(env.algebra, env.augmentation_ideal)
-    return index
+    return rep.enveloping().augmentation_index
 
 
 class LiftHypothesisError(ValueError):
@@ -381,9 +409,13 @@ class UnipotentRadical:
     """Membership test for the largest normal unitriangularly-acting
     subgroup: g belongs iff g - 1 lies in the algebra's radical.
 
+    The radical is ``EnvelopingData.radical``: the augmentation ideal
+    when its power chain reaches zero (then every member is unipotent
+    and the whole group is the subgroup), else the trace-form kernel.
     Conjugation stability of the radical under every generator is
     checked at construction (this underpins normality); the radical's
-    verified nilpotency makes the member set act unitriangularly.
+    verified nilpotency, by either route's power chain, makes the
+    member set act unitriangularly.
     """
 
     __slots__ = ("representation", "algebra", "ideal")

@@ -10,6 +10,9 @@ of kept elements on both sides.
 Closures and self-checks now multiply by the algebra's generators; the
 former versions that multiply by every basis matrix, and the Gram
 matrix of d*d traces, are kept here as references for them.
+
+A representation's radical is its augmentation ideal when that ideal
+is nilpotent; ``trace_radical`` is the reference for that route.
 """
 
 from fractions import Fraction
@@ -18,8 +21,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kolchin import (GF, QQ, AlgebraBasis, Ideal, Matrix, Subspace, ideal_closure,
-                     ideal_power_chain, matrix_algebra, trace_radical, upper_triangular_algebra)
+from kolchin import (GF, QQ, AlgebraBasis, Ideal, Matrix, Representation, Subspace,
+                     ideal_closure, ideal_power_chain, matrix_algebra, trace_radical,
+                     upper_triangular_algebra)
 from kolchin.algebra import _matrices, span_closure
 from kolchin.linalg import kernel
 from kolchin.linalg import RowSpan, express_in_rows, flat
@@ -203,6 +207,40 @@ def cases(draw):
     return field, gens, a, i, probes, trial
 
 
+@st.composite
+def triangular_groups(draw):
+    """(rep, kind): a group over Q with fraction entries or over GF(p)
+    with p > n, with generators P T_k P^-1 and T_k upper triangular.
+    - "unipotent": every T_k has diagonal 1;
+    - "diagonal": the diagonal is drawn nonzero, with an entry other
+      than 1 in the first generator, so the group is not unipotent;
+    - "unipotent generators": diagonal 1, but a new P for each
+      generator, so each generator is unipotent and the group most
+      often is not."""
+    field = draw(st.sampled_from([QQ, F5, GF(7)]))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["unipotent", "diagonal", "unipotent generators"]))
+    nonzero = entries(field).filter(bool)
+
+    def triangular(lower=False, diagonal=None):
+        return Matrix(field, [[(1 if diagonal is None else diagonal[i]) if i == j
+                               else draw(entries(field)) if (i > j if lower else i < j) else 0
+                               for j in range(n)] for i in range(n)])
+
+    gens = {}
+    for k in range(draw(st.integers(1, 3))):
+        if k == 0 or kind == "unipotent generators":
+            p = triangular(lower=True) * triangular()
+            pinv = p.inverse()
+        diagonal = None
+        if kind == "diagonal":
+            diagonal = [draw(nonzero) for _ in range(n)]
+            if k == 0 and all(x == 1 for x in diagonal):
+                diagonal[draw(st.integers(0, n - 1))] = 2
+        gens[f"g{k}"] = p * triangular(diagonal=diagonal) * pinv
+    return Representation(field, gens), kind
+
+
 # -- tests ---------------------------------------------------------------------
 
 @settings(max_examples=60)
@@ -381,3 +419,16 @@ def test_fixed_cases_rejected_by_the_checks_and_their_references():
         AlgebraBasis(QQ, 2, basis)
     for full in (matrix_algebra(QQ, 2), upper_triangular_algebra(F5, 3)):
         assert full.generators == full.basis
+
+
+@settings(max_examples=200)
+@given(triangular_groups())
+def test_radical_routes_match_the_trace_form(case):
+    rep, kind = case
+    env = rep.enveloping()
+    assert env.radical.span == trace_radical(env.algebra).span
+    # the augmentation ideal is the radical exactly when it is nilpotent
+    nilpotent = env.augmentation_index is not None
+    assert (env.radical is env.augmentation_ideal) == nilpotent
+    if kind != "unipotent generators":
+        assert nilpotent == (kind == "unipotent")

@@ -151,6 +151,32 @@ def test_cli_kolchin_failure_stage(tmp_path, capsys):
     assert main(["check-cert", str(path), cert]) == 0
 
 
+@pytest.mark.parametrize("stage", ["ninety-nine", 0, 99, 1, True])
+def test_check_cert_kolchin_stage_must_match_the_chain(stage, tmp_path, capsys):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 2,
+                                "generators": {"d": [[2, 0], [0, 1]]}}))
+    cert = str(tmp_path / "cert.json")
+    assert main(["kolchin", str(path), "--cert", cert]) == 2
+    assert main(["check-cert", str(path), cert]) == 0
+    assert "stage 2 verified" in capsys.readouterr().out
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(stage=stage))
+    assert main(["check-cert", str(path), bad]) == 2
+    assert "stage" in capsys.readouterr().err
+
+
+def test_check_cert_kolchin_obstruction_on_a_unipotent_group_rejected(heis_file, tmp_path,
+                                                                       capsys):
+    # V itself has a zero-dimensional quotient, so it has no fixed vector there
+    rep = load_representation(heis_file)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(make_certificate(
+        "kolchin", rep, "not-unipotent",
+        {"stage": 1, "reached": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})))
+    assert main(["check-cert", heis_file, str(forged)]) == 2
+    assert "the group is unipotent" in capsys.readouterr().err
+
+
 def test_cli_identity_check(heis_file, tmp_path, capsys):
     assert main(["identity-check", heis_file, "--length", "2"]) == 2
     assert "witness" in capsys.readouterr().out
@@ -191,6 +217,23 @@ def test_cli_unipotent_radical_char_too_small(tmp_path):
     path.write_text(json.dumps({"field": {"Fp": 2}, "dim": 2,
                                 "generators": {"u": [[1, 1], [0, 1]]}}))
     assert main(["unipotent-radical", str(path)]) == 3
+
+
+@pytest.mark.parametrize("p, code", [(3, 3), (5, 0)])
+def test_cli_unipotent_radical_characteristic_guard(p, code, tmp_path):
+    # Heisenberg is unipotent for every p, so the augmentation ideal is
+    # nilpotent; p <= n stays inconclusive all the same, as check-cert
+    # has no radical there
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps({**HEIS_DOC, "field": {"Fp": p}}))
+    cert = tmp_path / "rad.json"
+    assert main(["unipotent-radical", str(path), "--test", "a b", "--cert", str(cert)]) == code
+    if code == 3:
+        assert not cert.exists()
+    else:
+        assert main(["check-cert", str(path), str(cert)]) == 0
+        doc = json.loads(cert.read_text())
+        assert len(doc["payload"]["radical_basis"]) == 3 and doc["payload"]["tests"] == {"a b": True}
 
 
 def test_cli_probe(heis_file, tmp_path, capsys):

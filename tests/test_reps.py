@@ -167,13 +167,29 @@ def test_enveloping_computes_each_ideal_once_on_first_read():
         return wrapper
 
     with mock.patch.object(reps, "ideal_closure", counted("augmentation", reps.ideal_closure)), \
-            mock.patch.object(reps, "trace_radical", counted("radical", reps.trace_radical)):
-        env = heisenberg().enveloping()
+            mock.patch.object(reps, "ideal_power_chain", counted("chain", reps.ideal_power_chain)), \
+            mock.patch.object(reps, "trace_radical", counted("trace", reps.trace_radical)):
+        # unipotent: the radical is the augmentation ideal, and its chain
+        # serves the degree as well
+        rep = heisenberg()
+        env = rep.enveloping()
         assert env.algebra.dim == 4 and calls == []
         assert env.radical.dim == 3 and env.radical is env.radical
-        assert calls == ["radical"]
-        assert env.augmentation_ideal.dim == 3 and env.augmentation_ideal is env.augmentation_ideal
-        assert calls == ["radical", "augmentation"]
+        assert calls == ["augmentation", "chain"]
+        assert env.augmentation_ideal is env.radical
+        assert env.augmentation_index == 3 and unitriangular_degree(rep) == 3
+        assert calls == ["augmentation", "chain"]
+
+        # not unipotent: d - 1 is not nilpotent, so the trace form runs
+        # once and the augmentation ideal waits for its own first read
+        calls.clear()
+        env = diag_rep().enveloping()
+        assert env.algebra.dim == 2 and calls == []
+        assert env.radical.is_zero() and env.radical is env.radical
+        assert calls == ["trace"]
+        assert env.augmentation_ideal.dim == 1 and env.augmentation_index is None
+        assert env.augmentation_ideal is env.augmentation_ideal
+        assert calls == ["trace", "augmentation", "chain"]
 
 
 def test_kolchin_iff_finite_degree():
