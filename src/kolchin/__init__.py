@@ -32,7 +32,6 @@ from .algebra import (
     ideal_power_chain,
     matrix_algebra,
     minimal_standard_degree,
-    satisfies_standard_identity,
     span_closure,
     standard_identity_eval,
     standard_identity_witness,

@@ -110,12 +110,6 @@ class AlgebraBasis:
     def contains(self, m: Matrix) -> bool:
         return not any(self.span._residual(self._flat(m)))
 
-    def from_coordinates(self, coords: Sequence) -> Matrix:
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length mismatch")
-        row = Matrix(self.field, [coords]) * self.span.basis
-        return _unflatten(self.field, row.ints[0], row.den, self.matrix_size)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraBasis) and self.span == other.span
 
@@ -163,15 +157,17 @@ class Ideal:
     The constructor takes a subspace of the parent's coordinate space
     and maps it to matrices once; ``matrices`` are the canonical
     representatives, the reshaped basis rows of ``span``.
+    ``nilpotency_index`` is kept by the first power chain that reaches
+    zero, so later readers need not run one; None until then.
     """
 
-    __slots__ = ("parent", "span")
+    __slots__ = ("parent", "span", "nilpotency_index")
 
     def __init__(self, parent: AlgebraBasis, space: Subspace):
         if space.ambient_dim != parent.dim or space.field != parent.field:
             raise ValueError("ideal coordinates do not match the parent algebra")
         flat_rows = space.basis * parent.span.basis
-        self.parent = parent
+        self.parent, self.nilpotency_index = parent, None
         self.span = Subspace._spanned(parent.field, parent.matrix_size ** 2, flat_rows.ints)
         self._check_ideal()
 
@@ -179,7 +175,7 @@ class Ideal:
     def _of_span(cls, parent: AlgebraBasis, span: Subspace) -> "Ideal":
         # an ideal from its canonical flattened span
         i = object.__new__(cls)
-        i.parent, i.span = parent, span
+        i.parent, i.span, i.nilpotency_index = parent, span, None
         i._check_ideal()
         return i
 
@@ -243,11 +239,13 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
     Returns (chain, nilpotency_index): the chain holds the spans of the
     powers in F^(n^2), as ``Ideal.span`` does; the index is None when
     the chain stabilises at a nonzero space.  The zero ideal has index 1.
+    An index found is kept on ``i.nilpotency_index``.
     """
     if i.parent != a:
         raise ValueError("ideal does not belong to the algebra")
     chain = [i.span]
     if i.is_zero():
+        i.nilpotency_index = 1
         return chain, 1
     gens = current = i.matrices
     while True:
@@ -258,6 +256,7 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
         space = span.to_subspace()
         chain.append(space)
         if space.is_zero():
+            i.nilpotency_index = len(chain)
             return chain, len(chain)
         if space == chain[-2]:
             return chain, None
@@ -337,10 +336,6 @@ def standard_identity_witness(a: AlgebraBasis, k: int):
         if not value.is_zero():
             return combo
     return None
-
-
-def satisfies_standard_identity(a: AlgebraBasis, k: int) -> bool:
-    return standard_identity_witness(a, k) is None
 
 
 def minimal_standard_degree(a: AlgebraBasis, max_k: int):

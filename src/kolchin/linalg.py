@@ -14,6 +14,11 @@ its size at its first use; other shapes take a generic comprehension.
 Row reduction over Q is fraction-free (Bareiss) Gauss-Jordan; over F_p
 it is plain Gauss-Jordan.
 
+Every vector-times-rows sum, and so every residual of a vector against
+echelon rows (membership, coset representatives, closures), runs row by
+row in ``_combination``: one comprehension per row whose coefficient is
+nonzero, rows with a zero coefficient skipped, and nothing transposed.
+
 A preimage {v : v * m in w for every m} is one left kernel: that of the
 rows of every m reduced modulo w, placed side by side.  Fixed spaces
 (the preimage of 0 under every m - 1) and each step of a Kolchin flag
@@ -45,12 +50,15 @@ class NotInvariantError(ValueError):
         )
 
 
-def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list:
-    """sum(coeffs[k] * rows[k]) over the integers: the vector-times-matrix
-    kernel.  Rows with a zero coefficient are skipped."""
-    picked = [(f, r) for f, r in zip(coeffs, rows) if f] or [(0, (0,) * width)]
-    fs, rs = zip(*picked)
-    return [sum(map(mul, fs, col)) for col in zip(*rs)]
+def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], acc: Sequence[int]):
+    """``acc + sum(coeffs[k] * rows[k])`` over the integers, row by row:
+    one comprehension per row with a nonzero coefficient, none for a
+    zero one, and no row transposed.  Every residual, ``flag_drops``,
+    ``quotient_action`` and ``express_in_rows`` run on it."""
+    for f, r in zip(coeffs, rows):
+        if f:
+            acc = [x + f * y for x, y in zip(acc, r)]
+    return acc
 
 
 # largest n with a straight-line n x n product; its source grows as n^3
@@ -119,9 +127,12 @@ class _Kernel:
     def residual(self, v, rows, den: int, pivots) -> tuple:
         """``den * v`` minus its pivot coordinates times the rows.  For
         reduced echelon rows over ``den`` this is ``den`` times the
-        canonical coset representative of v: zero iff v is in their span."""
-        s = _combination([v[c] for c in pivots], rows, len(v))
-        return self.canon(([den * x - y for x, y in zip(v, s)],), 1)[0][0]
+        canonical coset representative of v: zero iff v is in their span.
+        One row-wise accumulation from ``den * v`` (``v`` when den is 1),
+        skipping the rows whose pivot coordinate in v is zero, then one
+        canonical form."""
+        acc = v if den == 1 else [den * x for x in v]
+        return self.canon((_combination([-v[c] for c in pivots], rows, acc),), 1)[0][0]
 
     def echelon(self, rows: list, w: int):
         """Gauss-Jordan elimination of the integer rows, in place, on their
@@ -442,7 +453,7 @@ def express_in_rows(m: Matrix, target: Matrix, ech: Echelon | None = None):
     # row k = (transform row k) * m
     tr = ech.transform
     den = target.den * tr.den
-    coeffs = _combination([t[c] for c in ech.pivots], tr.ints, m.nrows)
+    coeffs = _combination([t[c] for c in ech.pivots], tr.ints, (0,) * m.nrows)
     return tuple(k.scalar(x, den) for x in coeffs)
 
 
@@ -571,12 +582,6 @@ class Subspace:
         return Subspace._spanned(self.field, self.ambient_dim,
                                  self.basis.ints + other.basis.ints)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        self._require_compatible(other)
-        ker = kernel(Matrix.vstack([self.basis, other.basis]))
-        rows = [_combination(z, self.basis.ints, self.ambient_dim) for z in ker.basis.ints]
-        return Subspace._spanned(self.field, self.ambient_dim, rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -635,7 +640,7 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
     if m.nrows != m.ncols or m.nrows != w.ambient_dim or m.field != w.field:
         raise ValueError("matrix does not act on the subspace's ambient space")
     for i, ints in enumerate(w.basis.ints):
-        image = _combination(ints, m.ints, m.ncols)
+        image = _combination(ints, m.ints, (0,) * m.ncols)
         if any(w._residual(image)):
             den = w.basis.den * m.den
             raise NotInvariantError(w.basis.rows[i], [m._k.scalar(x, den) for x in image])
@@ -653,7 +658,7 @@ def flag_drops(mats: Sequence[Matrix], steps: Sequence[Subspace]) -> bool:
         d = m - Matrix.identity(m.field, m.nrows)
         for below, step in zip(steps, steps[1:]):
             for v in step.basis.ints:
-                if any(below._residual(_combination(v, d.ints, d.ncols))):
+                if any(below._residual(_combination(v, d.ints, (0,) * d.ncols))):
                     return False
     return True
 

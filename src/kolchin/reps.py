@@ -128,7 +128,8 @@ class EnvelopingData:
     augmentation ideal has codimension 1 and is the whole radical.
     Otherwise it is the kernel of the trace form; a generator difference
     that is not nilpotent sends a group there before the augmentation
-    ideal is built.  Over prime fields with p <= n it raises
+    ideal is built.  Either route's power chain leaves the radical its
+    ``nilpotency_index``.  Over prime fields with p <= n it raises
     CharacteristicTooSmallError on either route, since the certificate
     checker has only the trace form there.
     """
@@ -364,11 +365,12 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
     ``a1`` (checked; LiftHypothesisError carries the first failing
     tuple) and ``a1`` nilpotent of some index m.  The conclusion - all
     length-(m*n) products vanish - is verified through the product
-    spans before the bound is returned.
+    spans before the bound is returned.  An index the ideal keeps (the
+    enveloping data's radical has one on either route) is reused.
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
-    _, m = ideal_power_chain(a1.parent, a1)
+    m = a1.nilpotency_index or ideal_power_chain(a1.parent, a1)[1]
     if m is None:
         raise ValueError("the ideal is not nilpotent")
     one = rep.identity()

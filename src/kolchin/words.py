@@ -107,9 +107,6 @@ class ElementTable:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def witness(self, m: Matrix) -> Word:
-        return self.elements[m]
-
     def __contains__(self, m: Matrix) -> bool:
         return m in self.elements
 

@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test suite."""
+"""Seeded random generators, and a small reference, shared by the test suite."""
 
 from __future__ import annotations
 
@@ -10,6 +10,14 @@ from kolchin import GF, QQ, Matrix, Representation
 
 def unit_matrix(field, n, i, j):
     return Matrix(field, [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+
+
+def ref_from_coordinates(a, coords):
+    """The matrix with the given coordinates in the basis of algebra a."""
+    m = Matrix.zero(a.field, a.matrix_size, a.matrix_size)
+    for c, b in zip(coords, a.basis):
+        m = m + b.scale(c)
+    return m
 
 
 def heisenberg():

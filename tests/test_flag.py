@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolchin import (GF, QQ, Matrix, NotUnipotent, Representation, Subspace, UnitriCertificate,
-                     fixed_space, kolchin_flag, quotient_action)
+                     fixed_space, ideal_power_chain, kolchin_flag, quotient_action)
 from kolchin.linalg import Flag, RowSpan, kernel, preimage
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
@@ -158,6 +158,19 @@ def matrix_lists(draw):
 @given(groups())
 def test_flag_matches_quotient_route(rep):
     assert_same(kolchin_flag(rep), ref_kolchin_flag(rep))
+
+
+@settings(max_examples=150)
+@given(groups())
+def test_flag_degree_is_the_augmentation_ideal_index(rep):
+    # the flag is the socle series W_i = {v : v w^i = 0} of the
+    # augmentation ideal w, and V is faithful, so its length is w's
+    # nilpotency index; the power chain is the reference, over F_p with
+    # p <= n too, and an obstruction goes with a chain that stabilises
+    env = rep.enveloping()
+    _, index = ideal_power_chain(env.algebra, env.augmentation_ideal)
+    flag = kolchin_flag(rep)
+    assert (flag.degree if isinstance(flag, UnitriCertificate) else None) == index
 
 
 @settings(max_examples=100)

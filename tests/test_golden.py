@@ -5,6 +5,7 @@ and the certificate each command wrote for them before matrices were
 stored as integer rows over a common denominator.
 """
 
+import shlex
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,12 @@ def test_certificates_match_golden_files(rep, label, tmp_path, capsys):
     main([argv[0], repfile] + argv[1:] + ["--cert", str(cert)])
     assert cert.read_bytes() == (GOLDEN / f"{rep}.{label}.cert.json").read_bytes()
     assert main(["check-cert", repfile, str(cert)]) == 0
+
+
+def test_ci_smoke_runs_every_command_with_its_arguments():
+    # the CI smoke job runs each command as a process and compares its
+    # certificate with the same golden file
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    for label, argv in COMMANDS.items():
+        assert f"{label}) args=({shlex.join(argv)}) ;;" in workflow
+    assert f"for label in {' '.join(COMMANDS)}; do" in workflow

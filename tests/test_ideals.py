@@ -27,6 +27,7 @@ from kolchin import (GF, QQ, AlgebraBasis, Ideal, Matrix, Representation, Subspa
 from kolchin.algebra import _matrices, span_closure
 from kolchin.linalg import kernel
 from kolchin.linalg import RowSpan, express_in_rows, flat
+from corpus import ref_from_coordinates
 
 F5 = GF(5)
 
@@ -54,7 +55,7 @@ def ref_pairwise_closure(field, generators):
 
 
 def ref_members(a, space):
-    return [a.from_coordinates(row) for row in space.basis.rows]
+    return [ref_from_coordinates(a, row) for row in space.basis.rows]
 
 
 def ref_coordinate_space(a, mats):
@@ -344,7 +345,7 @@ def test_generator_checks_accept_and_reject_as_the_references(case, data):
     n = a.matrix_size
     # ideal check: the ideal, a coordinate trial space, and spans that
     # may reach outside the algebra
-    trial_mats = [a.from_coordinates(row) for row in trial.basis.rows]
+    trial_mats = ref_members(a, trial)
     outside = Matrix(field, [[data.draw(entries(field)) for _ in range(n)] for _ in range(n)])
     candidates = [i.span, spanned(field, n, trial_mats), spanned(field, n, [outside]),
                   spanned(field, n, trial_mats + [outside])]

@@ -16,8 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kolchin
-from kolchin import GF, QQ, Matrix, Subspace, rref
-from kolchin.linalg import SQUARE_PRODUCT_MAX, RowSpan, _square_product, express_in_rows, flat
+from kolchin import GF, QQ, Matrix, NotInvariantError, Subspace, quotient_action, rref
+from kolchin.linalg import (SQUARE_PRODUCT_MAX, RowSpan, _square_product, express_in_rows,
+                            flag_drops, flat, preimage)
 
 F7 = GF(7)
 
@@ -259,3 +260,211 @@ def test_express_in_rows(m, data):
     outside = data.draw(matrices(field, 1, m.ncols))
     inside = Subspace(field, m.ncols, m.rows).contains_vector(outside.rows[0])
     assert (express_in_rows(m, outside) is not None) == inside
+
+
+# -- residuals against echelon rows, and what is built on them ---------------------
+#
+# The reference below eliminates on lists of Fraction entries (residues
+# mod p as Fractions with denominator 1), one pivot at a time, and
+# shares no code with the package.  Each of these deliberate mutants of
+# the row-wise kernel fails four or five of the tests below:
+# - the ``den`` scaling of v dropped (wrong whenever the echelon rows
+#   have a denominator and v has a nonzero pivot coordinate);
+# - the first row, or the last, skipped by the residual;
+# - the sign of the residual's coefficients flipped;
+# - the rows with a negative coefficient skipped;
+# - the seed ``acc`` dropped from the accumulation.
+
+RESIDUAL_FIELDS = [QQ, GF(2), F7, GF(2**61 - 1)]
+
+
+def ref_inverse(field, x):
+    return 1 / x if field.p is None else Fraction(pow(int(x), -1, field.p))
+
+
+def ref_vector(field, v):
+    return [ref_reduce(field, Fraction(x)) for x in v]
+
+
+def ref_echelon(field, vectors, width):
+    """Reduced echelon basis and pivots of the span of the vectors."""
+    rows = [ref_vector(field, v) for v in vectors]
+    basis, pivots = [], []
+    for c in range(width):
+        k = next((k for k, r in enumerate(rows) if r[c] != 0), None)
+        if k is None:
+            continue
+        inv = ref_inverse(field, rows[k][c])
+        top = [ref_reduce(field, x * inv) for x in rows.pop(k)]
+        rows = [[ref_reduce(field, x - r[c] * y) for x, y in zip(r, top)] for r in rows]
+        basis = [[ref_reduce(field, x - b[c] * y) for x, y in zip(b, top)] for b in basis]
+        basis.append(top)
+        pivots.append(c)
+    return basis, pivots
+
+
+def ref_residue(field, basis, pivots, v):
+    """The coset representative of v: each pivot coordinate cleared in turn."""
+    r = ref_vector(field, v)
+    for b, c in zip(basis, pivots):
+        f = r[c]
+        r = [ref_reduce(field, x - f * y) for x, y in zip(r, b)]
+    return r
+
+
+def ref_times(field, v, m):
+    return ref_mul(field, [ref_vector(field, v)], ref_entries(m), m.ncols)[0]
+
+
+def ref_left_kernel(field, rows, n, width):
+    """Basis of {x : x * rows = 0}, from the null space of the transpose."""
+    columns = [[rows[i][j] for i in range(n)] for j in range(width)]
+    red, pivots = ref_echelon(field, columns, n)
+    free = [j for j in range(n) if j not in pivots]
+    kernel_rows = []
+    for f in free:
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for r, c in zip(red, pivots):
+            x[c] = ref_reduce(field, -r[f])
+        kernel_rows.append(x)
+    return ref_echelon(field, kernel_rows, n)[0]
+
+
+def basis_equals(s, basis):
+    return [list(r) for r in s.basis.rows] == basis
+
+
+def spans(draw, field, width):
+    """Spanning vectors of three subspaces: the zero span, all of
+    F^width, and a drawn one, which may have zero vectors among them."""
+    full = [[int(i == j) for j in range(width)] for i in range(width)]
+    return [[], full, draw(st.lists(vectors(field, width), min_size=1, max_size=width + 1))]
+
+
+def vectors(field, width):
+    return st.one_of(st.lists(wide_entries(field), min_size=width, max_size=width),
+                     st.just([0] * width))
+
+
+residual_cases = st.tuples(st.sampled_from(RESIDUAL_FIELDS), st.integers(0, 6))
+
+
+@settings(max_examples=100)
+@given(residual_cases, st.data())
+def test_subspace_reduce_and_contains_match_reference(case, data):
+    field, width = case
+    spanned = spans(data.draw, field, width)
+    probes = data.draw(st.lists(vectors(field, width), min_size=1, max_size=4))
+    for gens in spanned:
+        w = Subspace(field, width, gens)
+        basis, pivots = ref_echelon(field, gens, width)
+        assert basis_equals(w, basis) and list(w.pivots) == pivots
+        for v in probes:
+            want = ref_residue(field, basis, pivots, v)
+            assert list(w.reduce(v)) == want
+            assert w.contains_vector(v) == (not any(want))
+        for other in spanned:
+            assert w.contains(Subspace(field, width, other)) == \
+                all(not any(ref_residue(field, basis, pivots, r)) for r in other)
+
+
+@settings(max_examples=100)
+@given(residual_cases, st.data())
+def test_row_span_contains_and_absorb_match_reference(case, data):
+    field, width = case
+    ints = st.integers(-2**70, 2**70) if field.p is None else st.integers(0, field.p - 1)
+    vecs = data.draw(st.lists(st.one_of(st.lists(ints, min_size=width, max_size=width),
+                                        st.just([0] * width)),
+                              min_size=1, max_size=width + 2))
+    span = RowSpan(field, width)
+    seen = []
+    for v in vecs:
+        basis, pivots = ref_echelon(field, seen, width)
+        inside = not any(ref_residue(field, basis, pivots, v))
+        assert span.contains(v) == inside
+        assert span.absorb(v) == (not inside)
+        seen.append(v)
+    basis, pivots = ref_echelon(field, seen, width)
+    assert basis_equals(span.to_subspace(), basis) and span.pivots == pivots
+
+
+@settings(max_examples=80)
+@given(residual_cases, st.data())
+def test_preimage_matches_reference(case, data):
+    field, width = case
+    n = data.draw(st.integers(0, 5))
+    mats = [data.draw(matrices(field, n, width, wide_entries(field)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    for gens in spans(data.draw, field, width):
+        basis, pivots = ref_echelon(field, gens, width)
+        # v -> (v * m reduced modulo w, for every m), on the standard basis
+        rows = [[x for m in mats for x in ref_residue(field, basis, pivots, ref_entries(m)[j])]
+                for j in range(n)]
+        assert basis_equals(preimage(Subspace(field, width, gens), mats),
+                            ref_left_kernel(field, rows, n, len(mats) * width))
+
+
+def unitriangular(draw, field, n, lower):
+    return [[1 if i == j else draw(wide_entries(field)) if (j < i if lower else j > i) else 0
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=80)
+@given(residual_cases, st.data())
+def test_quotient_action_matches_reference(case, data):
+    field, n = case
+    drawn = data.draw(matrices(field, n, n, wide_entries(field)))
+    for gens in spans(data.draw, field, n):
+        w = Subspace(field, n, gens)
+        basis, pivots = ref_echelon(field, gens, n)
+        free = [j for j in range(n) if j not in pivots]
+        # rows of p: w's basis, then the unit vectors at its free
+        # coordinates; p^-1 t p with t lower block triangular keeps w
+        p = Matrix(field, basis + [[int(i == j) for i in range(n)] for j in free], ncols=n)
+        t = [[data.draw(wide_entries(field)) if j <= i else 0 for j in range(n)]
+             for i in range(n)]
+        for m in (drawn, p.inverse() * Matrix(field, t, ncols=n) * p):
+            invariant = all(not any(ref_residue(field, basis, pivots, ref_times(field, b, m)))
+                            for b in basis)
+            if not invariant:
+                with pytest.raises(NotInvariantError):
+                    quotient_action(m, w)
+                continue
+            want = [[ref_residue(field, basis, pivots, ref_entries(m)[j])[c] for c in free]
+                    for j in free]
+            got = quotient_action(m, w)
+            assert (got.nrows, got.ncols) == (len(free), len(free))
+            assert [list(r) for r in got.rows] == want
+
+
+@settings(max_examples=120)
+@given(residual_cases, st.data())
+def test_flag_drops_matches_reference(case, data):
+    field, n = case
+    # steps W_k spanned by the first k rows of an invertible p; each m
+    # is drawn, or p^-1 l p with l lower unitriangular, which drops
+    # every step, with one diagonal entry of l perhaps changed
+    p = Matrix(field, unitriangular(data.draw, field, n, True), ncols=n) * \
+        Matrix(field, unitriangular(data.draw, field, n, False), ncols=n)
+    rows = [list(r) for r in p.rows]
+    steps = [Subspace(field, n, rows[:k]) for k in range(n + 1)]
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            mats.append(data.draw(matrices(field, n, n, wide_entries(field))))
+            continue
+        lower = unitriangular(data.draw, field, n, True)
+        if n and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, n - 1))
+            lower[i][i] = data.draw(wide_entries(field))
+        mats.append(p.inverse() * Matrix(field, lower, ncols=n) * p)
+    refs = [ref_echelon(field, rows[:k], n) for k in range(n + 1)]
+    one = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def drops(m):
+        d = [[ref_reduce(field, x - y) for x, y in zip(r, s)] for r, s in zip(ref_entries(m), one)]
+        return all(not any(ref_residue(field, *below, ref_mul(field, [b], d, n)[0]))
+                   for below, step in zip(refs, refs[1:]) for b in step[0])
+
+    assert flag_drops(mats, steps) == all(drops(m) for m in mats)

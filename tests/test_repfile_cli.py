@@ -23,6 +23,7 @@ from kolchin import (
     make_certificate,
     representation_digest,
 )
+from kolchin import algebra, reps
 from kolchin.cli import main
 from kolchin.fields import Field
 from kolchin.repfile import representation_from_dict, save_representation
@@ -598,6 +599,26 @@ def test_loading_coerces_each_entry_once():
 
 
 BOREL = str(Path(__file__).parent / "golden" / "borel_frac.json")
+
+
+@pytest.mark.parametrize("path, code", [(GOLDEN_HEIS, 0), (BOREL, 2)], ids=["heis", "borel"])
+def test_cli_lift_runs_one_power_chain(path, code, capsys):
+    # Heisenberg's radical is its augmentation ideal, the Borel group's
+    # the trace-form kernel; the chain that verifies either radical also
+    # gives the lift its nilpotency index
+    chains = []
+
+    def counted(a, i):
+        chains.append(i.span)
+        return real(a, i)
+
+    real = algebra.ideal_power_chain
+    with mock.patch.object(algebra, "ideal_power_chain", counted), \
+            mock.patch.object(reps, "ideal_power_chain", counted):
+        assert main(["identity-check", path, "--length", "1",
+                     "--lift-through-radical"]) == code
+    assert len(chains) == 1
+    capsys.readouterr()
 
 
 def _engel_cert(tmp_path):

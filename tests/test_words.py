@@ -118,7 +118,7 @@ def test_enumerate_shortest_witnesses():
     assert len(table) == 6
     for m, w in table.elements.items():
         assert evaluate_word(rep, w) == m
-    assert table.witness(rep.identity()) == Word()
+    assert table.elements[rep.identity()] == Word()
 
 
 def test_lagrange_spot_checks():
