@@ -11,6 +11,8 @@ way).
 Default caps honour the environment variables KOLCHIN_DEPTH_CAP,
 KOLCHIN_ELEMENT_CAP, KOLCHIN_WORD_LENGTH_CAP and KOLCHIN_SAMPLE_BUDGET,
 read on every call; a value that is not an integer is an error (exit 1).
+Words have at most MAX_WORD_LETTERS = 10,000 letters (name^k counts |k|):
+a longer one is exit 1 (2 in a certificate), as is a larger --length-cap.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .words import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_ELEMENT_CAP,
     DEFAULT_WORD_LENGTH_CAP,
+    MAX_WORD_LETTERS,
     NotFiniteError,
     Word,
     algebraic_element_probe,
@@ -330,6 +333,8 @@ def cmd_probe(rep, args) -> int:
             print(f"inconclusive: Engel depth {args.n} is above the cap of "
                   f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
             return INCONCLUSIVE
+        if args.length_cap > MAX_WORD_LETTERS:  # check-cert could not parse the words
+            raise ValueError(f"--length-cap is above the word cap of {MAX_WORD_LETTERS} letters")
         pair = engel_probe(rep, args.n, args.sample_budget, args.length_cap, args.seed)
         payload.update({"depth": args.n, "sample_budget": args.sample_budget,
                         "length_cap": args.length_cap})

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 DEFAULT_DEPTH_CAP = 10
 DEFAULT_ELEMENT_CAP = 100_000
 DEFAULT_WORD_LENGTH_CAP = 8
+MAX_WORD_LETTERS = 10_000  # letters of one parsed word, name^k counting |k|
 
 
 class NotFiniteError(ValueError):
@@ -44,7 +45,7 @@ class Word:
     def parse(cls, text: str) -> "Word":
         """Parse words like ``"a b^-1 a"``; ``"1"`` tokens mean identity.
 
-        An integer exponent ``name^k`` expands into |k| letters.
+        ``name^k`` expands into |k| letters, up to ``MAX_WORD_LETTERS`` in all.
         """
         letters: list[tuple[str, int]] = []
         for token in text.split():
@@ -59,6 +60,8 @@ class Word:
                     k = int(exp)
                 except ValueError:
                     raise ValueError(f"malformed exponent in token {token!r}") from None
+            if len(letters) + abs(k) > MAX_WORD_LETTERS:
+                raise ValueError(f"word has more than {MAX_WORD_LETTERS} letters")
             sign = 1 if k >= 0 else -1
             letters.extend((name, sign) for _ in range(abs(k)))
         return cls(tuple(letters))
@@ -211,8 +214,8 @@ def engel_probe(
     evaluates neither inverse.  None is consistency evidence, not a
     proof; a pair is a genuine counterexample.
     """
-    if n < 1:
-        raise ValueError("depth must be at least 1")
+    if n < 1 or sample_budget < 1 or length_cap < 1:
+        raise ValueError("depth, sample budget and word length cap must be at least 1")
     rng = random.Random(seed)
     for _ in range(sample_budget):
         wx = random_word(rng, rep.names, length_cap)

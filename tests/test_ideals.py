@@ -433,3 +433,11 @@ def test_radical_routes_match_the_trace_form(case):
     assert (env.radical is env.augmentation_ideal) == nilpotent
     if kind != "unipotent generators":
         assert nilpotent == (kind == "unipotent")
+    # the properties no runtime check re-proves: the radical is stable
+    # under conjugation by the group, and nilpotent of the index it keeps
+    rad = env.radical
+    for name in rep.names:
+        g, gi = rep.generator(name), rep.inverse(name)
+        assert all(rad.contains(gi * r * g) and rad.contains(g * r * gi) for r in rad.matrices)
+    _, index = ref_power_chain(env.algebra, ref_coordinate_space(env.algebra, rad.matrices))
+    assert index is not None and rad.nilpotency_index == index

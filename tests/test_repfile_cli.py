@@ -26,7 +26,10 @@ from kolchin import (
 from kolchin import algebra, reps
 from kolchin.cli import main
 from kolchin.fields import Field
-from kolchin.repfile import representation_from_dict, save_representation
+from kolchin.linalg import Subspace, flat
+from kolchin.repfile import (matrix_from_rows, matrix_to_rows, representation_from_dict,
+                             save_representation)
+from kolchin.words import MAX_WORD_LETTERS
 from corpus import conjugated_unitriangular_rep, heisenberg
 
 HEIS_DOC = {
@@ -698,3 +701,101 @@ def test_check_cert_engel_walk_inverts_y_once(tmp_path):
             assert main(["check-cert", BOREL, bad]) == 0
         counts.append(inverse.call_count)
     assert counts[1] - counts[0] == 1
+
+
+# -- forgeries that the span checks alone must reject --------------------------------
+
+def _golden_cert(path, label):
+    return str(Path(path).with_suffix(f".{label}.cert.json"))
+
+
+def _radical_forgery(path, kind):
+    """A forged radical basis for a golden rep: the golden radical with a
+    row dropped, with the identity added, with a diagonal idempotent
+    added (Borel), or conjugated away from the group's invariant flag."""
+    rep = load_representation(path)
+    doc = json.loads(Path(_golden_cert(path, "radical")).read_text())
+    rad = [matrix_from_rows(QQ, rows, 3) for rows in doc["payload"]["radical_basis"]]
+    one = rep.identity()
+    if kind == "row dropped":
+        return rad[:-1]
+    if kind == "identity added":
+        return rad + [one]
+    if kind == "idempotent added":
+        # a has eigenvalues 1, 1 and 1/2, so 4 (a - 1)^2 projects onto the
+        # 1/2-eigenline: an idempotent of the algebra, stable under
+        # conjugation modulo the radical, which is what makes the forgery
+        # conjugation-stable and not nilpotent
+        e = ((rep.generator("a") - one) ** 2).scale(4)
+        assert e * e == e and e != one
+        forged = rad + [e]
+        span = Subspace(QQ, 9, [flat(m) for m in forged])
+        assert all(span.contains_vector(flat(rep.inverse(n) * m * rep.generator(n)))
+                   for n in rep.names for m in forged)
+        return forged
+    q = Matrix(QQ, [[1, 0, 0], [1, 1, 0], [0, 2, 1]])
+    forged = [q.inverse() * r * q for r in rad]
+    # nilpotent like the radical, of its dimension, and not conjugation-stable
+    assert all((x * y * z).is_zero() for x in forged for y in forged for z in forged)
+    span = Subspace(QQ, 9, [flat(m) for m in forged])
+    assert not all(span.contains_vector(flat(rep.inverse(n) * m * rep.generator(n)))
+                   for n in rep.names for m in forged)
+    return forged
+
+
+@pytest.mark.parametrize("rep, kind", [
+    *[("heis_frac", k) for k in ("row dropped", "identity added", "conjugated")],
+    *[("borel_frac", k) for k in ("row dropped", "identity added", "idempotent added",
+                                  "conjugated")],
+])
+def test_check_cert_forged_radicals_are_not_the_trace_form_kernel(rep, kind, tmp_path, capsys):
+    path = str(Path(BOREL).with_name(f"{rep}.json"))
+    forged = [matrix_to_rows(m) for m in _radical_forgery(path, kind)]
+    bad = _edited(_golden_cert(path, "radical"), tmp_path,
+                  lambda d: d["payload"].update(radical_basis=forged))
+    assert main(["check-cert", path, bad]) == 2
+    err = capsys.readouterr().err
+    assert "not the trace-form kernel" in err and "Traceback" not in err
+
+
+def test_check_cert_pi_degree_below_the_true_one_fails_a_resweep(tmp_path, capsys):
+    # Heisenberg satisfies S_4 and has a degree-2 witness, but S_3 fails
+    bad = _edited(_golden_cert(GOLDEN_HEIS, "pi"), tmp_path,
+                  lambda d: d["payload"].update(minimal_degree=3))
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+    assert "fails a re-sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, combo, reason", [
+    ("13", [0] * 13, "not below 2n"),
+    ("6", [0, 1, 2, 3, 4, 5], "not below 2n"),
+    ("5", [0] * 5, "must strictly increase"),
+    ("3", [2, 1, 0], "must strictly increase"),
+    ("2", [-1, 0], "must strictly increase"),
+    ("2", [0, True], "must strictly increase"),
+])
+def test_check_cert_pi_forged_witness_rejected_at_once(k, combo, reason, tmp_path, capsys):
+    # basis[0] is 1, so [0] * k would cost k! orderings to evaluate
+    bad = _edited(_golden_cert(GOLDEN_HEIS, "pi"), tmp_path,
+                  lambda d: d["payload"]["witnesses"].update({k: combo}))
+    start = time.perf_counter()
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+
+
+def test_cli_word_and_sampler_caps_exit_without_traceback(tmp_path, capsys):
+    huge = "a^10000000000"  # refused before its letters are allocated
+    assert main(["unipotent-radical", GOLDEN_HEIS, "--test", huge]) == 1
+    bad = _edited(_golden_cert(GOLDEN_HEIS, "radical"), tmp_path,
+                  lambda d: d["payload"]["tests"].update({huge: True}))
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"more than {MAX_WORD_LETTERS} letters") == 2
+    for opts in (["--sample-budget", "0"], ["--sample-budget", "-3"], ["--length-cap", "0"],
+                 ["--length-cap", str(MAX_WORD_LETTERS + 1)]):
+        assert main(["probe", BOREL, "--kind", "engel", "--n", "2", *opts]) == 1
+    err = capsys.readouterr().err
+    assert err.count("must be at least 1") == 3 and "above the word cap" in err
+    assert "Traceback" not in err

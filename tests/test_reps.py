@@ -310,7 +310,9 @@ def test_unipotent_radical_finite_subgroup():
         "d": Matrix(GF(3), [[-1, 0], [0, 1]]),
     })
     rad = unipotent_radical(rep)
-    members = rad.finite_subgroup()
+    table = enumerate_elements(rep)
+    assert table.closed
+    members = [m for m in table.elements if rad.contains(m)]
     assert len(members) == 3
     brute = brute_force_unipotent_radical(rep)
     assert set(members) == set(brute)

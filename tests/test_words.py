@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -27,7 +28,7 @@ from kolchin import (
     unitriangular_degree,
 )
 from kolchin import reps
-from kolchin.words import cayley_table, conjugacy_classes, random_word
+from kolchin.words import MAX_WORD_LETTERS, cayley_table, conjugacy_classes, random_word
 from corpus import heisenberg, unit_matrix
 
 
@@ -175,6 +176,26 @@ def test_engel_probe():
     x = evaluate_word(rep, pair[0])
     y = evaluate_word(rep, pair[1])
     assert not commutator(x, y).is_identity()
+
+
+@pytest.mark.parametrize("budget, cap", [(0, 8), (-3, 8), (50, 0), (50, -1)])
+def test_samplers_refuse_an_empty_budget_or_length_cap(budget, cap):
+    rep = heisenberg()
+    with pytest.raises(ValueError, match="must be at least 1"):
+        engel_probe(rep, 2, sample_budget=budget, length_cap=cap)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        kaloujnine_class_check(rep, 2, sample_budget=budget, word_length_cap=cap)
+
+
+def test_word_parse_refuses_a_long_word_before_expanding_it():
+    # expanded, the first would be 10^18 letters; the refusal allocates none
+    start = time.perf_counter()
+    for text in ("a^1000000000000000000", "a^-1000000000000000000",
+                 f"a^{MAX_WORD_LETTERS} b", f"a^{MAX_WORD_LETTERS // 2} b^-{MAX_WORD_LETTERS}"):
+        with pytest.raises(ValueError, match=f"more than {MAX_WORD_LETTERS} letters"):
+            Word.parse(text)
+    assert time.perf_counter() - start < 0.1
+    assert len(Word.parse(f"a^{MAX_WORD_LETTERS - 1} b^-1")) == MAX_WORD_LETTERS
 
 
 def test_engel_probe_seeded_determinism():
