@@ -30,7 +30,11 @@ algorithm that made it:
   c <- [c, y] from x, computed from the definition, does not reach 1
   within it.  The walk stops early once c repeats; past
   ``ENGEL_CHECK_STEPS`` steps without a repeat the check is
-  inconclusive (``CheckInconclusive``).
+  inconclusive (``CheckInconclusive``);
+- a nil index k: a positive integer no larger than the depth cap, with
+  the walk c <- [c, g] from x, computed from the definition, nontrivial
+  at every step before k and 1 at step k.  An index above
+  ``ENGEL_CHECK_STEPS`` is inconclusive.
 
 Identical inputs and seeds produce byte-identical certificates; no
 timestamps or environment data are embedded.
@@ -54,9 +58,9 @@ from .words import Word, evaluate_word
 
 CERT_FORMAT = "kolchin.certificate/1"
 FLAG_DROP_FAILS = "flag drop fails: a generator difference leaves a step boundary"
-# steps of an Engel counterexample's walk the checker takes at most;
-# over Q the entries of a walk that never repeats grow by a few bits a
-# step, and 1,000 steps take about 0.3 s at n = 3
+# steps of an Engel counterexample's or a nil index's walk the checker
+# takes at most; over Q the entries of a walk that never repeats grow by
+# a few bits a step, and 1,000 steps take about 0.3 s at n = 3
 ENGEL_CHECK_STEPS = 1000
 
 
@@ -346,7 +350,27 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
                                             f"within {ENGEL_CHECK_STEPS} steps")
             return "Engel counterexample verified"
         raise CertificateError(f"no counterexample checker for probe kind {kind!r}")
-    # Consistent / stabilised outcomes are sampling evidence; only the
+    if result == "index-found":
+        _require(kind == "nil", f"no index checker for probe kind {kind!r}")
+        index, cap = payload["index"], payload["depth_cap"]
+        _require(type(index) is int and type(cap) is int and 1 <= index <= cap,
+                 "nil index must be a positive integer no larger than the depth cap")
+        if index > ENGEL_CHECK_STEPS:
+            raise CheckInconclusive(f"nil index {index} is above the cap of "
+                                    f"{ENGEL_CHECK_STEPS} steps")
+        g = evaluate_word(rep, Word.parse(payload["g"]))
+        gi = g.inverse()
+        # c <- [c, g] from x, from the definition: nontrivial before the
+        # index, 1 at it
+        c = evaluate_word(rep, Word.parse(payload["x"]))
+        for step in range(1, index + 1):
+            c = c.inverse() * gi * c * g
+            if c.is_identity():
+                _require(step == index, f"the nil walk reaches 1 at step {step}, "
+                                        f"before the claimed index {index}")
+        _require(c.is_identity(), f"the nil walk does not reach 1 at the claimed index {index}")
+        return f"nil index {index} verified"
+    # Consistent, stabilised and inconclusive outcomes are evidence; only the
     # envelope is checkable.
     return f"probe report accepted (evidence only, kind {kind})"
 

@@ -317,6 +317,11 @@ def cmd_probe(rep, args) -> int:
         if args.g is None:
             print("--g is required for --kind nil", file=sys.stderr)
             return USAGE_ERROR
+        if args.depth_cap > ENGEL_CHECK_STEPS:
+            # an index found deeper could not be checked by check-cert
+            print(f"inconclusive: depth cap {args.depth_cap} is above the cap of "
+                  f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
+            return INCONCLUSIVE
         g = evaluate_word(rep, Word.parse(args.g))
         idx = nil_index_probe(g, x, args.depth_cap)
         payload.update({"g": args.g, "x": x_text, "depth_cap": args.depth_cap, "index": idx})

@@ -9,8 +9,11 @@ A matrix is integer rows over one positive common denominator,
 reduced by their gcd (over F_p: residues over 1), so products, sums
 and eliminations run on ``int`` only.  What differs between the fields
 lives in one kernel object per field, chosen when a matrix is built.
-A square product up to 8 x 8 runs as straight-line code generated for
-its size at its first use; other shapes take a generic comprehension.
+A square product up to 8 x 8 is one call: ``Matrix.__mul__`` reads the
+straight-line kernel for its size from the field kernel's table (built
+the first time that size is multiplied over that field, never at
+import) and gets the canonical rows and denominator back.  Rectangular
+and empty products, and larger squares, take a generic comprehension.
 Row reduction over Q is fraction-free (Bareiss) Gauss-Jordan; over F_p
 it is plain Gauss-Jordan.
 
@@ -67,37 +70,52 @@ def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], acc: Sequ
 SQUARE_PRODUCT_MAX = 8
 
 
-def _is_small_square(a, b, ncols: int) -> bool:
-    return 0 < len(a) == len(b) == ncols <= SQUARE_PRODUCT_MAX
-
-
 def _columns(rows, ncols: int) -> tuple:
     return tuple(zip(*rows)) or ((),) * ncols
 
 
-@cache
-def _square_product(n: int, residues: bool):
-    """The straight-line product of two n x n integer row tuples: both
-    operands are unpacked into locals and each entry is one sum of n
-    products, taken mod ``p`` (a third argument) over F_p.  Built at the
-    first product of each size, never at import."""
+def _square_product(n: int, p: int | None):
+    """The straight-line product of two n x n integer row tuples over Q
+    (``p`` None) or F_p, as ``product(A, B, den)`` returning the
+    canonical ``(ints, den)`` of ``A * B / den``: both operands are
+    unpacked into locals and each entry is one sum of n products.  Over
+    Q the entries are divided by their gcd with ``den`` (den > 0); over
+    F_p each is reduced mod p and den is 1."""
     a = [[f"a{i}_{k}" for k in range(n)] for i in range(n)]
     b = [[f"b{k}_{j}" for j in range(n)] for k in range(n)]
+    c = [[f"c{i}_{j}" for j in range(n)] for i in range(n)]
 
-    def entry(i, j):
-        s = " + ".join(f"{a[i][k]}*{b[k][j]}" for k in range(n))
-        return f"({s}) % p" if residues else s
+    def tuples(rows, suffix=""):
+        return ", ".join(f"({', '.join(x + suffix for x in r)},)" for r in rows)
 
-    def tuples(rows):
-        return ", ".join(f"({', '.join(r)},)" for r in rows)
-
-    source = (f"def product(A, B{', p' if residues else ''}):\n"
-              f"    {tuples(a)}, = A\n"
-              f"    {tuples(b)}, = B\n"
-              f"    return ({tuples([[entry(i, j) for j in range(n)] for i in range(n)])},)\n")
-    namespace: dict = {}
-    exec(source, namespace)
+    lines = [f"    {tuples(a)}, = A", f"    {tuples(b)}, = B"]
+    for i in range(n):
+        for j in range(n):
+            s = " + ".join(f"{a[i][k]}*{b[k][j]}" for k in range(n))
+            lines.append(f"    {c[i][j]} = " + (s if p is None else f"({s}) % {p}"))
+    if p is None:
+        lines += ["    if den != 1:",
+                  f"        g = gcd(den, {', '.join(chain.from_iterable(c))})",
+                  "        if g != 1:",
+                  f"            return ({tuples(c, ' // g')},), den // g"]
+    lines.append(f"    return ({tuples(c)},), den")
+    namespace = {"gcd": gcd}
+    exec("def product(A, B, den):\n" + "\n".join(lines) + "\n", namespace)
     return namespace["product"]
+
+
+class _SquareProducts(dict):
+    """Size n -> ``_square_product(n, p)`` for one field, built at the
+    first product of that size and never at import; None for the sizes
+    that take the generic comprehension (0 and above
+    ``SQUARE_PRODUCT_MAX``)."""
+
+    def __init__(self, p: int | None):
+        self.p = p
+
+    def __missing__(self, n: int):
+        f = self[n] = _square_product(n, self.p) if 0 < n <= SQUARE_PRODUCT_MAX else None
+        return f
 
 
 class _Kernel:
@@ -107,6 +125,7 @@ class _Kernel:
 
     def __init__(self, field: Field):
         self.field, self.p = field, field.p
+        self.squares = _SquareProducts(field.p)
 
     def coerce(self, rows):
         """Canonical (ints, den) of rows of field scalars."""
@@ -117,11 +136,8 @@ class _Kernel:
 
     def product(self, a, b, ncols: int, den: int):
         """Canonical (ints, den) of the integer rows ``a * b``, over ``den``."""
-        if _is_small_square(a, b, ncols):
-            rows = _square_product(len(a), False)(a, b)
-        else:
-            cols = _columns(b, ncols)
-            rows = tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in a])
+        cols = _columns(b, ncols)
+        rows = tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in a])
         return self.canon(rows, den) if den != 1 else (rows, 1)
 
     def residual(self, v, rows, den: int, pivots) -> tuple:
@@ -213,8 +229,6 @@ class _Residues(_Kernel):
 
     def product(self, a, b, ncols: int, den: int):
         p = self.p
-        if _is_small_square(a, b, ncols):
-            return _square_product(len(a), True)(a, b, p), 1
         cols = _columns(b, ncols)
         return tuple([tuple([sum(map(mul, r, c)) % p for c in cols]) for r in a]), 1
 
@@ -312,9 +326,17 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        k = self._k
-        if k is not other._k or self.ncols != other.nrows:
+        k, n = self._k, self.ncols
+        if k is not other._k or n != other.nrows:
             raise ValueError("shape or field mismatch in product")
+        if self.nrows == n == other.ncols:
+            square = k.squares[n]
+            if square is not None:
+                # Matrix._new inlined: products are the hottest constructor
+                m = object.__new__(Matrix)
+                m._k, m.nrows, m.ncols = k, n, n
+                m.ints, m.den = square(self.ints, other.ints, self.den * other.den)
+                return m
         ints, den = k.product(self.ints, other.ints, other.ncols, self.den * other.den)
         return Matrix._new(k, ints, den, other.ncols)
 

@@ -451,14 +451,17 @@ def kaloujnine_class_check(
     Evidence, not proof: samples draw tuples from a pool of
     ``KALOUJNINE_POOL`` freshly sampled random words of bounded length.
     Returns None when every sampled commutator is the identity, else
-    the witness word tuple.  Each step is trivial iff the two matrices
-    commute, which two products decide; the last step is that test
-    alone, and only steps two or more before it build an inverse, so
-    the pool carries inverses only from degree 3 on.
+    the witness word tuple.  A sample whose first pick is 1 costs no
+    product.  Each step but the last computes h = g^-1 (c g), trivial
+    iff h == c, and [c, g] = c^-1 h only when it is not; the last step
+    is the plain commute test c g == g c.  An inverse [c, g]^-1 is built
+    only when the next step is not trivial.  So the pool carries
+    inverses only from degree 3 on, and at degree 3 a sample takes at
+    most five products.
     """
     if degree < 1 or sample_budget < 1 or word_length_cap < 1:
         raise ValueError("degree, sample budget and word length cap must be at least 1")
-    from .words import Word, _commutator_step, evaluate_word, random_word
+    from .words import Word, _first_trivial_step, evaluate_word, random_word
 
     rng = random.Random(seed)
     pool: list[Word] = []
@@ -470,13 +473,8 @@ def kaloujnine_class_check(
                      evaluate_word(rep, w.inverse()) if degree > 2 else None))
     for _ in range(sample_budget):
         picks = [rng.randrange(KALOUJNINE_POOL) for _ in range(degree)]
-        c = mats[picks[0]]
-        if c[0].is_identity():
-            continue
-        for ahead, t in zip(reversed(range(degree - 1)), picks[1:]):
-            c = _commutator_step(c, mats[t], ahead)
-            if c is None:
-                break
-        else:
+        c, c_inverse = mats[picks[0]]
+        if not c.is_identity() and _first_trivial_step(
+                c, lambda: c_inverse, [mats[t] for t in picks[1:]]) is None:
             return tuple(pool[t] for t in picks)
     return None

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .linalg import Matrix
 
@@ -153,51 +153,67 @@ def commutator(x: Matrix, g: Matrix) -> Matrix:
 
 
 def _commutator_step(
-    c_pair: tuple[Matrix, Matrix | None], g_pair: tuple[Matrix, Matrix | None], ahead: int
-) -> tuple[Matrix | None, Matrix | None] | None:
-    """One step c <- [c, g] of a left-normed walk over (matrix, inverse)
-    pairs; None when [c, g] = 1.
+    c: Matrix, c_inverse: Callable[[], Matrix], g: Matrix, g_inverse: Matrix
+) -> tuple[Matrix, Callable[[], Matrix]] | None:
+    """One step c <- [c, g] of a left-normed walk, in conjugate form:
+    None when [c, g] = 1, else [c, g] and a function that builds its
+    inverse.
 
-    [c, g] = (g c)^-1 (c g) is trivial iff a = c g equals b = g c, so a
-    trivial step takes two products and no identity test.  Otherwise
-    the step returns ([c, g], [c, g]^-1) = ((c^-1 g^-1) a, (g^-1 c^-1) b),
-    building each only if it is read.  ``ahead`` counts the steps after
-    this one, plus one if the caller reads the last commutator itself:
-    the next step reads [c, g], and only a step after that reads its
-    inverse.  Entries not built are None; the inverses passed in may be
-    None too when ``ahead`` is 0.
+    h = g^-1 (c g) is a conjugate of c, and [c, g] = c^-1 h, so the
+    step is trivial iff h == c: two products and no identity test.
+    Otherwise [c, g] is one product more, and only then is
+    ``c_inverse`` (a function returning c^-1) called.  The inverse
+    [c, g]^-1 = g^-1 c^-1 g c costs three products, and the function
+    returned builds it when called: by the next step, and only if that
+    step is not trivial.
     """
-    (c, ci), (g, gi) = c_pair, g_pair
-    a = c * g
-    b = g * c
-    if a == b:
+    h = g_inverse * (c * g)
+    if h == c:
         return None
-    return (ci * gi * a if ahead >= 1 else None,
-            gi * ci * b if ahead >= 2 else None)
+    ci = c_inverse()
+    return ci * h, lambda: g_inverse * ci * g * c
+
+
+def _first_trivial_step(
+    c: Matrix, c_inverse: Callable[[], Matrix], steps: Sequence[tuple[Matrix, Matrix | None]]
+) -> int | None:
+    """The first k at which the left-normed walk c <- [c, g_k] reaches
+    1, for ``steps`` the pairs (g_k, g_k^-1); None if it never does.
+
+    Every step but the last is a conjugate-form ``_commutator_step``.
+    The last step is read only for whether it is trivial, so it is the
+    plain test c g == g c: two products, and neither inverse is read
+    (the last g^-1 may be None).
+    """
+    if not steps:
+        return None
+    for k, (g, g_inverse) in enumerate(steps[:-1], 1):
+        step = _commutator_step(c, c_inverse, g, g_inverse)
+        if step is None:
+            return k
+        c, c_inverse = step
+    g = steps[-1][0]
+    return len(steps) if c * g == g * c else None
 
 
 def left_normed_commutator(x: Matrix, g: Matrix, n: int) -> Matrix:
     """[[x, g], ..., g] with n commutations."""
     if n < 1:
         raise ValueError("depth must be at least 1")
-    c, step = (x, x.inverse()), (g, g.inverse())
-    for ahead in reversed(range(1, n + 1)):
-        c = _commutator_step(c, step, ahead)
-        if c is None:
+    c, c_inverse, g_inverse = x, x.inverse, g.inverse()
+    for _ in range(n):
+        step = _commutator_step(c, c_inverse, g, g_inverse)
+        if step is None:
             return Matrix.identity(x.field, x.nrows)
-    return c[0]
+        c, c_inverse = step
+    return c
 
 
 def nil_index_probe(g: Matrix, x: Matrix, depth_cap: int = DEFAULT_DEPTH_CAP) -> int | None:
     """First depth where the iterated commutator with g reaches 1, or None."""
     if depth_cap < 1:
         raise ValueError("depth cap must be at least 1")
-    c, step = (x, x.inverse()), (g, g.inverse())
-    for n in range(1, depth_cap + 1):
-        c = _commutator_step(c, step, depth_cap - n)
-        if c is None:
-            return n
-    return None
+    return _first_trivial_step(x, x.inverse, [(g, g.inverse())] * depth_cap)
 
 
 def engel_probe(
@@ -209,9 +225,10 @@ def engel_probe(
 ) -> tuple[Word, Word] | None:
     """Sample word pairs (x, y) and test [[x, y], ..., y] = 1 at depth n.
 
-    The walk carries x^-1 and y^-1, evaluated from the inverse words,
-    and inverts no matrix; at depth 1 it is one commute test and
-    evaluates neither inverse.  None is consistency evidence, not a
+    The walk inverts no matrix: y^-1 is evaluated from the inverse word
+    when n > 1, and x^-1 only when the first step is not trivial, since
+    that step alone reads it.  At depth 1 the walk is one commute test
+    and evaluates neither inverse.  None is consistency evidence, not a
     proof; a pair is a genuine counterexample.
     """
     if n < 1 or sample_budget < 1 or length_cap < 1:
@@ -220,13 +237,10 @@ def engel_probe(
     for _ in range(sample_budget):
         wx = random_word(rng, rep.names, length_cap)
         wy = random_word(rng, rep.names, length_cap)
-        c = (evaluate_word(rep, wx), evaluate_word(rep, wx.inverse()) if n > 1 else None)
-        step = (evaluate_word(rep, wy), evaluate_word(rep, wy.inverse()) if n > 1 else None)
-        for ahead in reversed(range(n)):
-            c = _commutator_step(c, step, ahead)
-            if c is None:
-                break
-        else:
+        y = evaluate_word(rep, wy)
+        steps = [(y, evaluate_word(rep, wy.inverse()) if n > 1 else None)] * n
+        if _first_trivial_step(evaluate_word(rep, wx), lambda: evaluate_word(rep, wx.inverse()),
+                               steps) is None:
             return (wx, wy)
     return None
 
@@ -251,12 +265,13 @@ def algebraic_element_probe(
     field = g.field
     table: set[Matrix] = {Matrix.identity(field, g.nrows)}
     sub_gens: list[Matrix] = []
-    c, step = (x, x.inverse()), (g, g.inverse())
+    c, c_inverse, g_inverse = x, x.inverse, g.inverse()
     for k in range(1, depth_cap + 1):
-        c = _commutator_step(c, step, depth_cap - k + 1)
-        if c is None or c[0] in table:
+        step = _commutator_step(c, c_inverse, g, g_inverse)
+        if step is None or step[0] in table:
             return k
-        sub_gens.append(c[0])
+        c, c_inverse = step
+        sub_gens.append(c)
         rep = Representation(field, [(f"c{i}", m) for i, m in enumerate(sub_gens)])
         enum = enumerate_elements(rep, element_cap)
         table = set(enum.elements)

@@ -1,8 +1,10 @@
 """Certificates stay byte-identical across changes to the arithmetic.
 
 ``golden/`` holds two rational representations with fraction entries
-and the certificate each command wrote for them before matrices were
-stored as integer rows over a common denominator.
+and the certificate each command wrote for them: the first five before
+matrices were stored as integer rows over a common denominator, and
+the two probe certificates (seeded Engel samples and a nil index)
+before the commutator walks took conjugate-form steps.
 """
 
 import shlex
@@ -19,6 +21,8 @@ COMMANDS = {
     "pi": ["pi-check", "--max-degree", "4"],
     "radical": ["unipotent-radical", "--test", "a b", "--test", "b a^-1 b"],
     "unipotent": ["check-unipotent", "--element", "a b^-1"],
+    "engel": ["probe", "--kind", "engel", "--n", "3", "--sample-budget", "40", "--seed", "3"],
+    "nil": ["probe", "--kind", "nil", "--g", "b", "--x", "a"],
 }
 
 

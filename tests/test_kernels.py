@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 import kolchin
 from kolchin import GF, QQ, Matrix, NotInvariantError, Subspace, quotient_action, rref
-from kolchin.linalg import (SQUARE_PRODUCT_MAX, RowSpan, _square_product, express_in_rows,
-                            flag_drops, flat, preimage)
+from kolchin import linalg
+from kolchin.linalg import (SQUARE_PRODUCT_MAX, RowSpan, _kernel, express_in_rows, flag_drops,
+                            flat, preimage)
 
 F7 = GF(7)
 
@@ -189,25 +191,30 @@ def test_rectangular_and_empty_products_match_reference(field, data):
 
 
 def test_square_kernels_are_built_once_at_the_first_product():
-    _square_product.cache_clear()
-    m = Matrix(QQ, [[Fraction(i - j, 1 + i) for j in range(4)] for i in range(4)])
-    g = Matrix(QQ, [[i * j - 1 for j in range(4)] for i in range(4)])
-    for _ in range(100):
-        m * g
-    info = _square_product.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    for p in (None, 7):
+        _kernel(p).squares.clear()
+    with mock.patch.object(linalg, "_square_product", wraps=linalg._square_product) as build:
+        for field in (QQ, F7):
+            for n in (3, 4):
+                m = Matrix(field, [[Fraction(i - j, 1 + i) for j in range(n)] for i in range(n)])
+                g = Matrix(field, [[i * j - 1 for j in range(n)] for i in range(n)])
+                for _ in range(100):
+                    m * g
+    assert [call.args for call in build.call_args_list] == [(3, None), (4, None), (3, 7), (4, 7)]
 
 
 def test_import_and_loading_build_no_kernel():
-    code = ("import sys, kolchin\n"
-            "from kolchin.linalg import _square_product\n"
+    code = ("import gc, sys, kolchin\n"
+            "from kolchin.linalg import _Kernel\n"
             "kolchin.load_representation(sys.argv[1])\n"
-            "print(_square_product.cache_info().currsize)\n")
+            "kernels = [o for o in gc.get_objects() if isinstance(o, _Kernel)]\n"
+            "print(len(kernels), sum(len(k.squares) for k in kernels))\n")
     rep = Path(__file__).parent / "golden" / "heis_frac.json"
     env = {**os.environ, "PYTHONPATH": str(Path(kolchin.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code, str(rep)], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "0"
+    kernels, built = map(int, out.stdout.split())
+    assert kernels >= 1 and built == 0
 
 
 # -- canonical form: == and hash -------------------------------------------------

@@ -23,7 +23,7 @@ from kolchin import (
     make_certificate,
     representation_digest,
 )
-from kolchin import algebra, reps
+from kolchin import algebra, reps, words
 from kolchin.cli import main
 from kolchin.fields import Field
 from kolchin.linalg import Subspace, flat
@@ -701,6 +701,52 @@ def test_check_cert_engel_walk_inverts_y_once(tmp_path):
             assert main(["check-cert", BOREL, bad]) == 0
         counts.append(inverse.call_count)
     assert counts[1] - counts[0] == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"index": 7}, "reaches 1 at step 2, before the claimed index 7"),
+    ({"index": 1}, "does not reach 1 at the claimed index 1"),
+    ({"g": "a"}, "reaches 1 at step 1, before the claimed index 2"),
+    ({"index": "many"}, "positive integer no larger than the depth cap"),
+    ({"index": 0}, "positive integer no larger than the depth cap"),
+    ({"index": True}, "positive integer no larger than the depth cap"),
+    ({"index": 2.0}, "positive integer no larger than the depth cap"),
+    ({"depth_cap": 1}, "positive integer no larger than the depth cap"),
+    ({"depth_cap": "10"}, "positive integer no larger than the depth cap"),
+], ids=["late", "early", "other-g", "string", "zero", "bool", "float", "above-cap", "cap-string"])
+def test_check_cert_refuses_forged_nil_indices(tmp_path, capsys, edit, message):
+    # the Borel group's walk from a under b reaches 1 at step 2; the
+    # checker walks it from the definition, not by the probe's steps
+    cert = _golden_cert(BOREL, "nil")
+    with mock.patch.object(words, "_commutator_step", side_effect=AssertionError):
+        assert main(["check-cert", BOREL, cert]) == 0
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(edit))
+    assert main(["check-cert", BOREL, bad]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_nil_depth_cap_and_index_are_capped(tmp_path, capsys):
+    from kolchin.certificates import ENGEL_CHECK_STEPS
+
+    # over Q the Borel walk from b under a never reaches 1, so a deep
+    # probe takes time linear in its cap; above the checker's cap it is
+    # inconclusive at once, and so is a certificate claiming such an index
+    start = time.perf_counter()
+    cert = tmp_path / "deep.json"
+    for cap in (ENGEL_CHECK_STEPS + 1, 100000):
+        assert main(["probe", BOREL, "--kind", "nil", "--g", "a", "--x", "b",
+                     "--depth-cap", str(cap), "--cert", str(cert)]) == 3
+        assert "above the cap" in capsys.readouterr().err
+    assert not cert.exists()
+    assert main(["probe", BOREL, "--kind", "nil", "--g", "a", "--x", "b",
+                 "--depth-cap", str(ENGEL_CHECK_STEPS)]) == 3
+    assert "no vanishing depth" in capsys.readouterr().out
+    deep = ENGEL_CHECK_STEPS + 1
+    bad = _edited(_golden_cert(BOREL, "nil"), tmp_path,
+                  lambda d: d["payload"].update(index=deep, depth_cap=deep))
+    assert main(["check-cert", BOREL, bad]) == 3
+    assert "above the cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 10
 
 
 # -- forgeries that the span checks alone must reject --------------------------------

@@ -555,15 +555,48 @@ def test_kaloujnine_abelian_samples_take_one_commute_test():
         assert count - pool == 2 * sum(not p[0].is_identity() for p in picks)
 
 
-def test_kaloujnine_degree_three_builds_no_inverse():
-    # class 2: the second step always commutes.  A first step that does
-    # not commute builds [c, g] (two products) but not its inverse.
+def assert_class_two_samples_build_no_inverse(degree):
+    """Heisenberg has class 2, so the second step of a sample always
+    commutes.  A first step that does not commute takes three products
+    (h = g^-1 (c g), then [c, g] = c^-1 h) and the second step two, and
+    [c, g]^-1, read only by a second step that does not commute, is
+    never built."""
     rep = heisenberg()
-    pool, picks = pool_products(rep, 3, 4, 9)
+    pool, picks = pool_products(rep, degree, 4, 9)
     expected = 0
-    for c, g, _ in picks:
+    for c, g, *_ in picks:
         if not c.is_identity():
-            expected += 2 if c * g == g * c else 6
-    result, count = count_products(kaloujnine_class_check, rep, 3, 50, 4, 9)
+            expected += 2 if c * g == g * c else 5
+    result, count = count_products(kaloujnine_class_check, rep, degree, 50, 4, 9)
     assert result is None and count - pool == expected
-    assert any(c * g != g * c for c, g, _ in picks)
+    assert any(c * g != g * c for c, g, *_ in picks)
+
+
+def test_kaloujnine_degree_three_builds_no_inverse():
+    # the second step is the last one: the commute test c g == g c
+    assert_class_two_samples_build_no_inverse(3)
+
+
+def test_kaloujnine_degree_four_never_builds_an_inverse_the_next_step_does_not_read():
+    # the second step is in conjugate form and finds h == c
+    assert_class_two_samples_build_no_inverse(4)
+
+
+def test_engel_samples_whose_first_step_commutes_evaluate_no_inverse_of_x():
+    # per sample: y, y^-1 (depth 2 > 1) and x, and x^-1 only when the
+    # first step, its one reader, does not commute
+    rep = heisenberg()
+    with mock.patch("kolchin.words.evaluate_word", side_effect=evaluate_word) as evaluated:
+        assert engel_probe(rep, 2, 40, 4, 5) is None
+    rng = random.Random(5)
+    expected, commuting = [], 0
+    for _ in range(40):
+        wx, wy = random_word(rng, rep.names, 4), random_word(rng, rep.names, 4)
+        x, y = evaluate_word(rep, wx), evaluate_word(rep, wy)
+        expected += [wy, wy.inverse(), wx]
+        if x * y == y * x:
+            commuting += 1
+        else:
+            expected.append(wx.inverse())
+    assert [call.args[1] for call in evaluated.call_args_list] == expected
+    assert 0 < commuting < 40
