@@ -33,8 +33,9 @@ algorithm that made it:
   inconclusive (``CheckInconclusive``);
 - a nil index k: a positive integer no larger than the depth cap, with
   the walk c <- [c, g] from x, computed from the definition, nontrivial
-  at every step before k and 1 at step k.  An index above
-  ``ENGEL_CHECK_STEPS`` is inconclusive.
+  at every step before k and 1 at step k; with no index, the walk is
+  nontrivial at every step up to the depth cap.  Past
+  ``ENGEL_CHECK_STEPS`` steps either check is inconclusive.
 
 Identical inputs and seeds produce byte-identical certificates; no
 timestamps or environment data are embedded.
@@ -118,10 +119,6 @@ def flag_to_payload(flag: Flag) -> list[list[list]]:
     return [subspace_to_rows(s) for s in flag.steps]
 
 
-def _subspace_from_rows(rep: Representation, rows: list) -> Subspace:
-    return Subspace(rep.field, rep.dim, rows)
-
-
 def _require(cond: bool, message: str):
     if not cond:
         raise CertificateError(message)
@@ -173,7 +170,7 @@ def check_certificate(rep: Representation, cert: dict) -> str:
 
 def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
     if result == "unitriangular":
-        steps = [_subspace_from_rows(rep, rows) for rows in payload["flag"]]
+        steps = [Subspace(rep.field, rep.dim, rows) for rows in payload["flag"]]
         flag = Flag(steps)  # validates ascent from 0 to V
         _require(flag.degree == payload["degree"], "degree does not match the flag")
         _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
@@ -187,7 +184,7 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
     if result == "not-unipotent":
         stage = payload["stage"]
         _require(type(stage) is int and stage >= 1, "obstruction stage must be a positive integer")
-        reached = _subspace_from_rows(rep, payload["reached"])
+        reached = Subspace(rep.field, rep.dim, payload["reached"])
         own_stage, own_reached = _quotient_chain(rep)
         _require(own_reached is not None, "the group is unipotent: the fixed-space chain reaches V")
         _require(stage == own_stage, f"obstruction stage {stage} is not the chain's stage {own_stage}")
@@ -258,10 +255,10 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
         # all length-n generator products vanish iff V (h_1-1)...(h_n-1) = 0
         lifted = payload.get("modulo_radical")
         bound = payload["lifted_bound"] if lifted else n
-        _require(difference_product_spans(rep, bound)[-1].is_zero(),
+        _require(difference_product_spans(rep.generators, bound)[-1].is_zero(),
                  f"difference products of length {bound} do not all vanish")
         if "series" in payload:
-            steps = [_subspace_from_rows(rep, rows) for rows in payload["series"]]
+            steps = [Subspace(rep.field, rep.dim, rows) for rows in payload["series"]]
             Flag(steps)
             _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
         if lifted:
@@ -358,21 +355,36 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
         if index > ENGEL_CHECK_STEPS:
             raise CheckInconclusive(f"nil index {index} is above the cap of "
                                     f"{ENGEL_CHECK_STEPS} steps")
-        g = evaluate_word(rep, Word.parse(payload["g"]))
-        gi = g.inverse()
-        # c <- [c, g] from x, from the definition: nontrivial before the
-        # index, 1 at it
-        c = evaluate_word(rep, Word.parse(payload["x"]))
-        for step in range(1, index + 1):
-            c = c.inverse() * gi * c * g
-            if c.is_identity():
-                _require(step == index, f"the nil walk reaches 1 at step {step}, "
-                                        f"before the claimed index {index}")
-        _require(c.is_identity(), f"the nil walk does not reach 1 at the claimed index {index}")
+        first = _first_trivial_nil_step(rep, payload, index)
+        _require(first is not None, f"the nil walk does not reach 1 at the claimed index {index}")
+        _require(first == index, f"the nil walk reaches 1 at step {first}, "
+                                 f"before the claimed index {index}")
         return f"nil index {index} verified"
-    # Consistent, stabilised and inconclusive outcomes are evidence; only the
-    # envelope is checkable.
+    if kind == "nil" and result == "inconclusive":
+        cap = payload["depth_cap"]
+        _require(payload["index"] is None and type(cap) is int and cap >= 1,
+                 "an inconclusive nil probe has no index and a positive integer depth cap")
+        first = _first_trivial_nil_step(rep, payload, min(cap, ENGEL_CHECK_STEPS))
+        _require(first is None, f"the nil walk reaches 1 at step {first}, within the depth cap {cap}")
+        if cap > ENGEL_CHECK_STEPS:
+            raise CheckInconclusive(f"the nil walk does not reach 1 within {ENGEL_CHECK_STEPS} "
+                                    f"steps, below the depth cap {cap}")
+        return f"no nil index up to the depth cap {cap} verified"
+    # Consistent and stabilised outcomes, and an algebraic probe that ran out
+    # of caps, are evidence; only the envelope is checkable.
     return f"probe report accepted (evidence only, kind {kind})"
+
+
+def _first_trivial_nil_step(rep: Representation, payload: dict, steps: int) -> int | None:
+    """The first of ``steps`` steps at which the walk c <- [c, g] from x,
+    computed from the definition, reaches 1; None if none does."""
+    g, c = (evaluate_word(rep, Word.parse(payload[key])) for key in ("g", "x"))
+    gi = g.inverse()
+    for step in range(1, steps + 1):
+        c = c.inverse() * gi * c * g
+        if c.is_identity():
+            return step
+    return None
 
 
 _CHECKERS = {

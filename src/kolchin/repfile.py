@@ -89,15 +89,10 @@ def representation_from_dict(doc: Any) -> Representation:
 
 
 def representation_to_dict(rep: Representation) -> dict:
-    def entry(x):
-        return x if isinstance(x, int) else str(x)
-
     return {
         "field": _field_spec(rep.field),
         "dim": rep.dim,
-        "generators": {
-            name: [[entry(x) for x in row] for row in m.rows] for name, m in rep.items()
-        },
+        "generators": {name: matrix_to_rows(m) for name, m in rep.items()},
     }
 
 

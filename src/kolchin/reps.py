@@ -33,7 +33,6 @@ from .linalg import (
     assemble_flag_basis,
     flag_drops,
     preimage,
-    quotient_action,
 )
 
 
@@ -202,14 +201,12 @@ class UnitriCertificate:
 class NotUnipotent:
     """Obstruction to a unipotent flag: a stage with no fixed vectors.
 
-    ``reached`` is the invariant subspace built so far; the quotient
-    generators describe the residual action in the non-pivot
-    coordinates of ``reached``.
+    ``reached`` is the invariant subspace built so far; the group fixes
+    no nonzero vector of V/``reached``.
     """
 
     stage: int
     reached: Subspace
-    quotient_generators: tuple[Matrix, ...]
 
 
 FLAG_DROP_FAILED = "flag verification failed: a difference does not drop a step"
@@ -222,10 +219,9 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
     left kernel (``linalg.preimage``); the generators' fixed space on
     V/W_(i-1) is the fixed space of the whole group there.  The
     construction succeeds iff every step grows until V is reached; a
-    step that does not grow is returned as the obstruction, with the
-    action on the quotient.  The certificate is re-verified before it
-    is returned: every generator difference maps each flag step into
-    the previous one.
+    step that does not grow is returned as the obstruction.  The
+    certificate is re-verified before it is returned: every generator
+    difference maps each flag step into the previous one.
     """
     one = rep.identity()
     diffs = [g - one for g in rep.generators]
@@ -233,7 +229,7 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
     while not steps[-1].is_full():
         w = preimage(steps[-1], diffs)
         if w.dim == steps[-1].dim:
-            return NotUnipotent(len(steps), w, tuple(quotient_action(g, w) for g in rep.generators))
+            return NotUnipotent(len(steps), w)
         steps.append(w)
     flag = Flag(steps)
     if not flag_drops(rep.generators, flag.steps):
@@ -252,23 +248,21 @@ def generator_identity_witness(rep: Representation, n: int) -> tuple[str, ...] |
         raise ValueError("identity length must be at least 1")
     one = rep.identity()
     diffs = [(name, rep.generator(name) - one) for name in rep.names]
-    return _first_live_tuple(diffs, n, Matrix.is_zero, one)
+    return _first_live_tuple(diffs, n, Matrix.is_zero)
 
 
-def _first_live_tuple(diffs, n: int, dead, start: Matrix | None = None):
+def _first_live_tuple(diffs, n: int, dead):
     """Lexicographically first name tuple of length n whose product
-    ``start * d_1 * ... * d_n`` (just ``d_1 * ... * d_n`` when start is
-    None) is not ``dead``, or None.  ``dead`` must carry over to every
-    right multiple, so a dead prefix prunes its whole subtree.  The walk
-    is depth-first with an explicit stack, so n is not bounded by the
-    recursion limit."""
+    ``d_1 * ... * d_n`` is not ``dead``, or None.  ``dead`` must carry
+    over to every right multiple, so a dead prefix prunes its whole
+    subtree.  The walk is depth-first with an explicit stack, so n is
+    not bounded by the recursion limit."""
     names: list[str] = []
-    prefixes = [start]
+    prefixes: list[Matrix] = []
     pending = [iter(diffs)]
     while pending:
         for name, d in pending[-1]:
-            prefix = prefixes[-1]
-            prod = d if prefix is None else prefix * d
+            prod = prefixes[-1] * d if prefixes else d
             if dead(prod):
                 continue
             if len(names) + 1 == n:
@@ -279,14 +273,15 @@ def _first_live_tuple(diffs, n: int, dead, start: Matrix | None = None):
             break
         else:
             pending.pop()
-            prefixes.pop()
             if names:
                 names.pop()
+                prefixes.pop()
     return None
 
 
-def difference_product_spans(rep: Representation, upto: int) -> list[Subspace]:
-    """Spans V_k of all vectors x (h_1-1)...(h_k-1), for k = 0..upto.
+def difference_product_spans(generators: Sequence[Matrix], upto: int) -> list[Subspace]:
+    """Spans V_k of all vectors x (h_1-1)...(h_k-1), for k = 0..upto and
+    each h_i one of the (at least one) n x n matrices ``generators``.
 
     Satisfies V_k = sum over generators of V_{k-1} (g-1), which keeps
     the computation linear in ``upto``.  Since V_k is a function of
@@ -294,13 +289,7 @@ def difference_product_spans(rep: Representation, upto: int) -> list[Subspace]:
     equal to the last one: its entries strictly descend, and the last
     one is V_upto.
     """
-    return _difference_product_spans(rep.field, rep.dim, rep.generators, upto)
-
-
-def _difference_product_spans(field: Field, n: int, generators: Sequence[Matrix],
-                              upto: int) -> list[Subspace]:
-    # the same spans for bare n x n matrices, so the radical oracle can
-    # test a candidate subgroup without wrapping (and inverting) it
+    field, n = generators[0].field, generators[0].nrows
     one = Matrix.identity(field, n)
     diffs = [g - one for g in generators]
     spans = [Subspace.full(field, n)]
@@ -320,16 +309,18 @@ def invariant_series_from_identity(rep: Representation, n: int) -> Flag:
     length-n generator identity.
 
     The steps are the spans of all length-k difference products; the
-    trivial action on every factor is verified explicitly, which is the
-    matrix-level content of the generator-to-group upgrade.  Repeated
-    zero steps (when the identity holds below length n) are collapsed.
+    identity holds iff the last is zero, and only a failing one runs the
+    tuple sweep, to name its witness.  The trivial action on every
+    factor is verified explicitly, which is the matrix-level content of
+    the generator-to-group upgrade.  Repeated zero steps (when the
+    identity holds below length n) are collapsed.
     """
-    witness = generator_identity_witness(rep, n)
-    if witness is not None:
-        raise ValueError(f"length-{n} generator identity fails on tuple {witness}")
-    spans = difference_product_spans(rep, n)
+    if n < 1:
+        raise ValueError("identity length must be at least 1")
+    spans = difference_product_spans(rep.generators, n)
     if not spans[-1].is_zero():
-        raise InternalInconsistencyError("verified identity left a nonzero span")
+        witness = generator_identity_witness(rep, n)
+        raise ValueError(f"length-{n} generator identity fails on tuple {witness}")
     flag = Flag(spans[::-1])
     if not flag_drops(rep.generators, flag.steps):
         raise InternalInconsistencyError(FLAG_DROP_FAILED)
@@ -381,7 +372,7 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
         raise LiftHypothesisError(hit)
 
     bound = m * n
-    if not difference_product_spans(rep, bound)[-1].is_zero():
+    if not difference_product_spans(rep.generators, bound)[-1].is_zero():
         raise InternalInconsistencyError("lifted identity failed matrix-level verification")
     return bound
 

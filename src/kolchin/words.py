@@ -1,11 +1,11 @@
 """Word-level computations in finitely generated matrix groups.
 
-Breadth-first element enumeration with shortest witness words,
-commutator machinery for nil/Engel/algebraic probes, and the
-brute-force oracle used to validate the unipotent radical on finite
-groups: an index Cayley table built from the witness words, conjugacy
-classes read from it, and a walk over the lattice of normal subgroups
-(joins of conjugacy classes) with no cap on the number of classes.
+Breadth-first element enumeration kept as its BFS tree, commutator
+machinery for nil/Engel/algebraic probes, and the brute-force oracle
+used to validate the unipotent radical on finite groups: an index
+Cayley table read from the tree, conjugacy classes read from it, and a
+walk over the lattice of normal subgroups (joins of conjugacy classes)
+with no cap on the number of classes.
 
 Commutator convention, used everywhere: [x, g] = x^-1 g^-1 x g, and
 left-normed iteration [[x, g], g], ...  Probes return None rather than
@@ -98,20 +98,26 @@ def random_word(rng: random.Random, names: Sequence[str], max_len: int) -> Word:
 
 @dataclass
 class ElementTable:
-    """Element -> shortest witness word, in BFS discovery order.
+    """The BFS tree of an enumeration: ``elements`` maps each element
+    to its index in discovery order, and element i > 0 is element
+    ``parents[i]`` times the letter ``last_letters[i]`` (a generator
+    name and exponent +-1), so the parents spell shortest words; the
+    identity, element 0, has None for both.  ``columns[letter][i]`` is
+    the index of element i times that letter.
 
     ``closed`` tables are product- and inverse-closed: the enumeration
     stopped because nothing new appeared, not because a cap was hit.
+    Only their columns cover every element.
     """
 
-    elements: dict[Matrix, Word]
+    elements: dict[Matrix, int]
+    parents: list[int | None]
+    last_letters: list[tuple[str, int] | None]
+    columns: dict[tuple[str, int], list[int]]
     closed: bool
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, m: Matrix) -> bool:
-        return m in self.elements
 
 
 def enumerate_elements(
@@ -119,32 +125,37 @@ def enumerate_elements(
     element_cap: int = DEFAULT_ELEMENT_CAP,
     length_cap: int | None = None,
 ) -> ElementTable:
-    """BFS over words by length until the group closes or a cap is hit."""
+    """BFS over words by length until the group closes or a cap is hit;
+    memory is linear in the number of elements."""
     if element_cap < 1 or (length_cap is not None and length_cap < 1):
         raise ValueError("caps must be at least 1")
-    letters = [(name, 1, rep.generator(name)) for name in rep.names]
-    letters += [(name, -1, rep.inverse(name)) for name in rep.names]
+    letters = [((name, 1), rep.generator(name)) for name in rep.names]
+    letters += [((name, -1), rep.inverse(name)) for name in rep.names]
     one = rep.identity()
-    table: dict[Matrix, Word] = {one: Word()}
-    frontier = [one]
+    table = ElementTable({one: 0}, [None], [None], {letter: [] for letter, _ in letters}, False)
+    index = table.elements
+    frontier = [(0, one)]
     length = 0
-    while True:
+    while frontier:
         length += 1
         if length_cap is not None and length > length_cap:
-            return ElementTable(table, False)
-        new: list[Matrix] = []
-        for m in frontier:
-            base = table[m].letters
-            for name, e, mat in letters:
+            return table
+        new: list[tuple[int, Matrix]] = []
+        for i, m in frontier:
+            for letter, mat in letters:
                 prod = m * mat
-                if prod not in table:
-                    if len(table) >= element_cap:
-                        return ElementTable(table, False)
-                    table[prod] = Word(base + ((name, e),))
-                    new.append(prod)
-        if not new:
-            return ElementTable(table, True)
+                j = index.get(prod)
+                if j is None:
+                    if len(index) >= element_cap:
+                        return table
+                    j = index[prod] = len(index)
+                    table.parents.append(i)
+                    table.last_letters.append(letter)
+                    new.append((j, prod))
+                table.columns[letter].append(j)
         frontier = new
+    table.closed = True
+    return table
 
 
 def commutator(x: Matrix, g: Matrix) -> Matrix:
@@ -263,7 +274,7 @@ def algebraic_element_probe(
     if depth_cap < 1 or element_cap < 1:
         raise ValueError("caps must be at least 1")
     field = g.field
-    table: set[Matrix] = {Matrix.identity(field, g.nrows)}
+    table = {Matrix.identity(field, g.nrows)}
     sub_gens: list[Matrix] = []
     c, c_inverse, g_inverse = x, x.inverse, g.inverse()
     for k in range(1, depth_cap + 1):
@@ -273,33 +284,23 @@ def algebraic_element_probe(
         c, c_inverse = step
         sub_gens.append(c)
         rep = Representation(field, [(f"c{i}", m) for i, m in enumerate(sub_gens)])
-        enum = enumerate_elements(rep, element_cap)
-        table = set(enum.elements)
+        table = enumerate_elements(rep, element_cap).elements
     return None
 
 
-def cayley_table(rep: "Representation", table: ElementTable) -> list[list[int]]:
+def cayley_table(table: ElementTable) -> list[list[int]]:
     """Right multiplication on a closed table, as index permutations:
     ``right[b][a]`` is the index of ``elems[a] * elems[b]`` in
     enumeration order.
 
-    Each element b other than 1 is its witness word's parent times one
-    letter, and BFS puts the parent first, so column b is the letter's
-    column read through the parent's.  Only the letter columns take
-    matrix products: order * 2k of them for k generators.
+    Each element b other than 1 is its parent times one letter, and BFS
+    puts the parent first, so column b is the letter's column of the
+    table read through the parent's.  No matrix product is taken.
     """
-    elems = list(table.elements)
-    words = [w.letters for w in table.elements.values()]
-    index = {m: i for i, m in enumerate(elems)}
-    position = {w: i for i, w in enumerate(words)}
-    letters = {}
-    for name in rep.names:
-        for e, mat in ((1, rep.generator(name)), (-1, rep.inverse(name))):
-            letters[name, e] = [index[m * mat] for m in elems]
-    right = [list(range(len(elems)))]
-    for w in words[1:]:
-        column = letters[w[-1]]
-        right.append([column[x] for x in right[position[w[:-1]]]])
+    right = [list(range(len(table)))]
+    for parent, letter in zip(table.parents[1:], table.last_letters[1:]):
+        column = table.columns[letter]
+        right.append([column[x] for x in right[parent]])
     return right
 
 
@@ -340,7 +341,6 @@ def _extend(
 def brute_force_unipotent_radical(
     rep: "Representation",
     element_cap: int = DEFAULT_ELEMENT_CAP,
-    length_cap: int | None = None,
     elements: ElementTable | None = None,
 ) -> tuple[Matrix, ...]:
     """Oracle: largest normal subgroup acting unitriangularly, by an
@@ -362,13 +362,13 @@ def brute_force_unipotent_radical(
     elements in enumeration order.  ``elements``, a closed enumeration
     of ``rep`` already at hand, saves enumerating again.
     """
-    from .reps import _difference_product_spans
+    from .reps import difference_product_spans
 
-    table = elements if elements is not None else enumerate_elements(rep, element_cap, length_cap)
+    table = elements if elements is not None else enumerate_elements(rep, element_cap)
     if not table.closed:
         raise NotFiniteError("group enumeration hit a cap; the group may be infinite")
     elems = list(table.elements)
-    right = cayley_table(rep, table)
+    right = cayley_table(table)
     classes = conjugacy_classes(right)
 
     trivial = frozenset((0,))  # BFS starts at the identity
@@ -378,7 +378,7 @@ def brute_force_unipotent_radical(
     while todo:
         group, gens = todo.pop()
         sub = [elems[i] for i in gens or [0]]
-        if not _difference_product_spans(rep.field, rep.dim, sub, rep.dim)[-1].is_zero():
+        if not difference_product_spans(sub, rep.dim)[-1].is_zero():
             continue
         unitriangular.append(group)
         for cls in classes:

@@ -58,7 +58,7 @@ def ref_kolchin_flag(rep):
     while not w.is_full():
         fix = ref_fixed_space(qmats)
         if fix.is_zero():
-            return NotUnipotent(stage, w, tuple(qmats))
+            return NotUnipotent(stage, w)
         w = w.sum(Subspace(field, n, ref_lift_from_quotient(w, fix.basis.rows)))
         steps.append(w)
         if w.is_full():
@@ -87,7 +87,6 @@ def assert_same(got, want):
     else:
         assert got.stage == want.stage
         assert got.reached == want.reached
-        assert got.quotient_generators == want.quotient_generators
 
 
 # -- strategies -----------------------------------------------------------------
@@ -206,7 +205,7 @@ def test_obstruction_matches_quotient_route(field, gens, stage):
     assert isinstance(got, NotUnipotent) and got.stage == stage
     assert_same(got, ref_kolchin_flag(rep))
     if stage == 1:
-        assert got.reached.is_zero() and got.quotient_generators == rep.generators
+        assert got.reached.is_zero()
 
 
 def test_zero_dimensional_space_has_the_empty_flag():

@@ -513,6 +513,16 @@ def test_check_cert_forged_identity_witness_rejected(tmp_path, capsys, payload, 
     assert reason in err and "Traceback" not in err
 
 
+def test_algebraic_probe_enumerates_a_long_cyclic_group_in_time(capsys):
+    # [a, b] is central, so the probe enumerates the infinite cyclic group
+    # it generates up to the default element cap: 100,000 elements whose
+    # BFS words would average 25,000 letters each
+    start = time.perf_counter()
+    assert main(["probe", GOLDEN_HEIS, "--kind", "algebraic", "--g", "b", "--x", "a"]) == 0
+    assert "stabilise at depth 2" in capsys.readouterr().out
+    assert time.perf_counter() - start < 30
+
+
 def test_check_cert_accepts_cli_identity_witnesses(tmp_path):
     # diag(2, 1) spans a semisimple algebra: d - 1 is outside its zero radical
     diag = tmp_path / "diag.json"
@@ -723,6 +733,45 @@ def test_check_cert_refuses_forged_nil_indices(tmp_path, capsys, edit, message):
     bad = _edited(cert, tmp_path, lambda d: d["payload"].update(edit))
     assert main(["check-cert", BOREL, bad]) == 2
     assert message in capsys.readouterr().err
+
+
+def _inconclusive_nil_cert(tmp_path):
+    # over Q the Borel walk from b under a never reaches 1
+    cert = tmp_path / "inconclusive.json"
+    assert main(["probe", BOREL, "--kind", "nil", "--g", "a", "--x", "b",
+                 "--cert", str(cert)]) == 3
+    return str(cert)
+
+
+def test_check_cert_walks_an_inconclusive_nil_probe(tmp_path, capsys):
+    from kolchin.certificates import ENGEL_CHECK_STEPS
+
+    cert = _inconclusive_nil_cert(tmp_path)
+    assert main(["check-cert", BOREL, cert]) == 0
+    assert "no nil index up to the depth cap 10 verified" in capsys.readouterr().out
+    # a cap past the checker's steps is walked that far, then inconclusive
+    deep = _edited(cert, tmp_path, lambda d: d["payload"].update(depth_cap=ENGEL_CHECK_STEPS + 1))
+    assert main(["check-cert", BOREL, deep]) == 3
+    assert f"within {ENGEL_CHECK_STEPS} steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["10", 0, True], ids=["string", "zero", "bool"])
+def test_check_cert_refuses_inconclusive_nil_caps(tmp_path, capsys, cap):
+    bad = _edited(_inconclusive_nil_cert(tmp_path), tmp_path,
+                  lambda d: d["payload"].update(depth_cap=cap))
+    assert main(["check-cert", BOREL, bad]) == 2
+    assert "positive integer depth cap" in capsys.readouterr().err
+
+
+def test_check_cert_refuses_a_false_inconclusive_nil_claim(tmp_path, capsys):
+    # the golden walk from a under b reaches 1 at step 2, within the cap
+    def forge(doc):
+        doc["result"] = "inconclusive"
+        doc["payload"]["index"] = None
+
+    bad = _edited(_golden_cert(BOREL, "nil"), tmp_path, forge)
+    assert main(["check-cert", BOREL, bad]) == 2
+    assert "reaches 1 at step 2, within the depth cap 10" in capsys.readouterr().err
 
 
 def test_nil_depth_cap_and_index_are_capped(tmp_path, capsys):

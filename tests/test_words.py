@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -113,13 +114,40 @@ def test_enumerate_length_cap():
     assert len(table) == 7  # u^-3 .. u^3
 
 
+def tree_word(table, i):
+    """The word the BFS tree spells for element i."""
+    letters = []
+    while i:
+        letters.append(table.last_letters[i])
+        i = table.parents[i]
+    return Word(tuple(reversed(letters)))
+
+
 def test_enumerate_shortest_witnesses():
     rep = order_six_rep()
     table = enumerate_elements(rep)
     assert len(table) == 6
-    for m, w in table.elements.items():
-        assert evaluate_word(rep, w) == m
-    assert table.elements[rep.identity()] == Word()
+    assert table.elements[rep.identity()] == 0
+    for m, i in table.elements.items():
+        assert evaluate_word(rep, tree_word(table, i)) == m
+    # the tree spells shortest words: BFS levels are the word lengths
+    lengths = [len(tree_word(table, i)) for i in range(len(table))]
+    assert lengths == sorted(lengths) and lengths[:3] == [0, 1, 1]
+
+
+def test_enumeration_memory_is_linear():
+    # an infinite cyclic group: BFS depth grows with the element count, so
+    # a word kept per element would take about count^2 / 4 letters (about
+    # 195 MiB here); the tree takes a few MiB
+    rep = Representation(QQ, {"t": Matrix(QQ, [[1, 1], [0, 1]])})
+    tracemalloc.start()
+    try:
+        table = enumerate_elements(rep, element_cap=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 10_000 and not table.closed
+    assert peak < 16 * 2**20
 
 
 def test_lagrange_spot_checks():
@@ -227,7 +255,7 @@ def test_algebraic_probe_inconclusive():
 def test_conjugacy_classes_symmetric_group():
     rep = order_six_rep()
     table = enumerate_elements(rep)
-    classes = conjugacy_classes(cayley_table(rep, table))
+    classes = conjugacy_classes(cayley_table(table))
     assert sorted(len(c) for c in classes) == [1, 2, 3]
 
 
@@ -329,11 +357,46 @@ def test_oracle_matches_class_mask_search(draw):
     p, mats = draw
     rep = Representation(GF(p), {f"g{i}": Matrix(GF(p), m) for i, m in enumerate(mats)})
     table = enumerate_elements(rep)
-    classes = conjugacy_classes(cayley_table(rep, table))
+    classes = conjugacy_classes(cayley_table(table))
     assert classes == reference_conjugacy_classes(list(table.elements))
     # the mask search takes 2^classes unions and order^2 products
     if len(classes) <= 14 and len(table) <= 160:
         assert brute_force_unipotent_radical(rep) == reference_radical(rep)
+
+
+def reference_enumeration(rep):
+    """The former enumeration: each element with its whole shortest word."""
+    letters = [(name, 1, rep.generator(name)) for name in rep.names]
+    letters += [(name, -1, rep.inverse(name)) for name in rep.names]
+    words = {rep.identity(): Word()}
+    frontier = [rep.identity()]
+    while frontier:
+        new = []
+        for m in frontier:
+            for name, e, mat in letters:
+                prod = m * mat
+                if prod not in words:
+                    words[prod] = words[m] * Word(((name, e),))
+                    new.append(prod)
+        frontier = new
+    return words
+
+
+@settings(max_examples=40)
+@given(FINITE_GROUPS)
+@example((3, [((1, 1), (0, 1)), ((0, 1), (1, 1))]))
+def test_tree_and_cayley_table_match_products(draw):
+    p, mats = draw
+    rep = Representation(GF(p), {f"g{i}": Matrix(GF(p), m) for i, m in enumerate(mats)})
+    table = enumerate_elements(rep)
+    words = reference_enumeration(rep)
+    # the same discovery order, and the tree spells the same shortest words
+    assert table.closed and list(table.elements) == list(words)
+    assert [tree_word(table, i) for i in range(len(table))] == list(words.values())
+    elems = list(table.elements)
+    right = cayley_table(table)
+    for b, y in enumerate(elems):
+        assert right[b] == [table.elements[x * y] for x in elems]
 
 
 @settings(max_examples=60)
@@ -342,15 +405,15 @@ def test_oracle_span_test_agrees_with_unitriangular_degree(draw):
     p, mats = draw
     rep = Representation(GF(p), {f"g{i}": Matrix(GF(p), m) for i, m in enumerate(mats)})
     tested = []
-    original = reps._difference_product_spans
+    original = reps.difference_product_spans
 
-    def recording(field, n, gens, upto):
-        spans = original(field, n, gens, upto)
-        sub = Representation(field, {f"n{i}": g for i, g in enumerate(gens)})
+    def recording(gens, upto):
+        spans = original(gens, upto)
+        sub = Representation(rep.field, {f"n{i}": g for i, g in enumerate(gens)})
         tested.append((sub, spans[-1].is_zero()))
         return spans
 
-    with mock.patch.object(reps, "_difference_product_spans", recording):
+    with mock.patch.object(reps, "difference_product_spans", recording):
         brute_force_unipotent_radical(rep)
     assert tested
     for sub, unitriangular in tested:
@@ -366,7 +429,7 @@ def test_oracle_matches_class_mask_search_over_q():
     })
     table = enumerate_elements(rep)
     assert len(table) == 8
-    classes = conjugacy_classes(cayley_table(rep, table))
+    classes = conjugacy_classes(cayley_table(table))
     assert classes == reference_conjugacy_classes(list(table.elements))
     assert sorted(map(len, classes)) == [1, 1, 2, 2, 2]
     assert brute_force_unipotent_radical(rep) == reference_radical(rep) == (rep.identity(),)
