@@ -2,10 +2,9 @@
 
 Breadth-first element enumeration kept as its BFS tree, commutator
 machinery for nil/Engel/algebraic probes, and the brute-force oracle
-used to validate the unipotent radical on finite groups: an index
-Cayley table read from the tree, conjugacy classes read from it, and a
-walk over the lattice of normal subgroups (joins of conjugacy classes)
-with no cap on the number of classes.
+used to validate the unipotent radical on finite groups: conjugacy
+classes read from the tree's letter columns, and one span test per
+class, so its memory is linear in the order.
 
 Commutator convention, used everywhere: [x, g] = x^-1 g^-1 x g, and
 left-normed iteration [[x, g], g], ...  Probes return None rather than
@@ -288,54 +287,43 @@ def algebraic_element_probe(
     return None
 
 
-def cayley_table(table: ElementTable) -> list[list[int]]:
-    """Right multiplication on a closed table, as index permutations:
-    ``right[b][a]`` is the index of ``elems[a] * elems[b]`` in
-    enumeration order.
+def conjugacy_classes(table: ElementTable) -> list[tuple[int, ...]]:
+    """Partition of element indices into conjugacy classes of a closed
+    table: each class sorted, in the order of their smallest members
+    (so the identity's class comes first).
 
-    Each element b other than 1 is its parent times one letter, and BFS
-    puts the parent first, so column b is the letter's column of the
-    table read through the parent's.  No matrix product is taken.
+    For a generator s, left multiplication by s^-1 is one pass over the
+    tree: element 0 goes to s^-1, and element i to the image of its
+    parent times its last letter; BFS puts each parent first.
+    Conjugation by s, x -> s^-1 x s, is then the letter s's column read
+    through that pass.  The classes are the orbits of these maps, one
+    per generator, so memory is linear in the order and no matrix
+    product is taken.
     """
-    right = [list(range(len(table)))]
-    for parent, letter in zip(table.parents[1:], table.last_letters[1:]):
-        column = table.columns[letter]
-        right.append([column[x] for x in right[parent]])
-    return right
-
-
-def conjugacy_classes(right: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Partition of element indices into conjugacy classes (identity
-    first), from the right-multiplication table of ``cayley_table``."""
-    inverses = [column.index(0) for column in right]
-    seen = [False] * len(right)
+    if not table.closed:
+        raise NotFiniteError("group enumeration hit a cap; the group may be infinite")
+    conjugations = []
+    for (name, e), column in table.columns.items():
+        if e == 1:
+            left = [table.columns[(name, -1)][0]]
+            for parent, letter in zip(table.parents[1:], table.last_letters[1:]):
+                left.append(table.columns[letter][left[parent]])
+            conjugations.append([column[j] for j in left])
+    seen = [False] * len(table)
     classes = []
-    for i in range(len(right)):
+    for i in range(len(table)):
         if seen[i]:
             continue
-        cls = {right[right[h][i]][inverses[h]] for h in range(len(right))}
-        for k in cls:
-            seen[k] = True
-        classes.append(tuple(sorted(cls)))
+        seen[i] = True
+        orbit = [i]
+        for x in orbit:
+            for conj in conjugations:
+                y = conj[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        classes.append(tuple(sorted(orbit)))
     return classes
-
-
-def _extend(
-    right: Sequence[Sequence[int]], group: frozenset[int], gens: Sequence[int]
-) -> frozenset[int]:
-    """The subgroup generated by the subgroup ``group`` together with
-    ``gens`` (which must include generators of ``group``): the right
-    cosets of ``group`` reached from 1 by right multiplication with the
-    generators (Dimino's method)."""
-    members = set(group)
-    reps = [0]
-    for r in reps:
-        for s in gens:
-            x = right[s][r]
-            if x not in members:
-                members.update(right[x][h] for h in group)
-                reps.append(x)
-    return frozenset(members)
 
 
 def brute_force_unipotent_radical(
@@ -343,58 +331,37 @@ def brute_force_unipotent_radical(
     element_cap: int = DEFAULT_ELEMENT_CAP,
     elements: ElementTable | None = None,
 ) -> tuple[Matrix, ...]:
-    """Oracle: largest normal subgroup acting unitriangularly, by an
-    exhaustive walk over the lattice of normal subgroups.
+    """Oracle: largest normal subgroup acting unitriangularly, decided
+    one conjugacy class at a time.
 
-    The walk starts at {1} and joins each unitriangular normal subgroup
-    with every conjugacy class outside it.  Supergroups of a subgroup
-    that does not act unitriangularly are never unitriangular, so it is
-    not extended; every unitriangular normal subgroup M is still reached,
-    by joining the classes of M one at a time.  Each subgroup is tested
-    on a greedy generating set (an element joins only if the closure
-    does not contain it yet), at most log2 of its order in size.
-    The test works in V: a subgroup acts unitriangularly iff its span
+    The subgroup <C> generated by a conjugacy class C is normal, so C
+    lies in the largest unitriangular normal subgroup N iff <C> acts
+    unitriangularly; N is the union of the classes that do.  A class is
+    tested on its representative first (an element that is not unipotent
+    lies in no unitriangular subgroup), then on all of its members.
+    Each test works in V: a subgroup acts unitriangularly iff its span
     V (h_1-1)...(h_n-1), n = dim V, is zero, so the oracle runs none of
     the algebra code behind the radical it cross-checks.
 
-    Requires the group to be finite (NotFiniteError otherwise); asserts
-    that the maximal qualifying subgroup is unique before returning its
-    elements in enumeration order.  ``elements``, a closed enumeration
-    of ``rep`` already at hand, saves enumerating again.
+    A last span test on the union itself asserts that it acts
+    unitriangularly, which makes it the unique maximum: any
+    unitriangular normal subgroup is a union of classes C with <C> in
+    it, each of which passed.  Requires the group to be finite
+    (NotFiniteError otherwise); returns the elements in enumeration
+    order.  ``elements``, a closed enumeration of ``rep`` already at
+    hand, saves enumerating again.
     """
-    from .reps import difference_product_spans
+    from .reps import difference_product_spans, unipotency_index
 
     table = elements if elements is not None else enumerate_elements(rep, element_cap)
-    if not table.closed:
-        raise NotFiniteError("group enumeration hit a cap; the group may be infinite")
     elems = list(table.elements)
-    right = cayley_table(table)
-    classes = conjugacy_classes(right)
 
-    trivial = frozenset((0,))  # BFS starts at the identity
-    seen = {trivial}
-    todo: list[tuple[frozenset[int], list[int]]] = [(trivial, [])]
-    unitriangular: list[frozenset[int]] = []
-    while todo:
-        group, gens = todo.pop()
-        sub = [elems[i] for i in gens or [0]]
-        if not difference_product_spans(sub, rep.dim)[-1].is_zero():
-            continue
-        unitriangular.append(group)
-        for cls in classes:
-            if cls[0] in group:
-                continue
-            join, join_gens = group, gens
-            for c in cls:
-                if c not in join:
-                    join_gens = join_gens + [c]
-                    join = _extend(right, join, join_gens)
-            if join not in seen:
-                seen.add(join)
-                todo.append((join, join_gens))
+    def unitriangular(members: Sequence[int]) -> bool:
+        return difference_product_spans([elems[i] for i in members], rep.dim)[-1].is_zero()
 
-    best = max(unitriangular, key=len)
-    for cand in unitriangular:
-        if not cand <= best:
-            raise AssertionError("maximal unitriangular normal subgroup is not unique")
-    return tuple(elems[i] for i in sorted(best))
+    radical = [i for cls in conjugacy_classes(table)
+               if unipotency_index(rep, elems[cls[0]]) is not None and unitriangular(cls)
+               for i in cls]
+    if not unitriangular(radical):
+        raise AssertionError("maximal unitriangular normal subgroup is not unique")
+    return tuple(elems[i] for i in sorted(radical))

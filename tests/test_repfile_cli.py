@@ -413,6 +413,19 @@ def test_cli_oracle_on_many_conjugacy_classes(tmp_path, capsys):
     assert "group order 480; radical subgroup order 1; oracle agrees" in out
 
 
+def test_cli_oracle_on_gl2_11_in_time(tmp_path, capsys):
+    # GL(2,11), order 13,200: the oracle's memory must stay linear in the
+    # order (13,200^2 table slots would be about 1.4 GB)
+    path = tmp_path / "gl211.json"
+    path.write_text(json.dumps({"field": {"Fp": 11}, "dim": 2, "generators": {
+        "a": [[2, 0], [0, 1]], "b": [[-1, 1], [-1, 0]]}}))
+    start = time.perf_counter()
+    assert main(["unipotent-radical", str(path), "--oracle"]) == 0
+    assert time.perf_counter() - start < 30
+    out = capsys.readouterr().out
+    assert "group order 13200; radical subgroup order 1; oracle agrees" in out
+
+
 def test_cli_large_prime_fields(tmp_path):
     path = tmp_path / "big.json"
 

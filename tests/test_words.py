@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kolchin import (
     GF,
     QQ,
+    CharacteristicTooSmallError,
     Matrix,
     NotFiniteError,
     Representation,
@@ -29,7 +30,7 @@ from kolchin import (
     unitriangular_degree,
 )
 from kolchin import reps
-from kolchin.words import MAX_WORD_LETTERS, cayley_table, conjugacy_classes, random_word
+from kolchin.words import MAX_WORD_LETTERS, conjugacy_classes, random_word
 from corpus import heisenberg, unit_matrix
 
 
@@ -255,8 +256,16 @@ def test_algebraic_probe_inconclusive():
 def test_conjugacy_classes_symmetric_group():
     rep = order_six_rep()
     table = enumerate_elements(rep)
-    classes = conjugacy_classes(cayley_table(table))
+    classes = conjugacy_classes(table)
     assert sorted(len(c) for c in classes) == [1, 2, 3]
+
+
+def test_conjugacy_classes_require_a_closed_table():
+    rep = order_six_rep()
+    table = enumerate_elements(rep, element_cap=4)
+    assert not table.closed
+    with pytest.raises(NotFiniteError):
+        conjugacy_classes(table)
 
 
 def test_brute_force_radical_trivial():
@@ -293,8 +302,7 @@ def test_caps_must_be_positive():
 
 
 def reference_conjugacy_classes(elems):
-    """Classes from matrix products, as the oracle found them before it
-    worked on the Cayley table."""
+    """Classes from matrix products: the class of g is every h^-1 g h."""
     index = {m: i for i, m in enumerate(elems)}
     seen = set()
     classes = []
@@ -357,7 +365,7 @@ def test_oracle_matches_class_mask_search(draw):
     p, mats = draw
     rep = Representation(GF(p), {f"g{i}": Matrix(GF(p), m) for i, m in enumerate(mats)})
     table = enumerate_elements(rep)
-    classes = conjugacy_classes(cayley_table(table))
+    classes = conjugacy_classes(table)
     assert classes == reference_conjugacy_classes(list(table.elements))
     # the mask search takes 2^classes unions and order^2 products
     if len(classes) <= 14 and len(table) <= 160:
@@ -385,7 +393,7 @@ def reference_enumeration(rep):
 @settings(max_examples=40)
 @given(FINITE_GROUPS)
 @example((3, [((1, 1), (0, 1)), ((0, 1), (1, 1))]))
-def test_tree_and_cayley_table_match_products(draw):
+def test_tree_and_columns_match_products(draw):
     p, mats = draw
     rep = Representation(GF(p), {f"g{i}": Matrix(GF(p), m) for i, m in enumerate(mats)})
     table = enumerate_elements(rep)
@@ -394,9 +402,9 @@ def test_tree_and_cayley_table_match_products(draw):
     assert table.closed and list(table.elements) == list(words)
     assert [tree_word(table, i) for i in range(len(table))] == list(words.values())
     elems = list(table.elements)
-    right = cayley_table(table)
-    for b, y in enumerate(elems):
-        assert right[b] == [table.elements[x * y] for x in elems]
+    for (name, e), column in table.columns.items():
+        letter = rep.generator(name) if e == 1 else rep.inverse(name)
+        assert column == [table.elements[x * letter] for x in elems]
 
 
 @settings(max_examples=60)
@@ -429,10 +437,43 @@ def test_oracle_matches_class_mask_search_over_q():
     })
     table = enumerate_elements(rep)
     assert len(table) == 8
-    classes = conjugacy_classes(cayley_table(table))
+    classes = conjugacy_classes(table)
     assert classes == reference_conjugacy_classes(list(table.elements))
     assert sorted(map(len, classes)) == [1, 1, 2, 2, 2]
     assert brute_force_unipotent_radical(rep) == reference_radical(rep) == (rep.identity(),)
+
+
+def generator_order_invariants(rep):
+    """What a renaming or reordering of the generators must leave alone."""
+    flag = reps.kolchin_flag(rep)
+    steps = (flag.flag.steps if isinstance(flag, reps.UnitriCertificate)
+             else (flag.stage, flag.reached))
+    try:
+        radical = reps.unipotent_radical(rep).ideal.span
+    except CharacteristicTooSmallError:
+        radical = None
+    return (steps, unitriangular_degree(rep), radical,
+            frozenset(brute_force_unipotent_radical(rep)))
+
+
+@settings(max_examples=40)
+@given(FINITE_GROUPS, st.permutations(range(2)),
+       st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True),
+                min_size=2, max_size=2, unique=True))
+@example((3, [((1, 1), (0, 1)), ((0, 1), (1, 1))]), [1, 0], ["b", "a"])
+@example((5, [((1, 1), (0, 1)), ((2, 0), (0, 1))]), [1, 0], ["x", "y"])  # radical order 5
+@example((3, [((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))]),
+         [1, 0], ["b", "a"])  # Heisenberg mod 3: a flag of three steps
+# p = 0 is Q: the dihedral group of order 8 in a basis with fraction entries
+@example((0, [(("-1/6", "-37/12"), ("1/3", "1/6")), ((1, 1), (0, -1))]), [1, 0], ["s", "r"])
+def test_renaming_and_reordering_generators_changes_nothing(draw, order, names):
+    p, mats = draw
+    field = GF(p) if p else QQ
+    rep = Representation(field, {f"g{i}": Matrix(field, m) for i, m in enumerate(mats)})
+    order = [i for i in order if i < len(mats)]
+    renamed = Representation(field, [(names[j], Matrix(field, mats[i]))
+                                     for j, i in enumerate(order)])
+    assert generator_order_invariants(renamed) == generator_order_invariants(rep)
 
 
 # References for the commutator walks: each step inverts c from scratch
