@@ -11,8 +11,9 @@ against an echelon span, and the coordinates of a member in the
 algebra basis are its entries at the span's pivots.
 
 An algebra records its ``generators``, the spun matrices or else its
-basis.  Closures and their self-checks multiply by them only, since the
-words in them span the algebra: d*k products instead of d*d.
+basis.  Closures multiply by them only, since the words in them span
+the algebra: d*k products instead of d*d.  Their loops prove what they
+build, so only what a constructor is given gets checked.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class AlgebraBasis:
     the pivots, since each basis matrix is 1 at its own pivot and 0 at
     the others.
 
-    ``generators`` is the basis when built here, the spun matrices in
-    ``span_closure``; the closure check puts 1, each generator and each
-    basis matrix times a generator in the span.
+    ``generators`` is the basis when built here, and the constructor
+    checks 1 and each product of two basis matrices; ``span_closure``
+    keeps the spun matrices, and its loop proves the closure.
     """
 
     __slots__ = ("field", "matrix_size", "basis", "span", "generators")
@@ -80,7 +81,6 @@ class AlgebraBasis:
         a = object.__new__(cls)
         a.field, a.matrix_size, a.span = span.field, matrix_size, span
         a.basis, a.generators = _matrices(span, matrix_size), tuple(generators)
-        a._check_closure()
         return a
 
     def _check_closure(self):
@@ -128,8 +128,8 @@ def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
     identity, on the right by each generator, and to keep the products
     that grow the span.  The returned basis is the canonical one: the
     reduced echelon rows of the span, reshaped into matrices, so it does
-    not depend on generator order.  The spin makes the span one of
-    words in the generators, so the closure check multiplies by them.
+    not depend on generator order.  The kept words, 1 first, are a basis,
+    and each was multiplied by every generator: the span is closed.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -176,7 +176,6 @@ class Ideal:
         # an ideal from its canonical flattened span
         i = object.__new__(cls)
         i.parent, i.span, i.nilpotency_index = parent, span, None
-        i._check_ideal()
         return i
 
     @property
@@ -219,7 +218,9 @@ class Ideal:
 
 def ideal_closure(a: AlgebraBasis, seeds: Sequence[Matrix]) -> Ideal:
     """Smallest two-sided ideal of ``a`` containing the seeds: their span
-    closed under multiplication by the generators of ``a`` on both sides."""
+    closed under multiplication by the generators of ``a`` on both sides.
+    The seeds are checked to lie in ``a``, and each kept element was
+    multiplied by every generator on both sides: the span is an ideal."""
     for s in seeds:
         if not a.contains(s):
             raise ValueError("seed matrix lies outside the algebra")
@@ -335,14 +336,19 @@ def standard_identity_witness(a: AlgebraBasis, k: int):
 
 
 def minimal_standard_degree(a: AlgebraBasis, max_k: int):
-    """Smallest k in 2..max_k whose standard identity the algebra
-    satisfies, or None when none is found up to the bound."""
+    """(witnesses, k): the smallest k in 2..max_k whose standard identity
+    the algebra satisfies, or None, and the first failing basis tuple of
+    each degree below it.  Every subalgebra of M_n satisfies S_2n
+    (Amitsur-Levitzki), so degree 2n needs no sweep."""
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
+    witnesses = {}
     for k in range(2, max_k + 1):
-        if standard_identity_witness(a, k) is None:
-            return k
-    return None
+        combo = None if k == 2 * a.matrix_size else standard_identity_witness(a, k)
+        if combo is None:
+            return witnesses, k
+        witnesses[k] = combo
+    return witnesses, None
 
 
 def matrix_algebra(field: Field, n: int) -> AlgebraBasis:

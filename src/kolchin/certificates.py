@@ -20,7 +20,8 @@ algorithm that made it:
   which the checker spins itself; each witness has increasing indices,
   a degree below 2n (M_n satisfies S_2n) and a nonzero value; the degree
   below the claimed one has a witness, and S_k at the claimed degree k
-  vanishes on every k-subset of the basis, as the checker sweeps itself;
+  vanishes on every k-subset of the basis, as the checker sweeps itself,
+  unless k = 2n, where S_k holds by Amitsur-Levitzki;
 - unipotent-radical: the embedded radical is exactly the kernel of the
   trace form Tr(xy) on that algebra (characteristic 0 or p > n), and
   the membership verdicts follow.  That kernel is an ideal, Tr being
@@ -288,10 +289,12 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     _require(below < 2 or str(below) in witnesses, f"no degree-{below} witness")
     if minimal is None:
         return "standard identity witnesses verified"
+    # every subalgebra of M_n satisfies S_2n (Amitsur-Levitzki); below it,
     # S_k is multilinear and alternating, so the basis subsets decide it
-    _require(all(standard_identity_eval(minimal, [basis[i] for i in combo]).is_zero()
-                 for combo in combinations(range(len(basis)), minimal)),
-             "claimed minimal degree fails a re-sweep")
+    if type(minimal) is not int or minimal != 2 * rep.dim:
+        _require(all(standard_identity_eval(minimal, [basis[i] for i in combo]).is_zero()
+                     for combo in combinations(range(len(basis)), minimal)),
+                 "claimed minimal degree fails a re-sweep")
     return f"standard identity of degree {minimal} verified"
 
 

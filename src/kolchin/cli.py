@@ -22,7 +22,7 @@ import functools
 import os
 import sys
 
-from .algebra import CharacteristicTooSmallError, standard_identity_witness
+from .algebra import CharacteristicTooSmallError, minimal_standard_degree
 from .certificates import (
     ENGEL_CHECK_STEPS,
     CertificateError,
@@ -244,19 +244,12 @@ def cmd_pi_check(rep, args) -> int:
         return USAGE_ERROR
     alg = rep.enveloping().algebra
     print(f"enveloping algebra dimension: {alg.dim}")
-    witnesses = {}
-    minimal = None
-    for k in range(2, args.max_degree + 1):
-        combo = standard_identity_witness(alg, k)
-        if combo is None:
-            minimal = k
-            print(f"standard identity of degree {k}: verified")
-            break
-        witnesses[str(k)] = list(combo)
+    witnesses, minimal = minimal_standard_degree(alg, args.max_degree)
+    for k, combo in witnesses.items():
         print(f"standard identity of degree {k}: witness at basis tuple {combo}")
     payload = {
         "algebra_basis": [matrix_to_rows(b) for b in alg.basis],
-        "witnesses": witnesses,
+        "witnesses": {str(k): list(combo) for k, combo in witnesses.items()},
         "minimal_degree": minimal,
         "max_degree": args.max_degree,
     }
@@ -264,6 +257,7 @@ def cmd_pi_check(rep, args) -> int:
         print(f"no standard identity of degree <= {args.max_degree}")
         _emit(args, rep, "pi-check", "not-found", payload)
         return INCONCLUSIVE
+    print(f"standard identity of degree {minimal}: verified")
     print(f"minimal standard identity degree: {minimal}")
     _emit(args, rep, "pi-check", "degree-found", payload)
     return OK

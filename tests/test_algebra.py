@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ from kolchin import (
     trace_radical,
     upper_triangular_algebra,
 )
+from kolchin import algebra
 from corpus import random_matrix, ref_from_coordinates, unit_matrix
 
 
@@ -245,7 +247,7 @@ def test_standard_identity_matches_naive_oracle():
 def test_sweep_commutative_algebra():
     diag = span_closure(QQ, [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])])
     assert standard_identity_witness(diag, 2) is None
-    assert minimal_standard_degree(diag, 2) == 2
+    assert minimal_standard_degree(diag, 2) == ({}, 2)
 
 
 def test_sweep_m2_degree_three_witness():
@@ -268,9 +270,21 @@ def test_sweep_m2_degree_four_verified():
 
 def test_minimal_standard_degree():
     diag = span_closure(QQ, [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])])
-    assert minimal_standard_degree(diag, 4) == 2
-    assert minimal_standard_degree(matrix_algebra(QQ, 2), 6) == 4
-    assert minimal_standard_degree(matrix_algebra(QQ, 3), 3) is None
+    assert minimal_standard_degree(diag, 4) == ({}, 2)
+    assert minimal_standard_degree(matrix_algebra(QQ, 2), 6) == ({2: (0, 1), 3: (0, 1, 2)}, 4)
+    witnesses, degree = minimal_standard_degree(matrix_algebra(QQ, 3), 3)
+    assert degree is None and set(witnesses) == {2, 3}
+
+
+def test_minimal_degree_2n_is_reported_without_a_sweep():
+    # every subalgebra of M_n satisfies S_2n (Amitsur-Levitzki), so the
+    # sweeps stop at degree 2n - 1, whatever the bound above it
+    for field, n in ((QQ, 2), (GF(7), 3)):
+        with mock.patch.object(algebra, "standard_identity_witness",
+                               wraps=algebra.standard_identity_witness) as sweep:
+            witnesses, degree = minimal_standard_degree(matrix_algebra(field, n), 2 * n + 3)
+        assert degree == 2 * n and sorted(witnesses) == list(range(2, 2 * n))
+        assert [c.args[1] for c in sweep.call_args_list] == list(range(2, 2 * n))
 
 
 def test_degree_above_dimension_holds_trivially():

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolchin import (GF, QQ, Matrix, NotUnipotent, Representation, Subspace, UnitriCertificate,
-                     fixed_space, ideal_power_chain, kolchin_flag, quotient_action)
-from kolchin.linalg import Flag, RowSpan, kernel, preimage
+                     fixed_space, ideal_power_chain, invariant_series_from_identity, kolchin_flag,
+                     quotient_action)
+from kolchin.linalg import Flag, RowSpan, flag_drops, kernel, preimage
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -170,6 +171,23 @@ def test_flag_degree_is_the_augmentation_ideal_index(rep):
     _, index = ideal_power_chain(env.algebra, env.augmentation_ideal)
     flag = kolchin_flag(rep)
     assert (flag.degree if isinstance(flag, UnitriCertificate) else None) == index
+
+
+@settings(max_examples=150)
+@given(groups())
+def test_flags_drop_every_step(rep):
+    # the preimage and span recurrences prove this, and no runtime check
+    # repeats it: every generator difference maps each step into the one below
+    flag = kolchin_flag(rep)
+    if isinstance(flag, NotUnipotent):
+        with pytest.raises(ValueError, match="identity fails"):
+            invariant_series_from_identity(rep, rep.dim)
+        return
+    assert flag_drops(rep.generators, flag.flag.steps)
+    for n in (flag.degree, flag.degree + 1):
+        series = invariant_series_from_identity(rep, n)
+        assert series.steps[0].is_zero() and series.steps[-1].is_full()
+        assert flag_drops(rep.generators, series.steps)
 
 
 @settings(max_examples=100)

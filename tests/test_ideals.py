@@ -7,9 +7,11 @@ goes through ``AlgebraBasis.coordinates``.  The algebra closure is
 compared with the former pairwise closure, which multiplies every pair
 of kept elements on both sides.
 
-Closures and self-checks now multiply by the algebra's generators; the
-former versions that multiply by every basis matrix, and the Gram
-matrix of d*d traces, are kept here as references for them.
+Closures and the constructors' checks multiply by the algebra's
+generators; the former versions that multiply by every basis matrix,
+and the Gram matrix of d*d traces, are kept here as references for
+them.  A spin or an ideal closure runs no check of its own, so the
+references check their outputs here instead.
 
 A representation's radical is its augmentation ideal when that ideal
 is nilpotent; ``trace_radical`` is the reference for that route.
@@ -315,9 +317,9 @@ def test_non_ideal_rejected_and_outside_seed_refused():
         Ideal(a, one)
     with pytest.raises(ValueError):
         ideal_closure(a, [e.transpose()])
-    # the self-check refuses a flattened span that leaves the algebra
+    # the ideal check refuses a flattened span that leaves the algebra
     with pytest.raises(ValueError, match="outside the algebra"):
-        Ideal._of_span(a, Subspace(QQ, 9, [flat(e.transpose())]))
+        Ideal._of_span(a, Subspace(QQ, 9, [flat(e.transpose())]))._check_ideal()
 
 
 @settings(max_examples=60)
@@ -354,11 +356,23 @@ def test_generator_checks_accept_and_reject_as_the_references(case, data):
     if trial_mats:
         candidates += [spin(a, trial_mats, a.generators, [side]) for side in ("left", "right")]
     for span in candidates:
-        assert accepts(lambda: Ideal._of_span(a, span)) == ref_check_ideal(a, span)
+        assert (accepts(lambda: Ideal._of_span(a, span)._check_ideal())
+                == ref_check_ideal(a, span))
     # closure check on the spans a spin can make, subspaces of the algebra
     for span in [a.span] + [without_row(a.span, r) for r in range(a.dim)]:
-        assert (accepts(lambda: AlgebraBasis._spun(span, n, gens))
+        assert (accepts(lambda: AlgebraBasis._spun(span, n, gens)._check_closure())
                 == ref_check_closure(span, n, gens) == (span == a.span))
+
+
+@settings(max_examples=60)
+@given(cases())
+def test_closures_pass_the_reference_checks(case):
+    # the spin and the ideal closure loop prove these, and no runtime
+    # check repeats them: 1, the generators and every basis product lie
+    # in the algebra, and the augmentation and seeded ideals are ideals
+    field, gens, a, i, probes, trial = case
+    assert ref_check_closure(a.span, a.matrix_size, gens)
+    assert ref_check_ideal(a, i.span)
 
 
 @settings(max_examples=60)
@@ -387,11 +401,11 @@ def test_tampered_spun_algebra_raises(case, data):
     n = a.matrix_size
     r = data.draw(st.integers(0, a.dim - 1))
     with pytest.raises(ValueError):
-        AlgebraBasis._spun(without_row(a.span, r), n, gens)
+        AlgebraBasis._spun(without_row(a.span, r), n, gens)._check_closure()
     assume(a.dim < n * n)
     unit = next(u for u in matrix_algebra(field, n).basis if not a.contains(u))
     with pytest.raises(ValueError, match="not closed under the generators"):
-        AlgebraBasis._spun(a.span, n, list(gens) + [unit])
+        AlgebraBasis._spun(a.span, n, list(gens) + [unit])._check_closure()
 
 
 def test_fixed_cases_rejected_by_the_checks_and_their_references():
@@ -400,9 +414,9 @@ def test_fixed_cases_rejected_by_the_checks_and_their_references():
     for span in (spanned(QQ, 3, [Matrix.identity(QQ, 3)]), spanned(QQ, 3, [e.transpose()])):
         assert not ref_check_ideal(a, span)
         with pytest.raises(ValueError):
-            Ideal._of_span(a, span)
+            Ideal._of_span(a, span)._check_ideal()
     assert ref_check_ideal(a, spanned(QQ, 3, [e]))
-    Ideal._of_span(a, spanned(QQ, 3, [e]))
+    Ideal._of_span(a, spanned(QQ, 3, [e]))._check_ideal()
     # in the upper triangular 2 x 2 matrices, span{E11} is only a left
     # ideal and span{E22} only a right one
     b = span_closure(QQ, [Matrix(QQ, [[1, 1], [0, 1]]), Matrix(QQ, [[1, 0], [0, 2]])])
@@ -411,7 +425,7 @@ def test_fixed_cases_rejected_by_the_checks_and_their_references():
         span = spanned(QQ, 2, [unit])
         assert not ref_check_ideal(b, span)
         with pytest.raises(ValueError, match="not closed"):
-            Ideal._of_span(b, span)
+            Ideal._of_span(b, span)._check_ideal()
     # span{1, E12, E21} holds 1 but not E12 * E21
     units = matrix_algebra(QQ, 2).basis
     basis = [Matrix.identity(QQ, 2), units[1], units[2]]

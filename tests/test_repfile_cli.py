@@ -866,6 +866,34 @@ def test_check_cert_forged_radicals_are_not_the_trace_form_kernel(rep, kind, tmp
     assert "not the trace-form kernel" in err and "Traceback" not in err
 
 
+def _cycle_and_diagonal(tmp_path, n):
+    # the n-cycle and diag(1, ..., n) generate the whole algebra M_n
+    path = tmp_path / f"m{n}.json"
+    path.write_text(json.dumps({"field": "Q", "dim": n, "generators": {
+        "a": [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)],
+        "b": [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("n, budget", [(4, 5), (5, 30)])
+def test_pi_check_takes_degree_2n_from_amitsur_levitzki(n, budget, tmp_path, capsys):
+    # S_2n holds on M_n, so neither pi-check nor check-cert sweeps it
+    path, cert = _cycle_and_diagonal(tmp_path, n), str(tmp_path / "pi.json")
+    start = time.perf_counter()
+    assert main(["pi-check", path, "--max-degree", str(2 * n + 2), "--cert", cert]) == 0
+    assert main(["check-cert", path, cert]) == 0
+    assert time.perf_counter() - start < budget
+    out = capsys.readouterr().out
+    assert f"dimension: {n * n}" in out and f"minimal standard identity degree: {2 * n}" in out
+    payload = json.loads(Path(cert).read_text())["payload"]
+    assert payload["minimal_degree"] == 2 * n
+    assert sorted(map(int, payload["witnesses"])) == list(range(2, 2 * n))
+    # the degree-(2n - 1) witness is still required
+    bad = _edited(cert, tmp_path, lambda d: d["payload"]["witnesses"].pop(str(2 * n - 1)))
+    assert main(["check-cert", path, bad]) == 2
+    assert f"no degree-{2 * n - 1} witness" in capsys.readouterr().err
+
+
 def test_check_cert_pi_degree_below_the_true_one_fails_a_resweep(tmp_path, capsys):
     # Heisenberg satisfies S_4 and has a degree-2 witness, but S_3 fails
     bad = _edited(_golden_cert(GOLDEN_HEIS, "pi"), tmp_path,

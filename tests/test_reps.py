@@ -67,6 +67,19 @@ def test_unipotency_index_examples():
     assert unipotency_index(d, d.generator("d")) is None
 
 
+def test_nilpotency_index_takes_size_minus_one_products():
+    # nil^size decides a non-unipotent element; nil^(size + 1) is never read
+    f5 = GF(5)
+    for size in (2, 3):
+        d = Matrix(f5, [[2 if i == j == 0 else int(i == j) for j in range(size)]
+                        for i in range(size)])
+        rep = Representation(f5, {"d": d})
+        with mock.patch.object(Matrix, "__mul__", autospec=True,
+                               side_effect=Matrix.__mul__) as product:
+            assert unipotency_index(rep, d) is None
+        assert product.call_count == size - 1
+
+
 def test_kolchin_trivial():
     cert = kolchin_flag(trivial_rep(3))
     assert isinstance(cert, UnitriCertificate)
