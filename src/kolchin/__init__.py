@@ -61,11 +61,9 @@ from .words import (
     Word,
     algebraic_element_probe,
     brute_force_unipotent_radical,
-    commutator,
     engel_probe,
     enumerate_elements,
     evaluate_word,
-    left_normed_commutator,
     nil_index_probe,
 )
 from .repfile import (

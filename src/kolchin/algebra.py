@@ -14,6 +14,15 @@ An algebra records its ``generators``, the spun matrices or else its
 basis.  Closures multiply by them only, since the words in them span
 the algebra: d*k products instead of d*d.  Their loops prove what they
 build, so only what a constructor is given gets checked.
+
+Every closure is a right spin (``_spin``): each kept matrix is
+multiplied on the right by each generator, and the products that grow
+the span are kept in turn.  An ideal records its ``generators`` too:
+matrices s with I = sum of the s*A, a right ideal that the seeds
+generate.  Only they are multiplied on the left, because g*I is the sum
+of the (g*s)*A: once each g*s lies in I, so does g*I.  The power chain
+multiplies them on the left too: I^(k+1) = I*I^k is the sum of the
+s*I^k, since A*I^k = I^k.
 """
 
 from __future__ import annotations
@@ -120,16 +129,31 @@ class AlgebraBasis:
         return f"AlgebraBasis(dim {self.dim} in M_{self.matrix_size}({self.field}))"
 
 
+def _spin(span: RowSpan, seeds: Sequence[Matrix], generators: Sequence[Matrix]) -> list:
+    """Right spin of the seeds: absorb them into ``span``, then multiply
+    each one kept, and each product kept on the way, on the right by
+    each generator, keeping the products that grow the span.  What the
+    spin adds to ``span`` is the sum of the s*A over the kept seeds s,
+    A the unital algebra the generators make.  Returns the kept seeds."""
+    work = [s for s in seeds if span.absorb(flat(s))]
+    kept = work[:]
+    for m in work:  # grows while it is walked
+        for g in generators:
+            prod = m * g
+            if span.absorb(flat(prod)):
+                work.append(prod)
+    return kept
+
+
 def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
     """Smallest unital subalgebra of M_n containing the generators.
 
     Spin closure: the algebra is spanned by the words in the generators,
-    so it is enough to multiply every kept element, starting from the
-    identity, on the right by each generator, and to keep the products
-    that grow the span.  The returned basis is the canonical one: the
-    reduced echelon rows of the span, reshaped into matrices, so it does
-    not depend on generator order.  The kept words, 1 first, are a basis,
-    and each was multiplied by every generator: the span is closed.
+    so it is enough to spin the identity on the right.  The returned
+    basis is the canonical one: the reduced echelon rows of the span,
+    reshaped into matrices, so it does not depend on generator order.
+    The kept words, 1 first, are a basis, and each was multiplied by
+    every generator: the span is closed.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -137,15 +161,8 @@ def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
     for g in generators:
         if g.nrows != n or g.ncols != n or g.field != field:
             raise ValueError("generators must be square of one size over the field")
-    one = Matrix.identity(field, n)
     span = RowSpan(field, n * n)
-    span.absorb(flat(one))
-    work = [one]
-    for m in work:  # grows while it is walked
-        for g in generators:
-            prod = m * g
-            if span.absorb(flat(prod)):
-                work.append(prod)
+    _spin(span, [Matrix.identity(field, n)], generators)
     return AlgebraBasis._spun(span.to_subspace(), n, generators)
 
 
@@ -157,11 +174,16 @@ class Ideal:
     The constructor takes a subspace of the parent's coordinate space
     and maps it to matrices once; ``matrices`` are the canonical
     representatives, the reshaped basis rows of ``span``.
+
+    ``generators`` generate the ideal as a right ideal, I = sum of the
+    s*A: the kept seeds of ``ideal_closure``, or the basis when the
+    constructor built the ideal (each b*A lies in I and holds b).  The
+    power chain multiplies by them.
     ``nilpotency_index`` is kept by the first power chain that reaches
     zero, so later readers need not run one; None until then.
     """
 
-    __slots__ = ("parent", "span", "nilpotency_index")
+    __slots__ = ("parent", "span", "generators", "nilpotency_index")
 
     def __init__(self, parent: AlgebraBasis, space: Subspace):
         if space.ambient_dim != parent.dim or space.field != parent.field:
@@ -169,13 +191,14 @@ class Ideal:
         flat_rows = space.basis * parent.span.basis
         self.parent, self.nilpotency_index = parent, None
         self.span = Subspace._spanned(parent.field, parent.matrix_size ** 2, flat_rows.ints)
+        self.generators = self.matrices
         self._check_ideal()
 
     @classmethod
-    def _of_span(cls, parent: AlgebraBasis, span: Subspace) -> "Ideal":
-        # an ideal from its canonical flattened span
+    def _of_span(cls, parent: AlgebraBasis, span: Subspace, generators: Sequence[Matrix]) -> "Ideal":
+        # an ideal from its canonical flattened span and its right-ideal generators
         i = object.__new__(cls)
-        i.parent, i.span, i.nilpotency_index = parent, span, None
+        i.parent, i.span, i.generators, i.nilpotency_index = parent, span, tuple(generators), None
         return i
 
     @property
@@ -217,21 +240,28 @@ class Ideal:
 
 
 def ideal_closure(a: AlgebraBasis, seeds: Sequence[Matrix]) -> Ideal:
-    """Smallest two-sided ideal of ``a`` containing the seeds: their span
-    closed under multiplication by the generators of ``a`` on both sides.
-    The seeds are checked to lie in ``a``, and each kept element was
-    multiplied by every generator on both sides: the span is an ideal."""
+    """Smallest two-sided ideal of ``a`` containing the seeds.
+
+    The seeds are checked to lie in ``a`` and spun on the right to the
+    end; then only the kept seeds are multiplied on the left by each
+    generator of ``a``, and a left product that grows the span is kept
+    as a new seed and spun in turn.  Proof: every kept element is s*w
+    for a kept seed s and a word w, so I = sum of the s*A is closed on
+    the right; each g*s lies in I, so g*I = sum of the (g*s)*A lies in I.
+
+    For augmentation seeds h - 1 every left product already lies in the
+    right ideal, as g(h - 1) = (g - 1)h + (h - 1) - (g - 1): the closure
+    takes k*dim I + k*(kept seeds) products for k generators.
+    """
     for s in seeds:
         if not a.contains(s):
             raise ValueError("seed matrix lies outside the algebra")
     span = RowSpan(a.field, a.matrix_size ** 2)
-    elems = [s for s in seeds if span.absorb(flat(s))]
-    for u in elems:  # grows while it is walked
+    kept = _spin(span, seeds, a.generators)
+    for s in kept:  # grows while it is walked
         for g in a.generators:
-            for prod in (g * u, u * g):
-                if span.absorb(flat(prod)):
-                    elems.append(prod)
-    return Ideal._of_span(a, span.to_subspace())
+            kept += _spin(span, [g * s], a.generators)
+    return Ideal._of_span(a, span.to_subspace(), kept)
 
 
 def ideal_power_chain(a: AlgebraBasis, i: Ideal):
@@ -241,6 +271,11 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
     powers in F^(n^2), as ``Ideal.span`` does; the index is None when
     the chain stabilises at a nonzero space.  The zero ideal has index 1.
     An index found is kept on ``i.nilpotency_index``.
+
+    Each step multiplies the generators s of I on the left: I is the
+    sum of the s*A, and A*I^k = I^k, so I^(k+1) = I * I^k is the sum of
+    the s*I^k, spanned by the products s*u over the basis matrices u of
+    I^k.  No product needs a spin.
     """
     if i.parent != a:
         raise ValueError("ideal does not belong to the algebra")
@@ -248,12 +283,12 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
     if i.is_zero():
         i.nilpotency_index = 1
         return chain, 1
-    gens = current = i.matrices
+    current = i.matrices
     while True:
         span = RowSpan(a.field, a.matrix_size ** 2)
-        for u in current:
-            for v in gens:
-                span.absorb(flat(u * v))
+        for s in i.generators:
+            for u in current:
+                span.absorb(flat(s * u))
         space = span.to_subspace()
         chain.append(space)
         if space.is_zero():

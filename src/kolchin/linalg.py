@@ -502,9 +502,9 @@ class RowSpan:
         """Add ``vec`` to the span; True iff the dimension grew."""
         k = self._k
         v = k.residual(vec, self.rows, self.den, self.pivots)
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
+        if not any(v):  # most absorbs are rejected: one C-level scan decides them
             return False
+        lead = next(j for j, x in enumerate(v) if x)
         # rows R_i / den and new row v / v[lead]: clearing column lead leaves all over den * a
         a, den = v[lead], self.den
         rows = [[a * x - r[lead] * y for x, y in zip(r, v)] if r[lead] else

@@ -119,17 +119,23 @@ class EnvelopingData:
     closed by its spin.  The ideals are computed on first read and then
     kept: ``augmentation_ideal`` is the ideal closure of the g - 1, and
     ``augmentation_index`` is its nilpotency index from one power chain,
-    or None when the chain stabilises at a nonzero ideal.
+    or None when the ideal is not nilpotent.  The ideal holds every
+    g - 1, so it is nilpotent only if they are: a generator difference
+    that is not nilpotent answers None with no closure and no chain.
 
-    ``radical`` is the augmentation ideal when that chain reaches zero:
-    the algebra is F*1 plus the augmentation ideal, so a nilpotent
+    The closure is a right spin of the g - 1, with only them multiplied
+    on the left: every kept element is (h - 1)*w, so the span is closed
+    on the right, and g(h - 1) = (g - 1)h + (h - 1) - (g - 1) already
+    lies in it, so no left product grows it.  The chain spans the
+    products (h - 1)*u, u in a basis of the last power.
+
+    ``radical`` is the augmentation ideal when its index exists: the
+    algebra is F*1 plus the augmentation ideal, so a nilpotent
     augmentation ideal has codimension 1 and is the whole radical.
-    Otherwise it is the kernel of the trace form; a generator difference
-    that is not nilpotent sends a group there before the augmentation
-    ideal is built.  Either route's power chain leaves the radical its
-    ``nilpotency_index``.  Over prime fields with p <= n it raises
-    CharacteristicTooSmallError on either route, since the certificate
-    checker has only the trace form there.
+    Otherwise it is the kernel of the trace form.  Either route's power
+    chain leaves the radical its ``nilpotency_index``.  Over prime
+    fields with p <= n it raises CharacteristicTooSmallError on either
+    route, since the certificate checker has only the trace form there.
     """
 
     def __init__(self, rep: Representation):
@@ -144,6 +150,9 @@ class EnvelopingData:
 
     @cached_property
     def augmentation_index(self) -> int | None:
+        one = Matrix.identity(self.algebra.field, self.algebra.matrix_size)
+        if any(_nilpotency_index(g - one) is None for g in self.algebra.generators):
+            return None
         _, index = ideal_power_chain(self.algebra, self.augmentation_ideal)
         return index
 
@@ -151,12 +160,7 @@ class EnvelopingData:
     def radical(self) -> Ideal:
         a = self.algebra
         p = a.field.characteristic()
-        one = Matrix.identity(a.field, a.matrix_size)
-        # the ideal holds every g - 1, so it is nilpotent only if they are;
-        # testing them first spares a non-unipotent group the closure
-        if (not 0 < p <= a.matrix_size
-                and all(_nilpotency_index(g - one) is not None for g in a.generators)
-                and self.augmentation_index is not None):
+        if not 0 < p <= a.matrix_size and self.augmentation_index is not None:
             return self.augmentation_ideal
         return trace_radical(a)
 
@@ -325,7 +329,8 @@ def unitriangular_degree(rep: Representation) -> int | None:
     identity x (y_1-1)...(y_n-1) = 0 holding for all group elements,
     not just for generators.  The index is the one the enveloping data
     keeps (``EnvelopingData.augmentation_index``), so the chain runs
-    once for this degree and the radical together.
+    once for this degree and the radical together, and not at all for a
+    group with a generator that is not unipotent.
     """
     return rep.enveloping().augmentation_index
 

@@ -157,11 +157,6 @@ def enumerate_elements(
     return table
 
 
-def commutator(x: Matrix, g: Matrix) -> Matrix:
-    """[x, g] = x^-1 g^-1 x g."""
-    return x.inverse() * g.inverse() * x * g
-
-
 def _commutator_step(
     c: Matrix, c_inverse: Callable[[], Matrix], g: Matrix, g_inverse: Matrix
 ) -> tuple[Matrix, Callable[[], Matrix]] | None:
@@ -204,19 +199,6 @@ def _first_trivial_step(
         c, c_inverse = step
     g = steps[-1][0]
     return len(steps) if c * g == g * c else None
-
-
-def left_normed_commutator(x: Matrix, g: Matrix, n: int) -> Matrix:
-    """[[x, g], ..., g] with n commutations."""
-    if n < 1:
-        raise ValueError("depth must be at least 1")
-    c, c_inverse, g_inverse = x, x.inverse, g.inverse()
-    for _ in range(n):
-        step = _commutator_step(c, c_inverse, g, g_inverse)
-        if step is None:
-            return Matrix.identity(x.field, x.nrows)
-        c, c_inverse = step
-    return c
 
 
 def nil_index_probe(g: Matrix, x: Matrix, depth_cap: int = DEFAULT_DEPTH_CAP) -> int | None:

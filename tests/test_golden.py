@@ -4,7 +4,9 @@
 and the certificate each command wrote for them: the first five before
 matrices were stored as integer rows over a common denominator, and
 the two probe certificates (seeded Engel samples and a nil index)
-before the commutator walks took conjugate-form steps.
+before the commutator walks took conjugate-form steps, and the lifted
+identity bounds (they read the radical's nilpotency index) before the
+ideal closure and the power chain became right spins.
 """
 
 import shlex
@@ -23,6 +25,7 @@ COMMANDS = {
     "unipotent": ["check-unipotent", "--element", "a b^-1"],
     "engel": ["probe", "--kind", "engel", "--n", "3", "--sample-budget", "40", "--seed", "3"],
     "nil": ["probe", "--kind", "nil", "--g", "b", "--x", "a"],
+    "lift": ["identity-check", "--length", "2", "--lift-through-radical"],
 }
 
 

@@ -11,7 +11,14 @@ Closures and the constructors' checks multiply by the algebra's
 generators; the former versions that multiply by every basis matrix,
 and the Gram matrix of d*d traces, are kept here as references for
 them.  A spin or an ideal closure runs no check of its own, so the
-references check their outputs here instead.
+references check their outputs here instead.  The ideal check reads no
+right-ideal generators, so the spans it is run on here are given none.
+
+``ideal_closure`` spins on the right and multiplies only its seeds on
+the left; the former closure, which multiplies every kept element by
+the generators on both sides, is its reference.  The power chain spans
+the products of the ideal's generators with a power's basis; the
+coordinate route's chain of all pairwise products is its reference.
 
 A representation's radical is its augmentation ideal when that ideal
 is nilpotent; ``trace_radical`` is the reference for that route.
@@ -124,6 +131,17 @@ def spin(a, seeds, mats, sides=("left", "right")):
                 if span.absorb(flat(prod)):
                     elems.append(prod)
     return span.to_subspace()
+
+
+def ref_two_sided_closure(a, seeds):
+    """The former ideal closure: every kept element multiplied by each
+    generator of the algebra on both sides."""
+    return spin(a, seeds, a.generators)
+
+
+def flat_span(a, space):
+    """A subspace of the coordinate space as a span of flattened matrices."""
+    return Subspace._spanned(a.field, a.matrix_size ** 2, (space.basis * a.span.basis).ints)
 
 
 def ref_radical_span(a):
@@ -319,7 +337,7 @@ def test_non_ideal_rejected_and_outside_seed_refused():
         ideal_closure(a, [e.transpose()])
     # the ideal check refuses a flattened span that leaves the algebra
     with pytest.raises(ValueError, match="outside the algebra"):
-        Ideal._of_span(a, Subspace(QQ, 9, [flat(e.transpose())]))._check_ideal()
+        Ideal._of_span(a, Subspace(QQ, 9, [flat(e.transpose())]), ())._check_ideal()
 
 
 @settings(max_examples=60)
@@ -356,7 +374,7 @@ def test_generator_checks_accept_and_reject_as_the_references(case, data):
     if trial_mats:
         candidates += [spin(a, trial_mats, a.generators, [side]) for side in ("left", "right")]
     for span in candidates:
-        assert (accepts(lambda: Ideal._of_span(a, span)._check_ideal())
+        assert (accepts(lambda: Ideal._of_span(a, span, ())._check_ideal())
                 == ref_check_ideal(a, span))
     # closure check on the spans a spin can make, subspaces of the algebra
     for span in [a.span] + [without_row(a.span, r) for r in range(a.dim)]:
@@ -414,9 +432,9 @@ def test_fixed_cases_rejected_by_the_checks_and_their_references():
     for span in (spanned(QQ, 3, [Matrix.identity(QQ, 3)]), spanned(QQ, 3, [e.transpose()])):
         assert not ref_check_ideal(a, span)
         with pytest.raises(ValueError):
-            Ideal._of_span(a, span)._check_ideal()
+            Ideal._of_span(a, span, ())._check_ideal()
     assert ref_check_ideal(a, spanned(QQ, 3, [e]))
-    Ideal._of_span(a, spanned(QQ, 3, [e]))._check_ideal()
+    Ideal._of_span(a, spanned(QQ, 3, [e]), ())._check_ideal()
     # in the upper triangular 2 x 2 matrices, span{E11} is only a left
     # ideal and span{E22} only a right one
     b = span_closure(QQ, [Matrix(QQ, [[1, 1], [0, 1]]), Matrix(QQ, [[1, 0], [0, 2]])])
@@ -425,7 +443,7 @@ def test_fixed_cases_rejected_by_the_checks_and_their_references():
         span = spanned(QQ, 2, [unit])
         assert not ref_check_ideal(b, span)
         with pytest.raises(ValueError, match="not closed"):
-            Ideal._of_span(b, span)._check_ideal()
+            Ideal._of_span(b, span, ())._check_ideal()
     # span{1, E12, E21} holds 1 but not E12 * E21
     units = matrix_algebra(QQ, 2).basis
     basis = [Matrix.identity(QQ, 2), units[1], units[2]]
@@ -455,3 +473,74 @@ def test_radical_routes_match_the_trace_form(case):
         assert all(rad.contains(gi * r * g) and rad.contains(g * r * gi) for r in rad.matrices)
     _, index = ref_power_chain(env.algebra, ref_coordinate_space(env.algebra, rad.matrices))
     assert index is not None and rad.nilpotency_index == index
+
+
+def seed_matrices(draw, a):
+    """One to three seeds of ``a`` that are not of augmentation form:
+    basis matrices, combinations of the basis, or products of two."""
+    field = a.field
+
+    def seed():
+        kind = draw(st.sampled_from(["basis", "combination", "product"]))
+        if kind == "basis":
+            return draw(st.sampled_from(a.basis))
+        x = combination(draw, field, a.basis)
+        return x * combination(draw, field, a.basis) if kind == "product" else x
+
+    return [seed() for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def seeded(draw):
+    """A spun algebra, or the full or upper triangular matrices with
+    their unit basis as generators, and seeds in it."""
+    field, gens = draw(algebras())
+    units = draw(st.sampled_from([None, matrix_algebra, upper_triangular_algebra]))
+    a = span_closure(field, gens) if units is None else units(field, gens[0].nrows)
+    return a, seed_matrices(draw, a)
+
+
+@settings(max_examples=100)
+@given(seeded())
+def test_ideal_closure_matches_the_two_sided_closure(case):
+    a, seeds = case
+    i = ideal_closure(a, seeds)
+    assert i.span == ref_two_sided_closure(a, seeds)
+    # the kept seeds generate it as a right ideal
+    assert all(i.contains(s) for s in i.generators)
+    assert spin(a, i.generators, a.generators, ["right"]) == i.span
+
+
+def test_corner_seed_reaches_all_of_m3_from_its_row():
+    e12 = Matrix(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    cycle = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    diagonal = Matrix(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    for a in (matrix_algebra(QQ, 3), span_closure(QQ, [cycle, diagonal])):
+        assert a.dim == 9
+        # the right ideal e12 * M_3 is the first row
+        row = spin(a, [e12], a.generators, ["right"])
+        assert row == spanned(QQ, 3, [Matrix(QQ, [[int(c == j) if r == 0 else 0
+                                                   for c in range(3)] for r in range(3)])
+                                      for j in range(3)])
+        i = ideal_closure(a, [e12])
+        assert i.dim == 9 and i.span == a.span == ref_two_sided_closure(a, [e12])
+        # the seeds are e12, e22 and e32: their products on the left of
+        # M_3 make all of it, but on the right only the second column
+        assert len(i.generators) == 3
+        assert ideal_power_chain(a, i) == ([a.span, a.span], None)
+
+
+@settings(max_examples=100)
+@given(st.one_of(cases().map(lambda case: (case[2], case[3])),
+                 seeded().map(lambda case: (case[0], ideal_closure(*case)))))
+def test_power_chain_spans_match_the_coordinate_route(case):
+    a, i = case
+    space = ref_coordinate_space(a, i.matrices)
+    ref_chain, ref_index = ref_power_chain(a, space)
+    built = Ideal(a, space)
+    assert built.generators == built.matrices
+    # by the closure (or the trace form) and by the constructor
+    for ideal in (i, built):
+        chain, index = ideal_power_chain(a, ideal)
+        assert index == ref_index == ideal.nilpotency_index
+        assert chain == [flat_span(a, s) for s in ref_chain]

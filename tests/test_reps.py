@@ -193,15 +193,35 @@ def test_enveloping_computes_each_ideal_once_on_first_read():
         assert calls == ["augmentation", "chain"]
 
         # not unipotent: d - 1 is not nilpotent, so the trace form runs
-        # once and the augmentation ideal waits for its own first read
+        # once, the index is None without a closure or a chain, and the
+        # augmentation ideal waits for its own first read
         calls.clear()
         env = diag_rep().enveloping()
         assert env.algebra.dim == 2 and calls == []
         assert env.radical.is_zero() and env.radical is env.radical
+        assert env.augmentation_index is None
         assert calls == ["trace"]
-        assert env.augmentation_ideal.dim == 1 and env.augmentation_index is None
+        assert env.augmentation_ideal.dim == 1
         assert env.augmentation_ideal is env.augmentation_ideal
-        assert calls == ["trace", "augmentation", "chain"]
+        assert calls == ["trace", "augmentation"]
+
+        # the degree of a fresh non-unipotent group builds no ideal
+        calls.clear()
+        assert unitriangular_degree(diag_rep()) is None and calls == []
+
+
+def test_augmentation_closure_multiplies_only_its_seeds_on_the_left():
+    # the right spin takes k products per kept element, and the left
+    # products of the k kept seeds g - 1 all fall inside the right ideal
+    a = heisenberg().enveloping().algebra
+    one = Matrix.identity(QQ, 3)
+    seeds = [g - one for g in a.generators]
+    with mock.patch.object(Matrix, "__mul__", autospec=True,
+                           side_effect=Matrix.__mul__) as product:
+        i = ideal_closure(a, seeds)
+    k = len(a.generators)
+    assert i.dim == 3 and i.generators == tuple(seeds)
+    assert product.call_count == k * i.dim + k * len(i.generators) == 10
 
 
 def test_kolchin_iff_finite_degree():
