@@ -28,6 +28,7 @@ from .algebra import (
     CharacteristicTooSmallError,
     Ideal,
     InternalInconsistencyError,
+    SweepCapExceeded,
     ideal_closure,
     ideal_power_chain,
     matrix_algebra,

@@ -42,6 +42,24 @@ class InternalInconsistencyError(RuntimeError):
     """A structural self-check failed; indicates a bug, not bad input."""
 
 
+# work one standard-identity sweep (one degree k over all k-subsets of a
+# basis) may take, counted as n^3 scalar multiplications per n x n
+# product, since that bounds its time: 2,000,000 products at n = 6, where
+# one takes about 8 us over Q on one core of a 2-core x86-64 machine with
+# CPython 3.11, so about 16 s there.  The largest sweep the tests finish
+# (S_9 on M_5 + F, n = 6) takes 477,023 products, a quarter of the cap
+SWEEP_WORK_CAP = 2_000_000 * 6 ** 3
+
+
+class SweepCapExceeded(Exception):
+    """A standard-identity sweep needed more than ``SWEEP_WORK_CAP``
+    scalar multiplications; the identity is neither verified nor refuted."""
+
+    def __init__(self, k: int, n: int):
+        super().__init__(f"the degree-{k} standard identity sweep needs more than "
+                         f"{SWEEP_WORK_CAP // n ** 3:,} products of {n} x {n} matrices")
+
+
 def _unflatten(field: Field, row: Sequence[int], den: int, n: int) -> Matrix:
     return Matrix.from_ints(field, [row[i * n:(i + 1) * n] for i in range(n)], den, n)
 
@@ -321,8 +339,15 @@ def trace_radical(a: AlgebraBasis) -> Ideal:
     return rad
 
 
-def standard_identity_eval(k: int, mats: Sequence[Matrix]) -> Matrix:
-    """Alternating sum over all orderings of a k-fold matrix product."""
+def standard_identity_eval(k: int, mats: Sequence[Matrix],
+                           budget: list[int] | None = None) -> Matrix:
+    """Alternating sum over all orderings of a k-fold matrix product.
+
+    ``budget`` is a one-item list of the scalar multiplications left to
+    the sweep this evaluation belongs to, so that its evaluations share
+    one; each n x n product takes n^3, and SweepCapExceeded is raised
+    when too few are left.  Without one, the evaluation alone may take
+    ``SWEEP_WORK_CAP``."""
     if len(mats) != k:
         raise ValueError(f"expected {k} matrices, got {len(mats)}")
     n = mats[0].nrows
@@ -330,6 +355,9 @@ def standard_identity_eval(k: int, mats: Sequence[Matrix]) -> Matrix:
     for m in mats:
         if m.nrows != n or m.ncols != n or m.field != field:
             raise ValueError("matrices must be square of one size over one field")
+    if budget is None:
+        budget = [SWEEP_WORK_CAP]
+    cost = n ** 3
     total = Matrix.zero(field, n, n)
     # depth-first over ordered selections, sharing prefix products;
     # zero prefixes cannot contribute and are pruned
@@ -343,6 +371,9 @@ def standard_identity_eval(k: int, mats: Sequence[Matrix]) -> Matrix:
             bit = 1 << idx
             if used & bit:
                 continue
+            if budget[0] < cost:
+                raise SweepCapExceeded(k, n)
+            budget[0] -= cost
             prod = prefix * mats[idx]
             if prod.is_zero():
                 continue
@@ -353,6 +384,18 @@ def standard_identity_eval(k: int, mats: Sequence[Matrix]) -> Matrix:
     return walk(identity, 0, 0, total)
 
 
+def standard_identity_sweep(basis: Sequence[Matrix], k: int):
+    """First k-subset of ``basis``, as increasing indices, where the
+    degree-k standard identity fails, or None when it holds on all of
+    them.  The evaluations share one budget of ``SWEEP_WORK_CAP``, past
+    which SweepCapExceeded is raised."""
+    budget = [SWEEP_WORK_CAP]
+    for combo in combinations(range(len(basis)), k):
+        if not standard_identity_eval(k, [basis[i] for i in combo], budget).is_zero():
+            return combo
+    return None
+
+
 def standard_identity_witness(a: AlgebraBasis, k: int):
     """First basis tuple (lexicographic) where the degree-k alternating
     identity fails, or None when the sweep verifies it.
@@ -360,21 +403,19 @@ def standard_identity_witness(a: AlgebraBasis, k: int):
     Multilinearity plus alternation make the injective-tuple sweep over
     basis elements complete: repeats vanish identically, and the value
     on any ordering is a sign times the value on the sorted tuple.
+    Raises SweepCapExceeded past ``SWEEP_WORK_CAP``.
     """
     if k < 1:
         raise ValueError("identity degree must be at least 1")
-    for combo in combinations(range(a.dim), k):
-        value = standard_identity_eval(k, [a.basis[i] for i in combo])
-        if not value.is_zero():
-            return combo
-    return None
+    return standard_identity_sweep(a.basis, k)
 
 
 def minimal_standard_degree(a: AlgebraBasis, max_k: int):
     """(witnesses, k): the smallest k in 2..max_k whose standard identity
     the algebra satisfies, or None, and the first failing basis tuple of
     each degree below it.  Every subalgebra of M_n satisfies S_2n
-    (Amitsur-Levitzki), so degree 2n needs no sweep."""
+    (Amitsur-Levitzki), so degree 2n needs no sweep.  A sweep past
+    ``SWEEP_WORK_CAP`` raises SweepCapExceeded."""
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
     witnesses = {}

@@ -21,7 +21,9 @@ algorithm that made it:
   a degree below 2n (M_n satisfies S_2n) and a nonzero value; the degree
   below the claimed one has a witness, and S_k at the claimed degree k
   vanishes on every k-subset of the basis, as the checker sweeps itself,
-  unless k = 2n, where S_k holds by Amitsur-Levitzki;
+  unless k = 2n, where S_k holds by Amitsur-Levitzki.  The re-sweep,
+  and each witness, may take ``algebra.SWEEP_WORK_CAP``; past it the
+  check is inconclusive (``CheckInconclusive``);
 - unipotent-radical: the embedded radical is exactly the kernel of the
   trace form Tr(xy) on that algebra (characteristic 0 or p > n), and
   the membership verdicts follow.  That kernel is an ideal, Tr being
@@ -48,10 +50,9 @@ import hashlib
 import json
 import os
 import tempfile
-from itertools import combinations
 
 from . import __version__
-from .algebra import standard_identity_eval
+from .algebra import SweepCapExceeded, standard_identity_eval, standard_identity_sweep
 from .linalg import (Flag, Matrix, RowSpan, Subspace, fixed_space, flag_drops, flat, kernel,
                      quotient_action, rref)
 from .repfile import matrix_from_rows, matrix_to_rows, representation_to_dict
@@ -165,6 +166,8 @@ def check_certificate(rep: Representation, cert: dict) -> str:
         return checker(rep, result, payload)
     except CertificateError:
         raise
+    except SweepCapExceeded as e:
+        raise CheckInconclusive(str(e)) from None
     except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as e:
         raise CertificateError(f"malformed certificate payload: {e}") from e
 
@@ -292,8 +295,7 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     # every subalgebra of M_n satisfies S_2n (Amitsur-Levitzki); below it,
     # S_k is multilinear and alternating, so the basis subsets decide it
     if type(minimal) is not int or minimal != 2 * rep.dim:
-        _require(all(standard_identity_eval(minimal, [basis[i] for i in combo]).is_zero()
-                     for combo in combinations(range(len(basis)), minimal)),
+        _require(standard_identity_sweep(basis, minimal) is None,
                  "claimed minimal degree fails a re-sweep")
     return f"standard identity of degree {minimal} verified"
 

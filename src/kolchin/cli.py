@@ -6,7 +6,10 @@ and optionally emit a machine-checkable certificate with --cert.
 Exit codes: 0 the property holds, 1 usage, parse, arithmetic or file
 error, 2 the property fails (a witness is printed), 3 inconclusive (a
 cap, a characteristic restriction or the recursion limit got in the
-way).
+way).  A standard-identity sweep that would take more than
+algebra.SWEEP_WORK_CAP scalar multiplications (n^3 per n x n product)
+is cut: pi-check and check-cert then exit 3, and pi-check writes no
+certificate.
 
 Default caps honour the environment variables KOLCHIN_DEPTH_CAP,
 KOLCHIN_ELEMENT_CAP, KOLCHIN_WORD_LENGTH_CAP and KOLCHIN_SAMPLE_BUDGET,
@@ -22,7 +25,7 @@ import functools
 import os
 import sys
 
-from .algebra import CharacteristicTooSmallError, minimal_standard_degree
+from .algebra import CharacteristicTooSmallError, SweepCapExceeded, minimal_standard_degree
 from .certificates import (
     ENGEL_CHECK_STEPS,
     CertificateError,
@@ -244,7 +247,11 @@ def cmd_pi_check(rep, args) -> int:
         return USAGE_ERROR
     alg = rep.enveloping().algebra
     print(f"enveloping algebra dimension: {alg.dim}")
-    witnesses, minimal = minimal_standard_degree(alg, args.max_degree)
+    try:
+        witnesses, minimal = minimal_standard_degree(alg, args.max_degree)
+    except SweepCapExceeded as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return INCONCLUSIVE
     for k, combo in witnesses.items():
         print(f"standard identity of degree {k}: witness at basis tuple {combo}")
     payload = {

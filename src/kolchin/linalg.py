@@ -9,11 +9,12 @@ A matrix is integer rows over one positive common denominator,
 reduced by their gcd (over F_p: residues over 1), so products, sums
 and eliminations run on ``int`` only.  What differs between the fields
 lives in one kernel object per field, chosen when a matrix is built.
-A square product up to 8 x 8 is one call: ``Matrix.__mul__`` reads the
-straight-line kernel for its size from the field kernel's table (built
-the first time that size is multiplied over that field, never at
-import) and gets the canonical rows and denominator back.  Rectangular
-and empty products, and larger squares, take a generic comprehension.
+A square product is one call: ``Matrix.__mul__`` and the commutator
+walks alike read the product for its size from the field kernel's table
+(built the first time that size is multiplied over that field, never
+at import) and get the canonical rows and denominator back.  Up to
+8 x 8 it is a straight-line kernel; larger squares, and rectangular
+and empty products, take a generic comprehension.
 Row reduction over Q is fraction-free (Bareiss) Gauss-Jordan; over F_p
 it is plain Gauss-Jordan.
 
@@ -105,16 +106,23 @@ def _square_product(n: int, p: int | None):
 
 
 class _SquareProducts(dict):
-    """Size n -> ``_square_product(n, p)`` for one field, built at the
-    first product of that size and never at import; None for the sizes
-    that take the generic comprehension (0 and above
-    ``SQUARE_PRODUCT_MAX``)."""
+    """Size n -> the n x n product ``product(A, B, den)`` of one field
+    kernel, built at the first product of that size and never at
+    import: ``_square_product(n, p)`` up to ``SQUARE_PRODUCT_MAX``, the
+    kernel's generic comprehension above it (and at n = 0)."""
 
-    def __init__(self, p: int | None):
-        self.p = p
+    def __init__(self, kernel: "_Kernel"):
+        self.kernel = kernel
 
     def __missing__(self, n: int):
-        f = self[n] = _square_product(n, self.p) if 0 < n <= SQUARE_PRODUCT_MAX else None
+        if 0 < n <= SQUARE_PRODUCT_MAX:
+            f = _square_product(n, self.kernel.p)
+        else:
+            generic = self.kernel.product
+
+            def f(A, B, den):
+                return generic(A, B, n, den)
+        self[n] = f
         return f
 
 
@@ -125,7 +133,7 @@ class _Kernel:
 
     def __init__(self, field: Field):
         self.field, self.p = field, field.p
-        self.squares = _SquareProducts(field.p)
+        self.squares = _SquareProducts(self)
 
     def coerce(self, rows):
         """Canonical (ints, den) of rows of field scalars."""
@@ -246,6 +254,14 @@ def _kernel(p: int | None) -> _Kernel:
     return _Rationals(Field()) if p is None else _Residues(Field(p))
 
 
+def square_product(field: Field, n: int):
+    """The n x n product over ``field`` on canonical row pairs, the one
+    ``Matrix.__mul__`` calls: ``product(A, B, den)`` returns the
+    canonical ``(ints, den)`` of ``A * B / den``, for A and B the
+    ``ints`` of two n x n matrices and den the product of their ``den``."""
+    return _kernel(field.p).squares[n]
+
+
 @cache
 def _identity_rows(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -294,6 +310,12 @@ class Matrix:
         return cls._new(k, *k.canon(ints, den), ncols)
 
     @classmethod
+    def from_canonical(cls, field: Field, ints: tuple, den: int) -> "Matrix":
+        """Trusted: the square matrix ``ints / den`` for a pair already in
+        canonical form, as a ``square_product`` returns it."""
+        return cls._new(_kernel(field.p), ints, den, len(ints))
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls._new(_kernel(field.p), _identity_rows(n), 1, n)
 
@@ -330,13 +352,11 @@ class Matrix:
         if k is not other._k or n != other.nrows:
             raise ValueError("shape or field mismatch in product")
         if self.nrows == n == other.ncols:
-            square = k.squares[n]
-            if square is not None:
-                # Matrix._new inlined: products are the hottest constructor
-                m = object.__new__(Matrix)
-                m._k, m.nrows, m.ncols = k, n, n
-                m.ints, m.den = square(self.ints, other.ints, self.den * other.den)
-                return m
+            # Matrix._new inlined: products are the hottest constructor
+            m = object.__new__(Matrix)
+            m._k, m.nrows, m.ncols = k, n, n
+            m.ints, m.den = k.squares[n](self.ints, other.ints, self.den * other.den)
+            return m
         ints, den = k.product(self.ints, other.ints, other.ncols, self.den * other.den)
         return Matrix._new(k, ints, den, other.ncols)
 
@@ -729,13 +749,13 @@ def assemble_flag_basis(f: Flag) -> Matrix:
 
     Rows list a basis of W_1 first, then extend step by step; with the
     right action v -> v * g, conjugating by this matrix puts any flag-
-    compatible generator into triangular form.
+    compatible generator into triangular form.  It is invertible with
+    no further test: each picked row grew the span, so the rows are
+    independent, and they span the last step, which ``Flag`` requires
+    to be V.
     """
     span = RowSpan(f.field, f.ambient_dim)
     picked = [Matrix.from_ints(f.field, [ints], step.basis.den, f.ambient_dim)
               for step in f.steps[1:] for ints in step.basis.ints if span.absorb(ints)]
     # a zero-dimensional space picks no rows, and its stack still needs a width
-    m = Matrix.vstack(picked or [Matrix.zero(f.field, 0, f.ambient_dim)])
-    if m.nrows != f.ambient_dim or rref(m).rank != f.ambient_dim:
-        raise ValueError("malformed flag: assembled basis is not invertible")
-    return m
+    return Matrix.vstack(picked or [Matrix.zero(f.field, 0, f.ambient_dim)])

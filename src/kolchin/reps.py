@@ -32,6 +32,7 @@ from .linalg import (
     Subspace,
     assemble_flag_basis,
     preimage,
+    square_product,
 )
 
 
@@ -444,24 +445,26 @@ def kaloujnine_class_check(
     is the plain commute test c g == g c.  An inverse [c, g]^-1 is built
     only when the next step is not trivial.  So the pool carries
     inverses only from degree 3 on, and at degree 3 a sample takes at
-    most five products.
+    most five products.  The pool is kept as row pairs, and the walks
+    run on them with the field's square product.
     """
     if degree < 1 or sample_budget < 1 or word_length_cap < 1:
         raise ValueError("degree, sample budget and word length cap must be at least 1")
-    from .words import Word, _first_trivial_step, evaluate_word, random_word
+    from .words import RowPair, Word, _first_trivial_step, _pair, evaluate_word, random_word
 
     rng = random.Random(seed)
     pool: list[Word] = []
-    mats: list[tuple[Matrix, Matrix | None]] = []
+    pairs: list[tuple[RowPair, RowPair | None]] = []
     for _ in range(KALOUJNINE_POOL):
         w = random_word(rng, rep.names, word_length_cap)
         pool.append(w)
-        mats.append((evaluate_word(rep, w),
-                     evaluate_word(rep, w.inverse()) if degree > 2 else None))
+        pairs.append((_pair(evaluate_word(rep, w)),
+                      _pair(evaluate_word(rep, w.inverse())) if degree > 2 else None))
+    one, square = _pair(rep.identity()), square_product(rep.field, rep.dim)
     for _ in range(sample_budget):
         picks = [rng.randrange(KALOUJNINE_POOL) for _ in range(degree)]
-        c, c_inverse = mats[picks[0]]
-        if not c.is_identity() and _first_trivial_step(
-                c, lambda: c_inverse, [mats[t] for t in picks[1:]]) is None:
+        c, c_inverse = pairs[picks[0]]
+        if c != one and _first_trivial_step(
+                square, c, lambda: c_inverse, [pairs[t] for t in picks[1:]]) is None:
             return tuple(pool[t] for t in picks)
     return None

@@ -9,17 +9,22 @@ class, so its memory is linear in the order.
 Commutator convention, used everywhere: [x, g] = x^-1 g^-1 x g, and
 left-normed iteration [[x, g], g], ...  Probes return None rather than
 guessing when a cap is exhausted.
+
+Word products and commutator walks run on row pairs (ints, den), the
+canonical form a ``Matrix`` stores, multiplied by the field kernel's
+``square_product``, the function ``Matrix.__mul__`` calls too; a k-letter
+word still takes k - 1 products.  A ``Matrix`` is built only for the
+value ``evaluate_word`` returns and for the element-table lookups of
+``algebraic_element_probe``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, square_product
 
 if TYPE_CHECKING:
     from .reps import Representation
@@ -80,13 +85,26 @@ class Word:
         return " ".join(name if e == 1 else f"{name}^-1" for name, e in self.letters)
 
 
+# a matrix as the canonical (ints, den) pair it stores
+RowPair = tuple[tuple[tuple[int, ...], ...], int]
+
+
+def _pair(m: Matrix) -> RowPair:
+    return m.ints, m.den
+
+
 def evaluate_word(rep: "Representation", w: Word) -> Matrix:
-    """Product of generator matrices and inverses in word order: k - 1
-    products for k letters, and the identity for the empty word."""
+    """Product of generator matrices and inverses in word order, folded
+    on row pairs: k - 1 products for k letters, and the identity for the
+    empty word."""
     if not w.letters:
         return rep.identity()
     mats = [rep.generator(name) if e == 1 else rep.inverse(name) for name, e in w.letters]
-    return reduce(mul, mats)
+    square = square_product(rep.field, rep.dim)
+    ints, den = mats[0].ints, mats[0].den
+    for m in mats[1:]:
+        ints, den = square(ints, m.ints, den * m.den)
+    return Matrix.from_canonical(rep.field, ints, den)
 
 
 def random_word(rng: random.Random, names: Sequence[str], max_len: int) -> Word:
@@ -158,9 +176,10 @@ def enumerate_elements(
 
 
 def _commutator_step(
-    c: Matrix, c_inverse: Callable[[], Matrix], g: Matrix, g_inverse: Matrix
-) -> tuple[Matrix, Callable[[], Matrix]] | None:
-    """One step c <- [c, g] of a left-normed walk, in conjugate form:
+    square, c: RowPair, c_inverse: Callable[[], RowPair], g: RowPair, g_inverse: RowPair
+) -> tuple[RowPair, Callable[[], RowPair]] | None:
+    """One step c <- [c, g] of a left-normed walk on row pairs, in
+    conjugate form, with ``square`` the field's ``square_product``:
     None when [c, g] = 1, else [c, g] and a function that builds its
     inverse.
 
@@ -172,18 +191,28 @@ def _commutator_step(
     returned builds it when called: by the next step, and only if that
     step is not trivial.
     """
-    h = g_inverse * (c * g)
+    (c_ints, c_den), (g_ints, g_den), (gi_ints, gi_den) = c, g, g_inverse
+    cg, cg_den = square(c_ints, g_ints, c_den * g_den)
+    h = square(gi_ints, cg, gi_den * cg_den)
     if h == c:
         return None
-    ci = c_inverse()
-    return ci * h, lambda: g_inverse * ci * g * c
+    ci, ci_den = c_inverse()
+
+    def inverse() -> RowPair:
+        t, t_den = square(gi_ints, ci, gi_den * ci_den)
+        t, t_den = square(t, g_ints, t_den * g_den)
+        return square(t, c_ints, t_den * c_den)
+
+    return square(ci, h[0], ci_den * h[1]), inverse
 
 
 def _first_trivial_step(
-    c: Matrix, c_inverse: Callable[[], Matrix], steps: Sequence[tuple[Matrix, Matrix | None]]
+    square, c: RowPair, c_inverse: Callable[[], RowPair],
+    steps: Sequence[tuple[RowPair, RowPair | None]],
 ) -> int | None:
-    """The first k at which the left-normed walk c <- [c, g_k] reaches
-    1, for ``steps`` the pairs (g_k, g_k^-1); None if it never does.
+    """The first k at which the left-normed walk c <- [c, g_k] on row
+    pairs reaches 1, for ``steps`` the pairs (g_k, g_k^-1); None if it
+    never does.
 
     Every step but the last is a conjugate-form ``_commutator_step``.
     The last step is read only for whether it is trivial, so it is the
@@ -193,19 +222,33 @@ def _first_trivial_step(
     if not steps:
         return None
     for k, (g, g_inverse) in enumerate(steps[:-1], 1):
-        step = _commutator_step(c, c_inverse, g, g_inverse)
+        step = _commutator_step(square, c, c_inverse, g, g_inverse)
         if step is None:
             return k
         c, c_inverse = step
-    g = steps[-1][0]
-    return len(steps) if c * g == g * c else None
+    (g_ints, g_den), (c_ints, c_den) = steps[-1][0], c
+    den = c_den * g_den
+    return len(steps) if square(c_ints, g_ints, den) == square(g_ints, c_ints, den) else None
+
+
+def _walk_operands(g: Matrix, x: Matrix):
+    """The square product of the walk of x under g, refusing operands
+    that are not square of one size over one field."""
+    if not (g.nrows == g.ncols == x.nrows == x.ncols and g.field == x.field):
+        raise ValueError("g and x must be square of one size over one field")
+    return square_product(g.field, g.nrows)
 
 
 def nil_index_probe(g: Matrix, x: Matrix, depth_cap: int = DEFAULT_DEPTH_CAP) -> int | None:
-    """First depth where the iterated commutator with g reaches 1, or None."""
+    """First depth where the iterated commutator with g reaches 1, or
+    None.  At depth cap 1 the walk is one commute test, so g^-1 is built
+    only for a larger cap."""
     if depth_cap < 1:
         raise ValueError("depth cap must be at least 1")
-    return _first_trivial_step(x, x.inverse, [(g, g.inverse())] * depth_cap)
+    square = _walk_operands(g, x)
+    g_inverse = _pair(g.inverse()) if depth_cap > 1 else None
+    return _first_trivial_step(square, _pair(x), lambda: _pair(x.inverse()),
+                               [(_pair(g), g_inverse)] * depth_cap)
 
 
 def engel_probe(
@@ -226,13 +269,14 @@ def engel_probe(
     if n < 1 or sample_budget < 1 or length_cap < 1:
         raise ValueError("depth, sample budget and word length cap must be at least 1")
     rng = random.Random(seed)
+    square = square_product(rep.field, rep.dim)
     for _ in range(sample_budget):
         wx = random_word(rng, rep.names, length_cap)
         wy = random_word(rng, rep.names, length_cap)
-        y = evaluate_word(rep, wy)
-        steps = [(y, evaluate_word(rep, wy.inverse()) if n > 1 else None)] * n
-        if _first_trivial_step(evaluate_word(rep, wx), lambda: evaluate_word(rep, wx.inverse()),
-                               steps) is None:
+        y = _pair(evaluate_word(rep, wy))
+        steps = [(y, _pair(evaluate_word(rep, wy.inverse())) if n > 1 else None)] * n
+        if _first_trivial_step(square, _pair(evaluate_word(rep, wx)),
+                               lambda: _pair(evaluate_word(rep, wx.inverse())), steps) is None:
             return (wx, wy)
     return None
 
@@ -254,16 +298,20 @@ def algebraic_element_probe(
 
     if depth_cap < 1 or element_cap < 1:
         raise ValueError("caps must be at least 1")
-    field = g.field
+    square, field = _walk_operands(g, x), g.field
     table = {Matrix.identity(field, g.nrows)}
     sub_gens: list[Matrix] = []
-    c, c_inverse, g_inverse = x, x.inverse, g.inverse()
+    c, c_inverse = _pair(x), lambda: _pair(x.inverse())
+    g_pair, g_inverse = _pair(g), _pair(g.inverse())
     for k in range(1, depth_cap + 1):
-        step = _commutator_step(c, c_inverse, g, g_inverse)
-        if step is None or step[0] in table:
+        step = _commutator_step(square, c, c_inverse, g_pair, g_inverse)
+        if step is None:
             return k
         c, c_inverse = step
-        sub_gens.append(c)
+        m = Matrix.from_canonical(field, *c)
+        if m in table:
+            return k
+        sub_gens.append(m)
         rep = Representation(field, [(f"c{i}", m) for i, m in enumerate(sub_gens)])
         table = enumerate_elements(rep, element_cap).elements
     return None

@@ -866,11 +866,13 @@ def test_check_cert_forged_radicals_are_not_the_trace_form_kernel(rep, kind, tmp
     assert "not the trace-form kernel" in err and "Traceback" not in err
 
 
-def _cycle_and_diagonal(tmp_path, n):
-    # the n-cycle and diag(1, ..., n) generate the whole algebra M_n
-    path = tmp_path / f"m{n}.json"
+def _cycle_and_diagonal(tmp_path, n, fixed=0):
+    # the (n - fixed)-cycle, fixing the last ``fixed`` coordinates, and
+    # diag(1, ..., n) generate M_(n - fixed) plus the diagonal of F^fixed
+    c = n - fixed
+    path = tmp_path / f"m{c}_{fixed}.json"
     path.write_text(json.dumps({"field": "Q", "dim": n, "generators": {
-        "a": [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)],
+        "a": [[int(j == ((i + 1) % c if i < c else i)) for j in range(n)] for i in range(n)],
         "b": [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]}}))
     return str(path)
 
@@ -892,6 +894,45 @@ def test_pi_check_takes_degree_2n_from_amitsur_levitzki(n, budget, tmp_path, cap
     bad = _edited(cert, tmp_path, lambda d: d["payload"]["witnesses"].pop(str(2 * n - 1)))
     assert main(["check-cert", path, bad]) == 2
     assert f"no degree-{2 * n - 1} witness" in capsys.readouterr().err
+
+
+def test_pi_sweeps_past_the_sweep_cap_are_inconclusive(tmp_path, capsys):
+    # M_5 + F (dimension 26) satisfies S_10 and has 2n = 12, so proving S_10
+    # would sweep all C(26, 10) basis subsets: pi-check and the re-sweep of
+    # check-cert each stop at the product cap with exit 3
+    path, cert = _cycle_and_diagonal(tmp_path, 6, fixed=1), tmp_path / "pi.json"
+    start = time.perf_counter()
+    assert main(["pi-check", path, "--max-degree", "12", "--cert", str(cert)]) == 3
+    assert time.perf_counter() - start < 60
+    err = capsys.readouterr().err
+    assert "degree-10 standard identity sweep needs more than 2,000,000 products of 6 x 6" in err
+    assert not cert.exists()
+    # a true claim: the witnesses pi-check --max-degree 9 finds, and S_10
+    rep = load_representation(path)
+    witnesses = [[0, 1], [0, 1, 5], [0, 1, 2, 5], [0, 1, 2, 5, 10], [0, 1, 2, 3, 5, 10],
+                 [0, 1, 2, 3, 5, 10, 15], [0, 1, 2, 3, 4, 5, 10, 15],
+                 [0, 1, 2, 3, 4, 5, 10, 15, 20]]
+    cert.write_text(json.dumps(make_certificate("pi-check", rep, "degree-found", {
+        "algebra_basis": [matrix_to_rows(b) for b in rep.enveloping().algebra.basis],
+        "witnesses": {str(len(w)): w for w in witnesses},
+        "minimal_degree": 10, "max_degree": 12})))
+    start = time.perf_counter()
+    assert main(["check-cert", path, str(cert)]) == 3
+    assert time.perf_counter() - start < 60
+    assert "inconclusive: the degree-10 standard identity sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("products", [0, 5])
+def test_sweep_cap_cuts_pi_check_and_its_checker(products, capsys):
+    # Heisenberg's sweeps and its golden certificate's witnesses and
+    # re-sweep take a few dozen 3 x 3 products (27 each): cut at a tiny
+    # cap, all exit 3
+    with mock.patch.object(algebra, "SWEEP_WORK_CAP", products * 27 + 26):
+        assert main(["pi-check", GOLDEN_HEIS, "--max-degree", "6"]) == 3
+        assert main(["check-cert", GOLDEN_HEIS, _golden_cert(GOLDEN_HEIS, "pi")]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"needs more than {products:,} products of 3 x 3") == 2
+    assert "Traceback" not in err
 
 
 def test_check_cert_pi_degree_below_the_true_one_fails_a_resweep(tmp_path, capsys):

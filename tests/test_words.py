@@ -28,6 +28,7 @@ from kolchin import (
     unitriangular_degree,
 )
 from kolchin import reps
+from kolchin.linalg import SQUARE_PRODUCT_MAX, _kernel, square_product
 from kolchin.words import MAX_WORD_LETTERS, conjugacy_classes, random_word
 from corpus import heisenberg, unit_matrix
 
@@ -191,6 +192,12 @@ def test_nil_index_probe_examples():
     g = Matrix(QQ, [[2, 0], [0, 1]])
     x = Matrix(QQ, [[1, 1], [0, 1]])
     assert nil_index_probe(g, x, depth_cap=10) is None
+    # the walk runs on rows, so operands of two sizes or fields are refused first
+    for other in (a, Matrix(GF(3), [[1, 1], [0, 1]])):
+        with pytest.raises(ValueError, match="square of one size over one field"):
+            nil_index_probe(other, x)
+        with pytest.raises(ValueError, match="square of one size over one field"):
+            algebraic_element_probe(g, other)
 
 
 def test_engel_probe():
@@ -551,12 +558,13 @@ def reference_algebraic(g, x, depth_cap, element_cap):
 
 
 @st.composite
-def walk_groups(draw):
+def walk_groups(draw, primes=(None, 2, 3, 5), sizes=st.integers(2, 3)):
     """One or two conjugated triangular generators over Q (with fraction
-    entries) or F_p, unipotent or not."""
-    p = draw(st.sampled_from((None, 2, 3, 5)))
+    entries, ``p`` None) or F_p, for p drawn from ``primes`` and the size
+    from ``sizes``, unipotent or not."""
+    p = draw(st.sampled_from(primes))
     field = QQ if p is None else GF(p)
-    n = draw(st.integers(2, 3))
+    n = draw(sizes)
     if p is None:
         entry = st.fractions(-3, 3, max_denominator=4)
         unit = st.sampled_from((2, -1, Fraction(1, 2)))
@@ -624,10 +632,43 @@ def test_walk_edge_cases_match_their_references(rep):
     assert assert_walks_match(rep, 3, 3, seed, 2) == (None, None)
 
 
-def count_products(call, *args):
-    """The result of ``call(*args)`` and the number of matrix products it took."""
-    with mock.patch.object(Matrix, "__mul__", autospec=True,
-                           side_effect=Matrix.__mul__) as product:
+@pytest.mark.parametrize("p", [None, 2, 7, 2**61 - 1], ids=["Q", "F2", "F7", "F(2^61-1)"])
+@pytest.mark.parametrize("sizes", [st.integers(1, SQUARE_PRODUCT_MAX),
+                                   st.just(SQUARE_PRODUCT_MAX + 1)], ids=["straight", "generic"])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_row_walks_match_their_references_at_every_size(p, sizes, data):
+    # sizes 1..9: the walks run on the square product of each size, the
+    # straight-line one up to SQUARE_PRODUCT_MAX and the generic one above
+    rep = data.draw(walk_groups((p,), sizes))
+    degree, depth, seed = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
+                           data.draw(st.integers(0, 999)))
+    assert kaloujnine_class_check(rep, degree, 10, 3, seed) == \
+        reference_kaloujnine(rep, degree, 10, 3, seed)
+    assert engel_probe(rep, depth, 6, 3, seed) == reference_engel(rep, depth, 6, 3, seed)
+    rng = random.Random(seed)
+    x, g = (evaluate_word(rep, random_word(rng, rep.names, 3)) for _ in range(2))
+    assert nil_index_probe(g, x, depth) == reference_nil_index(g, x, depth)
+
+
+def test_nil_index_probe_inverts_g_only_above_depth_cap_one():
+    # at depth cap 1 the walk is one commute test; at 2 it inverts g, and
+    # x too since the first step of the Heisenberg walk is not trivial
+    a, b = heisenberg().generator("a"), heisenberg().generator("b")
+    for cap, expected, inversions in ((1, None, 0), (2, 2, 2)):
+        with mock.patch.object(Matrix, "inverse", autospec=True,
+                               side_effect=Matrix.inverse) as inverse:
+            index = nil_index_probe(a, b, cap)
+        assert inverse.call_count == inversions
+        assert index == expected == reference_nil_index(a, b, cap)
+
+
+def count_products(rep, call, *args):
+    """The result of ``call(*args)`` and the number of square products it
+    took at ``rep``'s size and field: calls of the kernel's product
+    function, which matrix products and row walks share."""
+    product = mock.Mock(side_effect=square_product(rep.field, rep.dim))
+    with mock.patch.dict(_kernel(rep.field.p).squares, {rep.dim: product}):
         result = call(*args)
     return result, product.call_count
 
@@ -645,7 +686,7 @@ def pool_products(rep, degree, length_cap, seed):
 def test_evaluate_word_takes_one_product_per_letter_after_the_first():
     rep = heisenberg()
     for text, products in (("1", 0), ("a", 0), ("a b", 1), ("a a^-1", 1), ("a b^-1 a b a", 4)):
-        m, count = count_products(evaluate_word, rep, Word.parse(text))
+        m, count = count_products(rep, evaluate_word, rep, Word.parse(text))
         assert count == products and m == reference_evaluate_word(rep, Word.parse(text))
 
 
@@ -655,7 +696,7 @@ def test_kaloujnine_abelian_samples_take_one_commute_test():
                               "b": unit_matrix(QQ, 3, 0, 2) + Matrix.identity(QQ, 3)})
     for degree in (2, 3, 4):
         pool, picks = pool_products(rep, degree, 4, degree)
-        result, count = count_products(kaloujnine_class_check, rep, degree, 50, 4, degree)
+        result, count = count_products(rep, kaloujnine_class_check, rep, degree, 50, 4, degree)
         assert result is None
         assert count - pool == 2 * sum(not p[0].is_identity() for p in picks)
 
@@ -672,7 +713,7 @@ def assert_class_two_samples_build_no_inverse(degree):
     for c, g, *_ in picks:
         if not c.is_identity():
             expected += 2 if c * g == g * c else 5
-    result, count = count_products(kaloujnine_class_check, rep, degree, 50, 4, 9)
+    result, count = count_products(rep, kaloujnine_class_check, rep, degree, 50, 4, 9)
     assert result is None and count - pool == expected
     assert any(c * g != g * c for c, g, *_ in picks)
 
