@@ -194,20 +194,19 @@ class Ideal:
     representatives, the reshaped basis rows of ``span``.
 
     ``generators`` generate the ideal as a right ideal, I = sum of the
-    s*A: the kept seeds of ``ideal_closure``, or the basis when the
-    constructor built the ideal (each b*A lies in I and holds b).  The
-    power chain multiplies by them.
-    ``nilpotency_index`` is kept by the first power chain that reaches
-    zero, so later readers need not run one; None until then.
+    s*A: the kept seeds of ``ideal_closure``, or the basis otherwise
+    (each b*A lies in I and holds b).  The power chain multiplies by them.
+    ``nilpotency_index`` runs one power chain on its first read and
+    keeps what it found.
     """
 
-    __slots__ = ("parent", "span", "generators", "nilpotency_index")
+    __slots__ = ("parent", "span", "generators", "_index")
 
     def __init__(self, parent: AlgebraBasis, space: Subspace):
         if space.ambient_dim != parent.dim or space.field != parent.field:
             raise ValueError("ideal coordinates do not match the parent algebra")
         flat_rows = space.basis * parent.span.basis
-        self.parent, self.nilpotency_index = parent, None
+        self.parent = parent
         self.span = Subspace._spanned(parent.field, parent.matrix_size ** 2, flat_rows.ints)
         self.generators = self.matrices
         self._check_ideal()
@@ -216,12 +215,19 @@ class Ideal:
     def _of_span(cls, parent: AlgebraBasis, span: Subspace, generators: Sequence[Matrix]) -> "Ideal":
         # an ideal from its canonical flattened span and its right-ideal generators
         i = object.__new__(cls)
-        i.parent, i.span, i.generators, i.nilpotency_index = parent, span, tuple(generators), None
+        i.parent, i.span, i.generators = parent, span, tuple(generators)
         return i
 
     @property
     def matrices(self) -> tuple[Matrix, ...]:
         return _matrices(self.span, self.parent.matrix_size)
+
+    @property
+    def nilpotency_index(self) -> int | None:
+        """Least k with I^k = 0, or None when the powers stabilise above 0."""
+        if not hasattr(self, "_index"):
+            self._index = ideal_power_chain(self.parent, self)[1]
+        return self._index
 
     def _check_ideal(self):
         inside, residual = self.parent.span._residual, self.span._residual
@@ -288,7 +294,7 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
     Returns (chain, nilpotency_index): the chain holds the spans of the
     powers in F^(n^2), as ``Ideal.span`` does; the index is None when
     the chain stabilises at a nonzero space.  The zero ideal has index 1.
-    An index found is kept on ``i.nilpotency_index``.
+    It writes nothing; ``Ideal.nilpotency_index`` keeps the index it reads.
 
     Each step multiplies the generators s of I on the left: I is the
     sum of the s*A, and A*I^k = I^k, so I^(k+1) = I * I^k is the sum of
@@ -299,7 +305,6 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
         raise ValueError("ideal does not belong to the algebra")
     chain = [i.span]
     if i.is_zero():
-        i.nilpotency_index = 1
         return chain, 1
     current = i.matrices
     while True:
@@ -310,7 +315,6 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
         space = span.to_subspace()
         chain.append(space)
         if space.is_zero():
-            i.nilpotency_index = len(chain)
             return chain, len(chain)
         if space == chain[-2]:
             return chain, None
@@ -323,7 +327,9 @@ def trace_radical(a: AlgebraBasis) -> Ideal:
     Valid in characteristic 0 or p > matrix size; smaller prime fields
     are rejected because the trace criterion is unsound there.  The
     Gram matrix is one product, as Tr(xy) = flat(x) . flat(y transposed).
-    The kernel is nilpotent (Tr(x^k) = 0); its power chain keeps the index.
+    No check runs: Tr(axy) = Tr(xya) makes the kernel a two-sided ideal,
+    and Tr(x^k) = 0 for all k makes each x in it nilpotent when p = 0 or
+    p > n, so the kernel is a nilpotent ideal.
     """
     p = a.field.characteristic()
     if 0 < p <= a.matrix_size:
@@ -333,10 +339,9 @@ def trace_radical(a: AlgebraBasis) -> Ideal:
     n, fb = a.matrix_size, a.span.basis
     swapped = Matrix.from_ints(a.field, [[r[(c % n) * n + c // n] for c in range(n * n)]
                                          for r in fb.ints], fb.den, n * n)
-    space = kernel(fb * swapped.transpose())
-    rad = Ideal(a, space)
-    ideal_power_chain(a, rad)
-    return rad
+    flat_rows = kernel(fb * swapped.transpose()).basis * fb
+    span = Subspace._spanned(a.field, n * n, flat_rows.ints)
+    return Ideal._of_span(a, span, _matrices(span, n))
 
 
 def standard_identity_eval(k: int, mats: Sequence[Matrix],

@@ -11,7 +11,8 @@ algorithm that made it:
   vectors x (h_1-1)...(h_n-1) in V is zero;
 - an identity witness of length n: exactly n generator names whose
   difference product is nonzero, and outside the trace-form radical
-  when the identity was checked modulo the radical;
+  when the identity was checked modulo the radical; past
+  ``ENGEL_CHECK_STEPS`` names the check is inconclusive;
 - a not-unipotent obstruction: the checker rebuilds the chain of
   common fixed spaces on the quotient matrices, not in V as the flag
   algorithm works; the chain must stop short of V, at the claimed
@@ -61,9 +62,9 @@ from .words import Word, evaluate_word
 
 CERT_FORMAT = "kolchin.certificate/1"
 FLAG_DROP_FAILS = "flag drop fails: a generator difference leaves a step boundary"
-# steps of an Engel counterexample's or a nil index's walk the checker
-# takes at most; over Q the entries of a walk that never repeats grow by
-# a few bits a step, and 1,000 steps take about 0.3 s at n = 3
+# steps of an Engel or nil walk, or factors of an identity witness, the
+# checker takes at most; over Q the entries of a walk that never repeats
+# grow by a few bits a step, and 1,000 steps take about 0.3 s at n = 3
 ENGEL_CHECK_STEPS = 1000
 
 
@@ -247,6 +248,9 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
         _require(isinstance(names, list) and len(names) == n
                  and all(name in rep.names for name in names),
                  f"witness must list exactly {n} generator names")
+        if n > ENGEL_CHECK_STEPS:
+            raise CheckInconclusive(f"identity length {n} is above the cap of "
+                                    f"{ENGEL_CHECK_STEPS} steps")
         prod = one
         for name in names:
             prod = prod * (rep.generator(name) - one)
@@ -336,12 +340,9 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
             _require(type(depth) is int and depth >= 1, "Engel depth must be a positive integer")
             x = evaluate_word(rep, Word.parse(payload["counterexample"][0]))
             y = evaluate_word(rep, Word.parse(payload["counterexample"][1]))
-            yi = y.inverse()
-            # c <- [c, y] from the definition; once c repeats, the walk
-            # cycles through values already seen, none of them 1
-            c, seen = x, {x}
-            for _ in range(min(depth, ENGEL_CHECK_STEPS)):
-                c = c.inverse() * yi * c * y
+            # once c repeats, the walk cycles through values already seen, none of them 1
+            seen = {x}
+            for c in _commutator_walk(x, y, min(depth, ENGEL_CHECK_STEPS)):
                 _require(not c.is_identity(), "claimed Engel counterexample is trivial")
                 if c in seen:
                     break
@@ -380,13 +381,20 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
     return f"probe report accepted (evidence only, kind {kind})"
 
 
+def _commutator_walk(x: Matrix, y: Matrix, steps: int):
+    """The values of the first ``steps`` steps of the walk
+    c <- [c, y] = c^-1 y^-1 c y from x, computed from the definition."""
+    yi, c = y.inverse(), x
+    for _ in range(steps):
+        c = c.inverse() * yi * c * y
+        yield c
+
+
 def _first_trivial_nil_step(rep: Representation, payload: dict, steps: int) -> int | None:
-    """The first of ``steps`` steps at which the walk c <- [c, g] from x,
-    computed from the definition, reaches 1; None if none does."""
-    g, c = (evaluate_word(rep, Word.parse(payload[key])) for key in ("g", "x"))
-    gi = g.inverse()
-    for step in range(1, steps + 1):
-        c = c.inverse() * gi * c * g
+    """The first of ``steps`` steps at which the walk c <- [c, g] from x
+    reaches 1; None if none does."""
+    g, x = (evaluate_word(rep, Word.parse(payload[key])) for key in ("g", "x"))
+    for step, c in enumerate(_commutator_walk(x, g, steps), 1):
         if c.is_identity():
             return step
     return None

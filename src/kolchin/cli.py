@@ -9,7 +9,9 @@ cap, a characteristic restriction or the recursion limit got in the
 way).  A standard-identity sweep that would take more than
 algebra.SWEEP_WORK_CAP scalar multiplications (n^3 per n x n product)
 is cut: pi-check and check-cert then exit 3, and pi-check writes no
-certificate.
+certificate.  So is an identity-check --length above
+certificates.ENGEL_CHECK_STEPS = 1,000, before any sweep, and so is
+check-cert on a witness certificate of such a length.
 
 Default caps honour the environment variables KOLCHIN_DEPTH_CAP,
 KOLCHIN_ELEMENT_CAP, KOLCHIN_WORD_LENGTH_CAP and KOLCHIN_SAMPLE_BUDGET,
@@ -212,6 +214,10 @@ def cmd_identity_check(rep, args) -> int:
     if n < 1:
         print("--length must be at least 1", file=sys.stderr)
         return USAGE_ERROR
+    if n > ENGEL_CHECK_STEPS:
+        print(f"inconclusive: identity length {n} is above the cap of "
+              f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
+        return INCONCLUSIVE
     if args.lift_through_radical:
         try:
             env = rep.enveloping()

@@ -21,7 +21,6 @@ from .algebra import (
     Ideal,
     InternalInconsistencyError,
     ideal_closure,
-    ideal_power_chain,
     span_closure,
     trace_radical,
 )
@@ -119,7 +118,7 @@ class EnvelopingData:
     ``algebra`` is the span closure of the generators and the identity,
     closed by its spin.  The ideals are computed on first read and then
     kept: ``augmentation_ideal`` is the ideal closure of the g - 1, and
-    ``augmentation_index`` is its nilpotency index from one power chain,
+    ``augmentation_index`` is its ``nilpotency_index`` (one power chain),
     or None when the ideal is not nilpotent.  The ideal holds every
     g - 1, so it is nilpotent only if they are: a generator difference
     that is not nilpotent answers None with no closure and no chain.
@@ -133,10 +132,10 @@ class EnvelopingData:
     ``radical`` is the augmentation ideal when its index exists: the
     algebra is F*1 plus the augmentation ideal, so a nilpotent
     augmentation ideal has codimension 1 and is the whole radical.
-    Otherwise it is the kernel of the trace form.  Either route's power
-    chain leaves the radical its ``nilpotency_index``.  Over prime
-    fields with p <= n it raises CharacteristicTooSmallError on either
-    route, since the certificate checker has only the trace form there.
+    Otherwise it is the kernel of the trace form, built with no chain;
+    its index is computed on its first read.  Over prime fields with
+    p <= n it raises CharacteristicTooSmallError on either route, since
+    the certificate checker has only the trace form there.
     """
 
     def __init__(self, rep: Representation):
@@ -154,8 +153,7 @@ class EnvelopingData:
         one = Matrix.identity(self.algebra.field, self.algebra.matrix_size)
         if any(_nilpotency_index(g - one) is None for g in self.algebra.generators):
             return None
-        _, index = ideal_power_chain(self.algebra, self.augmentation_ideal)
-        return index
+        return self.augmentation_ideal.nilpotency_index
 
     @cached_property
     def radical(self) -> Ideal:
@@ -328,10 +326,10 @@ def unitriangular_degree(rep: Representation) -> int | None:
     The enveloping algebra acts faithfully on V, so the ideal's power
     chain hitting zero at index n is equivalent to the length-n
     identity x (y_1-1)...(y_n-1) = 0 holding for all group elements,
-    not just for generators.  The index is the one the enveloping data
-    keeps (``EnvelopingData.augmentation_index``), so the chain runs
-    once for this degree and the radical together, and not at all for a
-    group with a generator that is not unipotent.
+    not just for generators.  The index is the one the augmentation
+    ideal keeps (``EnvelopingData.augmentation_index``), so the chain
+    runs once for this degree and the radical together, and not at all
+    for a group with a generator that is not unipotent.
     """
     return rep.enveloping().augmentation_index
 
@@ -352,12 +350,12 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
     ``a1`` (checked; LiftHypothesisError carries the first failing
     tuple) and ``a1`` nilpotent of some index m.  The conclusion - all
     length-(m*n) products vanish - is verified through the product
-    spans before the bound is returned.  An index the ideal keeps (the
-    enveloping data's radical has one on either route) is reused.
+    spans before the bound is returned.  The index is the ideal's
+    ``nilpotency_index``, so a chain already run for it is not repeated.
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
-    m = a1.nilpotency_index or ideal_power_chain(a1.parent, a1)[1]
+    m = a1.nilpotency_index
     if m is None:
         raise ValueError("the ideal is not nilpotent")
     one = rep.identity()
@@ -398,11 +396,10 @@ class UnipotentRadical:
     The radical is ``EnvelopingData.radical``: the augmentation ideal
     when its power chain reaches zero (then every member is unipotent
     and the whole group is the subgroup), else the trace-form kernel.
-    Either route is a two-sided ideal (the closure loop proves one, the
-    ``Ideal`` constructor checks the other), and each g^-1 lies in the
-    algebra (Cayley-Hamilton), so the group conjugates it to itself: the
-    member set is normal.  Its nilpotency makes the members act
-    unitriangularly.
+    Either route is a two-sided ideal (the closure loop proves one, and
+    Tr(axy) = Tr(xya) the other), and each g^-1 lies in the algebra
+    (Cayley-Hamilton), so the group conjugates it to itself: the member
+    set is normal.  Its nilpotency makes the members act unitriangularly.
     """
 
     __slots__ = ("representation", "ideal")

@@ -25,6 +25,8 @@ is nilpotent; ``trace_radical`` is the reference for that route.
 """
 
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 from kolchin import (GF, QQ, AlgebraBasis, Ideal, Matrix, Representation, Subspace,
                      ideal_closure, ideal_power_chain, matrix_algebra, trace_radical,
                      upper_triangular_algebra)
+from kolchin import algebra, load_representation
 from kolchin.algebra import _matrices, span_closure
 from kolchin.linalg import kernel
 from kolchin.linalg import RowSpan, express_in_rows, flat
@@ -473,6 +476,37 @@ def test_radical_routes_match_the_trace_form(case):
         assert all(rad.contains(gi * r * g) and rad.contains(g * r * gi) for r in rad.matrices)
     _, index = ref_power_chain(env.algebra, ref_coordinate_space(env.algebra, rad.matrices))
     assert index is not None and rad.nilpotency_index == index
+
+
+def test_trace_radical_is_built_unchecked_and_reads_its_index_once():
+    # the Borel group is not unipotent, so its radical is the trace-form
+    # kernel: neither the checked constructor nor a chain runs until the
+    # index is read, and then one chain does
+    rep = load_representation(str(Path(__file__).parent / "golden" / "borel_frac.json"))
+    calls = []
+    real_init, real_chain = Ideal.__init__, algebra.ideal_power_chain
+
+    def init(self, *args):
+        calls.append("init")
+        real_init(self, *args)
+
+    def chain(*args):
+        calls.append("chain")
+        return real_chain(*args)
+
+    with mock.patch.object(Ideal, "__init__", init), \
+            mock.patch.object(algebra, "ideal_power_chain", chain):
+        env = rep.enveloping()
+        rad = env.radical
+        assert not rad.is_zero() and calls == []
+        index = rad.nilpotency_index
+        assert calls == ["chain"]
+        assert rad.nilpotency_index == index and calls == ["chain"]
+    with pytest.raises(AttributeError):
+        rad.nilpotency_index = index
+    assert rad.span == ref_radical_span(env.algebra)
+    _, ref_index = ref_power_chain(env.algebra, ref_coordinate_space(env.algebra, rad.matrices))
+    assert index == ref_index and index is not None
 
 
 def seed_matrices(draw, a):

@@ -23,7 +23,7 @@ from kolchin import (
     make_certificate,
     representation_digest,
 )
-from kolchin import algebra, reps, words
+from kolchin import algebra, words
 from kolchin.cli import main
 from kolchin.fields import Field
 from kolchin.linalg import Subspace, flat
@@ -325,10 +325,41 @@ def test_save_and_load(tmp_path):
 def test_cli_long_identity_check_has_no_traceback(tmp_path, capsys):
     path = tmp_path / "diag.json"
     path.write_text(json.dumps({"field": "Q", "dim": 2, "generators": {"a": [[2, 0], [0, 1]]}}))
-    assert main(["identity-check", str(path), "--length", "5000"]) == 2
-    assert main(["identity-check", str(path), "--length", "5000",
-                 "--lift-through-radical"]) == 2
+    # a - 1 is idempotent, so the sweep runs the whole length at the cap
+    for lift in ([], ["--lift-through-radical"]):
+        assert main(["identity-check", str(path), "--length", "1000", *lift]) == 2
+        assert main(["identity-check", str(path), "--length", "5000", *lift]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_identity_length_above_the_cap_is_inconclusive(tmp_path, capsys):
+    # over Q the live product's entries grow at every factor, so without
+    # the cap the sweep's time grows faster than the square of the length
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 2,
+                                "generators": {"a": [["1/1000003", 0], [0, 1]]}}))
+    cert = tmp_path / "cert.json"
+    for lift in ([], ["--lift-through-radical"]):
+        assert main(["identity-check", str(path), "--length", "1001",
+                     "--cert", str(cert), *lift]) == 3
+        assert "identity length 1001 is above the cap of 1000 steps" in capsys.readouterr().err
+        assert not cert.exists()
+        assert main(["identity-check", str(path), "--length", "1000",
+                     "--cert", str(cert), *lift]) == 2
+        assert main(["check-cert", str(path), str(cert)]) == 0
+        cert.unlink()
+    capsys.readouterr()
+
+
+def test_check_cert_identity_witness_above_the_cap_is_inconclusive(tmp_path, capsys):
+    cert = str(tmp_path / "witness.json")
+    assert main(["identity-check", BOREL, "--length", "3", "--cert", cert]) == 2
+    assert main(["check-cert", BOREL, cert]) == 0
+    for lift in (False, True):
+        long = _edited(cert, tmp_path, lambda d: d["payload"].update(
+            length=1001, witness=["a"] * 1001, **({"modulo_radical": True} if lift else {})))
+        assert main(["check-cert", BOREL, long]) == 3
+        assert "identity length 1001 is above the cap of 1000 steps" in capsys.readouterr().err
 
 
 def test_cli_maps_arithmetic_recursion_and_os_errors(heis_file, tmp_path, capsys):
@@ -629,9 +660,10 @@ BOREL = str(Path(__file__).parent / "golden" / "borel_frac.json")
 
 @pytest.mark.parametrize("path, code", [(GOLDEN_HEIS, 0), (BOREL, 2)], ids=["heis", "borel"])
 def test_cli_lift_runs_one_power_chain(path, code, capsys):
-    # Heisenberg's radical is its augmentation ideal, the Borel group's
-    # the trace-form kernel; the chain that verifies either radical also
-    # gives the lift its nilpotency index
+    # Heisenberg's radical is its augmentation ideal, whose chain proves
+    # it the radical and gives the lift its index; the Borel group's is
+    # the trace-form kernel, built with no chain, so the lift's read of
+    # its index runs the one chain
     chains = []
 
     def counted(a, i):
@@ -639,8 +671,7 @@ def test_cli_lift_runs_one_power_chain(path, code, capsys):
         return real(a, i)
 
     real = algebra.ideal_power_chain
-    with mock.patch.object(algebra, "ideal_power_chain", counted), \
-            mock.patch.object(reps, "ideal_power_chain", counted):
+    with mock.patch.object(algebra, "ideal_power_chain", counted):
         assert main(["identity-check", path, "--length", "1",
                      "--lift-through-radical"]) == code
     assert len(chains) == 1

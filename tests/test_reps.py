@@ -25,7 +25,7 @@ from kolchin import (
     unipotent_radical,
     unitriangular_degree,
 )
-from kolchin import reps
+from kolchin import algebra, reps
 from kolchin.algebra import Ideal
 from kolchin.words import brute_force_unipotent_radical, enumerate_elements, evaluate_word, random_word
 from corpus import (
@@ -179,7 +179,8 @@ def test_enveloping_computes_each_ideal_once_on_first_read():
         return wrapper
 
     with mock.patch.object(reps, "ideal_closure", counted("augmentation", reps.ideal_closure)), \
-            mock.patch.object(reps, "ideal_power_chain", counted("chain", reps.ideal_power_chain)), \
+            mock.patch.object(algebra, "ideal_power_chain",
+                              counted("chain", algebra.ideal_power_chain)), \
             mock.patch.object(reps, "trace_radical", counted("trace", reps.trace_radical)):
         # unipotent: the radical is the augmentation ideal, and its chain
         # serves the degree as well
