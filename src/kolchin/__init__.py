@@ -41,6 +41,7 @@ from .algebra import (
 )
 from .reps import (
     EnvelopingData,
+    IdentityFailsError,
     LiftHypothesisError,
     NotUnipotent,
     Representation,

@@ -7,6 +7,10 @@ exact row reduction and matrix products, without re-running the
 algorithm that made it:
 
 - flags and series: every generator difference drops each step;
+- a unitriangular kolchin certificate: the base change is n x n and
+  invertible, and each of its rows lies in the first flag step that
+  must hold it (rows dim W_(i-1) + 1 to dim W_i in W_i); the later
+  steps hold W_i, since the flag's ascent is checked;
 - an identity verified at length (or lifted bound) n: the span of all
   vectors x (h_1-1)...(h_n-1) in V is zero;
 - an identity witness of length n: exactly n generator names whose
@@ -55,7 +59,7 @@ import tempfile
 from . import __version__
 from .algebra import SweepCapExceeded, standard_identity_eval, standard_identity_sweep
 from .linalg import (Flag, Matrix, RowSpan, Subspace, fixed_space, flag_drops, flat, kernel,
-                     quotient_action, rref)
+                     quotient_action)
 from .repfile import matrix_from_rows, matrix_to_rows, representation_to_dict
 from .reps import Representation, difference_product_spans, unipotency_index
 from .words import Word, evaluate_word
@@ -180,11 +184,15 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
         _require(flag.degree == payload["degree"], "degree does not match the flag")
         _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
         base = matrix_from_rows(rep.field, payload["base_change"], rep.dim)
-        _require(rref(base).rank == rep.dim, "base change is not invertible")
-        # base-change rows fill the flag from the bottom up
-        for step in steps[1:]:
-            for v in base.rows[: step.dim]:
-                _require(step.contains_vector(v), "base change rows do not follow the flag")
+        _require(base.nrows == rep.dim, f"base change does not have {rep.dim} rows")
+        _require(Subspace._spanned(rep.field, rep.dim, base.ints).dim == rep.dim,
+                 "base change is not invertible")
+        # base-change rows fill the flag from the bottom up: the rows
+        # below.dim:step.dim enter at step, and every later step holds
+        # step, as Flag checked
+        for below, step in zip(steps, steps[1:]):
+            for v in base.ints[below.dim:step.dim]:
+                _require(not any(step._residual(v)), "base change rows do not follow the flag")
         return f"unitriangular certificate of degree {payload['degree']} verified"
     if result == "not-unipotent":
         stage = payload["stage"]
@@ -256,7 +264,7 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
             prod = prod * (rep.generator(name) - one)
         _require(not prod.is_zero(), "claimed witness product vanishes")
         if payload.get("modulo_radical"):
-            _require(not _trace_radical(rep).contains_vector(flat(prod)),
+            _require(any(_trace_radical(rep)._residual(flat(prod))),
                      "claimed witness product lies in the radical")
         return f"identity witness of length {n} verified"
     if result == "verified":

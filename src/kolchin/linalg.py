@@ -728,6 +728,13 @@ class Flag:
         self.ambient_dim = n
         self.steps = tuple(steps)
 
+    @classmethod
+    def _ascending(cls, steps: Sequence[Subspace]) -> "Flag":
+        # trusted constructor: steps of one space, strictly ascending from 0 to V
+        f = object.__new__(cls)
+        f.field, f.ambient_dim, f.steps = steps[0].field, steps[0].ambient_dim, tuple(steps)
+        return f
+
     @property
     def degree(self) -> int:
         """Number of strict inclusions in the chain."""

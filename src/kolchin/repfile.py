@@ -9,6 +9,7 @@ non-integers as strings so round trips are bit-exact.
 from __future__ import annotations
 
 import json
+from math import gcd
 from typing import Any
 
 from .fields import GF, QQ, Field
@@ -122,10 +123,21 @@ def save_representation(path: str, rep: Representation):
         fh.write(dumps_representation(rep))
 
 
-def matrix_to_rows(m: Matrix) -> list[list]:
-    """Rows with exact entries: ints stay ints, fractions become strings."""
-    return [[x if isinstance(x, int) else str(x) for x in row] for row in m.rows]
+def matrix_to_rows(m: Matrix) -> list:
+    """Rows with exact entries: an entry whose reduced denominator is 1 is
+    an int, any other the string "p/q".  They are read from ``ints`` and
+    ``den`` with one gcd per entry; when ``den`` is 1 the integer rows
+    are the entries, and are returned as they are."""
+    den = m.den
+    if den == 1:
+        return list(m.ints)
+    return [[x // g if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in r]
+            for r in m.ints]
 
 
 def matrix_from_rows(field: Field, rows: list, ncols: int) -> Matrix:
-    return Matrix(field, rows, ncols=ncols)
+    """The matrix of ``rows``, each of exactly ``ncols`` entries."""
+    m = Matrix(field, rows, ncols=ncols)
+    if m.ncols != ncols:
+        raise ValueError(f"rows of {m.ncols} entries where {ncols} are expected")
+    return m

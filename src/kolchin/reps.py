@@ -221,6 +221,11 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
     step that does not grow is returned as the obstruction.  Every
     generator difference maps each step into the previous one, since
     W_i is the preimage of W_(i-1) by definition.
+
+    The steps ascend, so the flag is built unchecked: W_0 = 0 lies in
+    W_1, and if W_(i-2) lies in W_(i-1), then W_(i-1) (g-1) lies in
+    W_(i-2), so in W_(i-1), and W_(i-1) lies in W_i; the loop keeps
+    only steps that grow, from 0, and stops at V.
     """
     one = rep.identity()
     diffs = [g - one for g in rep.generators]
@@ -230,7 +235,7 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
         if w.dim == steps[-1].dim:
             return NotUnipotent(len(steps), w)
         steps.append(w)
-    flag = Flag(steps)
+    flag = Flag._ascending(steps)
     return UnitriCertificate(flag, assemble_flag_basis(flag), flag.degree)
 
 
@@ -301,23 +306,34 @@ def difference_product_spans(generators: Sequence[Matrix], upto: int) -> list[Su
     return spans
 
 
+class IdentityFailsError(ValueError):
+    """A length-n generator identity fails on the tuple ``witness``."""
+
+    def __init__(self, n: int, witness: tuple[str, ...]):
+        self.witness = witness
+        super().__init__(f"length-{n} generator identity fails on tuple {witness}")
+
+
 def invariant_series_from_identity(rep: Representation, n: int) -> Flag:
     """Invariant flag with trivial factor actions built from a verified
     length-n generator identity.
 
     The steps are the spans of all length-k difference products; the
     identity holds iff the last is zero, and only a failing one runs the
-    tuple sweep, to name its witness.  V_k is the sum of the V_(k-1) (g-1),
-    so the group acts trivially on every factor.  Repeated zero steps
-    (when the identity holds below length n) are collapsed.
+    tuple sweep, to name its witness (IdentityFailsError carries it).
+    V_k is the sum of the V_(k-1) (g-1), so the group acts trivially on
+    every factor.  Repeated zero steps (when the identity holds below
+    length n) are collapsed.
+
+    The spans strictly descend from V to 0 (``difference_product_spans``),
+    so the reversed list is a flag and is built unchecked.
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
     spans = difference_product_spans(rep.generators, n)
     if not spans[-1].is_zero():
-        witness = generator_identity_witness(rep, n)
-        raise ValueError(f"length-{n} generator identity fails on tuple {witness}")
-    return Flag(spans[::-1])
+        raise IdentityFailsError(n, generator_identity_witness(rep, n))
+    return Flag._ascending(spans[::-1])
 
 
 def unitriangular_degree(rep: Representation) -> int | None:
@@ -351,19 +367,20 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
     tuple) and ``a1`` nilpotent of some index m.  The conclusion - all
     length-(m*n) products vanish - is verified through the product
     spans before the bound is returned.  The index is the ideal's
-    ``nilpotency_index``, so a chain already run for it is not repeated.
+    ``nilpotency_index``, read only once the hypothesis holds, so a
+    failing sweep runs no chain and a chain already run is not repeated.
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
-    m = a1.nilpotency_index
-    if m is None:
-        raise ValueError("the ideal is not nilpotent")
     one = rep.identity()
     diffs = [(name, rep.generator(name) - one) for name in rep.names]
     # prefixes already inside the ideal stay inside under right multiplication
     hit = _first_live_tuple(diffs, n, a1.contains)
     if hit is not None:
         raise LiftHypothesisError(hit)
+    m = a1.nilpotency_index
+    if m is None:
+        raise ValueError("the ideal is not nilpotent")
 
     bound = m * n
     if not difference_product_spans(rep.generators, bound)[-1].is_zero():

@@ -177,16 +177,20 @@ def test_flag_degree_is_the_augmentation_ideal_index(rep):
 @given(groups())
 def test_flags_drop_every_step(rep):
     # the preimage and span recurrences prove this, and no runtime check
-    # repeats it: every generator difference maps each step into the one below
+    # repeats it: every generator difference maps each step into the one
+    # below, and the checking Flag constructor accepts the flags that
+    # kolchin_flag and invariant_series_from_identity build unchecked
     flag = kolchin_flag(rep)
     if isinstance(flag, NotUnipotent):
         with pytest.raises(ValueError, match="identity fails"):
             invariant_series_from_identity(rep, rep.dim)
         return
     assert flag_drops(rep.generators, flag.flag.steps)
+    assert Flag(flag.flag.steps) == flag.flag
     for n in (flag.degree, flag.degree + 1):
         series = invariant_series_from_identity(rep, n)
-        assert series.steps[0].is_zero() and series.steps[-1].is_full()
+        assert Flag(series.steps) == series
+        assert (series.field, series.ambient_dim) == (rep.field, rep.dim)
         assert flag_drops(rep.generators, series.steps)
 
 

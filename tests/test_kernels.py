@@ -5,6 +5,7 @@ lists of ``Fraction`` entries (or residues mod p) and shares no code
 with the package.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from kolchin import GF, QQ, Matrix, NotInvariantError, Subspace, quotient_action
 from kolchin import linalg
 from kolchin.linalg import (SQUARE_PRODUCT_MAX, RowSpan, _kernel, express_in_rows, flag_drops,
                             flat, preimage)
+from kolchin.repfile import matrix_from_rows, matrix_to_rows
 
 F7 = GF(7)
 
@@ -188,6 +190,20 @@ def test_rectangular_and_empty_products_match_reference(field, data):
     c = a * b
     assert (c.nrows, c.ncols) == (m, w)
     assert same(c, ref_mul(field, ref_entries(a), ref_entries(b), w))
+
+
+def fraction_rows(m):
+    # the former file formatting, through the Fraction scalars of m.rows
+    return [[x if isinstance(x, int) else str(x) for x in row] for row in m.rows]
+
+
+@given(FIELDS.flatmap(lambda field: st.one_of(
+    matrices(field), matrices(field, elements=st.integers(-9, 9)),
+    matrices(field, elements=wide_entries(field)))))
+def test_matrix_to_rows_matches_fraction_formatting(m):
+    rows = matrix_to_rows(m)
+    assert json.dumps(rows) == json.dumps(fraction_rows(m))
+    assert matrix_from_rows(m.field, rows, m.ncols) == m
 
 
 def test_square_kernels_are_built_once_at_the_first_product():

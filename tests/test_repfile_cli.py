@@ -23,7 +23,7 @@ from kolchin import (
     make_certificate,
     representation_digest,
 )
-from kolchin import algebra, words
+from kolchin import algebra, reps, words
 from kolchin.cli import main
 from kolchin.fields import Field
 from kolchin.linalg import Subspace, flat
@@ -395,6 +395,41 @@ def test_check_cert_zero_denominator_fails_verification(heis_file, tmp_path, cap
     assert "certificate verification FAILED" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows + [[1, 2, 3]],
+    lambda rows: [r + [0] for r in rows],
+    lambda rows: rows[:-1],
+], ids=["extra row", "extra column", "missing row"])
+def test_check_cert_kolchin_base_change_must_be_n_by_n(edit, tmp_path, capsys):
+    # the golden base change keeps its rows on the flag under the first two
+    # edits: only its shape is wrong
+    bad = _edited(_golden_cert(GOLDEN_HEIS, "kolchin"), tmp_path, lambda d: d["payload"].update(
+        base_change=edit(d["payload"]["base_change"])))
+    with pytest.raises(CertificateError):
+        check_certificate(load_representation(GOLDEN_HEIS), load_certificate(bad))
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+    err = capsys.readouterr().err
+    assert "certificate verification FAILED" in err and "Traceback" not in err
+
+
+def test_cli_identity_check_sweeps_only_a_failing_series(capsys):
+    # the span series decides the identity; the tuple sweep runs only to
+    # name the witness of a failing one
+    lengths = []
+
+    def counted(rep, n):
+        lengths.append(n)
+        return real(rep, n)
+
+    real = reps.generator_identity_witness
+    with mock.patch.object(reps, "generator_identity_witness", counted):
+        assert main(["identity-check", GOLDEN_HEIS, "--length", "3"]) == 0
+        assert lengths == []
+        assert main(["identity-check", GOLDEN_HEIS, "--length", "2"]) == 2
+        assert lengths == [2]
+    capsys.readouterr()
+
+
 S3_DOC = {"field": {"Fp": 3}, "dim": 2,
           "generators": {"u": [[1, 1], [0, 1]], "d": [[-1, 0], [0, 1]]}}
 
@@ -658,12 +693,13 @@ def test_loading_coerces_each_entry_once():
 BOREL = str(Path(__file__).parent / "golden" / "borel_frac.json")
 
 
-@pytest.mark.parametrize("path, code", [(GOLDEN_HEIS, 0), (BOREL, 2)], ids=["heis", "borel"])
-def test_cli_lift_runs_one_power_chain(path, code, capsys):
+@pytest.mark.parametrize("path, code, count", [(GOLDEN_HEIS, 0, 1), (BOREL, 2, 0)],
+                         ids=["heis", "borel"])
+def test_cli_lift_runs_one_power_chain(path, code, count, capsys):
     # Heisenberg's radical is its augmentation ideal, whose chain proves
     # it the radical and gives the lift its index; the Borel group's is
-    # the trace-form kernel, built with no chain, so the lift's read of
-    # its index runs the one chain
+    # the trace-form kernel, built with no chain, and its hypothesis
+    # fails at length 1, so the lift never reads its index: no chain
     chains = []
 
     def counted(a, i):
@@ -674,7 +710,7 @@ def test_cli_lift_runs_one_power_chain(path, code, capsys):
     with mock.patch.object(algebra, "ideal_power_chain", counted):
         assert main(["identity-check", path, "--length", "1",
                      "--lift-through-radical"]) == code
-    assert len(chains) == 1
+    assert len(chains) == count
     capsys.readouterr()
 
 
