@@ -73,7 +73,6 @@ from .repfile import (
     load_representation,
     loads_representation,
     dumps_representation,
-    save_representation,
 )
 from .certificates import (
     CertificateError,

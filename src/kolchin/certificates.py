@@ -60,7 +60,7 @@ from . import __version__
 from .algebra import SweepCapExceeded, standard_identity_eval, standard_identity_sweep
 from .linalg import (Flag, Matrix, RowSpan, Subspace, fixed_space, flag_drops, flat, kernel,
                      quotient_action)
-from .repfile import matrix_from_rows, matrix_to_rows, representation_to_dict
+from .repfile import matrix_to_rows, representation_to_dict
 from .reps import Representation, difference_product_spans, unipotency_index
 from .words import Word, evaluate_word
 
@@ -183,7 +183,7 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
         flag = Flag(steps)  # validates ascent from 0 to V
         _require(flag.degree == payload["degree"], "degree does not match the flag")
         _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
-        base = matrix_from_rows(rep.field, payload["base_change"], rep.dim)
+        base = Matrix(rep.field, payload["base_change"], rep.dim)
         _require(base.nrows == rep.dim, f"base change does not have {rep.dim} rows")
         _require(Subspace._spanned(rep.field, rep.dim, base.ints).dim == rep.dim,
                  "base change is not invertible")
@@ -284,7 +284,7 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
 
 
 def _check_pi(rep: Representation, result: str, payload: dict) -> str:
-    basis = [matrix_from_rows(rep.field, rows, rep.dim) for rows in payload["algebra_basis"]]
+    basis = [Matrix(rep.field, rows, rep.dim) for rows in payload["algebra_basis"]]
     _require(_embedded_span(rep, basis).to_subspace() == _enveloping_span(rep),
              "embedded basis does not span the enveloping algebra")
     witnesses = payload.get("witnesses", {})
@@ -328,7 +328,7 @@ def _trace_radical(rep: Representation) -> Subspace:
 
 def _check_radical(rep: Representation, result: str, payload: dict) -> str:
     radical = _trace_radical(rep)
-    basis = [matrix_from_rows(rep.field, rows, rep.dim) for rows in payload["radical_basis"]]
+    basis = [Matrix(rep.field, rows, rep.dim) for rows in payload["radical_basis"]]
     span = _embedded_span(rep, basis)
     _require(span.to_subspace() == radical,
              "embedded radical is not the trace-form kernel of the enveloping algebra")

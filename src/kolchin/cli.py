@@ -54,6 +54,7 @@ from .reps import (
 from .words import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_ELEMENT_CAP,
+    DEFAULT_SAMPLE_BUDGET,
     DEFAULT_WORD_LENGTH_CAP,
     MAX_WORD_LETTERS,
     NotFiniteError,
@@ -73,7 +74,7 @@ OK, USAGE_ERROR, PROPERTY_FAILS, INCONCLUSIVE = 0, 1, 2, 3
 _ENV_DEFAULTS = {
     "depth_cap": ("KOLCHIN_DEPTH_CAP", DEFAULT_DEPTH_CAP),
     "element_cap": ("KOLCHIN_ELEMENT_CAP", DEFAULT_ELEMENT_CAP),
-    "sample_budget": ("KOLCHIN_SAMPLE_BUDGET", 1000),
+    "sample_budget": ("KOLCHIN_SAMPLE_BUDGET", DEFAULT_SAMPLE_BUDGET),
     "length_cap": ("KOLCHIN_WORD_LENGTH_CAP", DEFAULT_WORD_LENGTH_CAP),
 }
 

@@ -61,10 +61,6 @@ class Field:
             raise ValueError(f"field order must be prime, got {p!r}")
         self.p = p
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
     def characteristic(self) -> int:
         return 0 if self.p is None else self.p
 
@@ -73,20 +69,18 @@ class Field:
 
         Strings go through ``Fraction``, so ``"1/0"`` raises
         ``ZeroDivisionError``.  Over F_p a fraction p/q is read as
-        p * q^(-1) mod p.
+        p * q^(-1) mod p.  Anything else, ``bool`` included, raises
+        ``TypeError``: this is the one type rule for every entry read in.
         """
         if isinstance(value, str):
             value = Fraction(value)
-        if self.p is None:
-            if isinstance(value, Fraction):
+        p = self.p
+        if isinstance(value, Fraction):
+            if p is None:
                 return int(value) if value.denominator == 1 else value
-            if isinstance(value, int):
-                return value
-        else:
-            if isinstance(value, Fraction):
-                return value.numerator * pow(value.denominator, -1, self.p) % self.p
-            if isinstance(value, int):
-                return value % self.p
+            return value.numerator * pow(value.denominator, -1, p) % p
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value if p is None else value % p
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     def inv(self, a: Scalar) -> Scalar:

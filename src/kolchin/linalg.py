@@ -7,8 +7,11 @@ row-echelon basis, which makes set equality structural equality.
 
 A matrix is integer rows over one positive common denominator,
 reduced by their gcd (over F_p: residues over 1), so products, sums
-and eliminations run on ``int`` only.  What differs between the fields
-lives in one kernel object per field, chosen when a matrix is built.
+and eliminations run on ``int`` only.  Rows read in (by ``Subspace``
+and the certificate checker too) go through ``Matrix``, which owns
+their rules: each entry through ``Field.of``, each row ``ncols`` long.
+What differs between the fields lives in one kernel object per field,
+chosen when a matrix is built.
 A square product is one call: ``Matrix.__mul__`` and the commutator
 walks alike read the product for its size from the field kernel's table
 (built the first time that size is multiplied over that field, never
@@ -273,19 +276,20 @@ class Matrix:
     The entries are ``ints[i][j] / den``: ``ints`` holds integer row
     tuples and ``den`` is a positive integer sharing no factor with all
     of them; over F_p, ``den`` is 1 and the entries are residues.  The
-    form is unique, so ``==`` and ``hash`` are structural.
+    form is unique, so ``==`` and ``hash`` are structural.  Every row
+    given must have ``ncols`` entries (the first row's count if None).
     """
 
     __slots__ = ("_k", "ints", "den", "nrows", "ncols")
 
     def __init__(self, field: Field, rows: Iterable[Sequence], ncols: int | None = None):
         data = [[field.of(x) for x in row] for row in rows]
-        if data:
+        if ncols is None:
+            if not data:
+                raise ValueError("empty matrix needs an explicit column count")
             ncols = len(data[0])
-            if any(len(r) != ncols for r in data):
-                raise ValueError("ragged rows")
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        if any(len(r) != ncols for r in data):
+            raise ValueError(f"rows must all have {ncols} entries")
         self._k, self.nrows, self.ncols = _kernel(field.p), len(data), ncols
         self.ints, self.den = self._k.coerce(data)
 
@@ -552,8 +556,6 @@ class Subspace:
 
     def __init__(self, field: Field, ambient_dim: int, rows: Iterable[Sequence]):
         m = Matrix(field, rows, ncols=ambient_dim)
-        if m.ncols != ambient_dim:
-            raise ValueError("row length does not match the ambient dimension")
         s = Subspace._spanned(field, ambient_dim, m.ints)
         self.field, self.ambient_dim, self.basis, self.pivots = field, ambient_dim, s.basis, s.pivots
 
@@ -607,9 +609,6 @@ class Subspace:
         (v,), den = k.coerce([[self.field.of(x) for x in vec]])
         den *= self.basis.den
         return tuple(k.scalar(x, den) for x in self._residual(v))
-
-    def contains_vector(self, vec: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(vec))
 
     def contains(self, other: "Subspace") -> bool:
         self._require_compatible(other)

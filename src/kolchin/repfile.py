@@ -4,6 +4,10 @@ A representation file holds the field ("Q" or {"Fp": p}), the
 dimension, and named generator matrices whose entries are integers or
 exact scalar strings like "3" and "-7/2".  Serialisation writes
 non-integers as strings so round trips are bit-exact.
+
+Entries are refused by ``Field.of`` (booleans too) and generator names
+that no word can spell by ``Representation``; this module turns those
+refusals into ``RepFileError``.  ``dim`` and p must be JSON integers.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ def _parse_field(value: Any) -> Field:
         return QQ
     if isinstance(value, dict) and set(value) == {"Fp"}:
         p = value["Fp"]
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise RepFileError(f"field order must be an integer, got {p!r}")
         try:
             return GF(p)
@@ -36,12 +40,10 @@ def _parse_field(value: Any) -> Field:
 
 
 def _field_spec(field: Field) -> Any:
-    return "Q" if field.is_rationals else {"Fp": field.p}
+    return "Q" if field.p is None else {"Fp": field.p}
 
 
 def _parse_entry(field: Field, value: Any, where: str):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise RepFileError(f"{where}: entries must be integers or scalar strings, got {value!r}")
     try:
         return field.of(value)
     except ZeroDivisionError:
@@ -75,7 +77,7 @@ def representation_from_dict(doc: Any) -> Representation:
             raise RepFileError(f"missing required key {key!r}")
     field = _parse_field(doc["field"])
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise RepFileError(f"dim must be a positive integer, got {dim!r}")
     gens = doc["generators"]
     if not isinstance(gens, dict) or not gens:
@@ -118,11 +120,6 @@ def dumps_representation(rep: Representation) -> str:
     return json.dumps(representation_to_dict(rep), indent=2) + "\n"
 
 
-def save_representation(path: str, rep: Representation):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_representation(rep))
-
-
 def matrix_to_rows(m: Matrix) -> list:
     """Rows with exact entries: an entry whose reduced denominator is 1 is
     an int, any other the string "p/q".  They are read from ``ints`` and
@@ -133,11 +130,3 @@ def matrix_to_rows(m: Matrix) -> list:
         return list(m.ints)
     return [[x // g if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in r]
             for r in m.ints]
-
-
-def matrix_from_rows(field: Field, rows: list, ncols: int) -> Matrix:
-    """The matrix of ``rows``, each of exactly ``ncols`` entries."""
-    m = Matrix(field, rows, ncols=ncols)
-    if m.ncols != ncols:
-        raise ValueError(f"rows of {m.ncols} entries where {ncols} are expected")
-    return m

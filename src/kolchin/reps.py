@@ -33,10 +33,14 @@ from .linalg import (
     preimage,
     square_product,
 )
+from .words import (DEFAULT_SAMPLE_BUDGET, DEFAULT_WORD_LENGTH_CAP, RowPair, Word,
+                    _first_trivial_step, _pair, evaluate_word, random_word)
 
 
 class Representation:
-    """Finitely many named invertible matrices acting on row vectors."""
+    """Finitely many named invertible matrices acting on row vectors.
+    Each name must be one letter of a word (``Word.parse``): nonempty,
+    without whitespace or ``^``, and not the identity ``1``."""
 
     __slots__ = ("field", "dim", "names", "_gens", "_invs", "_env")
 
@@ -47,6 +51,9 @@ class Representation:
         names = tuple(name for name, _ in items)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
+        for name in names:
+            if not isinstance(name, str) or name.split() != [name] or "^" in name or name == "1":
+                raise ValueError(f"generator name {name!r} cannot be spelled in a word")
         dim = items[0][1].nrows
         gens: dict[str, Matrix] = {}
         invs: dict[str, Matrix] = {}
@@ -86,11 +93,6 @@ class Representation:
 
     def items(self) -> tuple[tuple[str, Matrix], ...]:
         return tuple((n, self._gens[n]) for n in self.names)
-
-    def conjugated(self, p: Matrix) -> "Representation":
-        """The same group in the basis whose rows are the rows of ``p``."""
-        pinv = p.inverse()
-        return Representation(self.field, [(n, p * self._gens[n] * pinv) for n in self.names])
 
     def enveloping(self) -> "EnvelopingData":
         if self._env is None:
@@ -442,8 +444,8 @@ KALOUJNINE_POOL = 32
 def kaloujnine_class_check(
     rep: Representation,
     degree: int,
-    sample_budget: int = 1000,
-    word_length_cap: int = 8,
+    sample_budget: int = DEFAULT_SAMPLE_BUDGET,
+    word_length_cap: int = DEFAULT_WORD_LENGTH_CAP,
     seed: int = 0,
 ):
     """Sampling check that weight-``degree`` left-normed commutators are
@@ -464,8 +466,6 @@ def kaloujnine_class_check(
     """
     if degree < 1 or sample_budget < 1 or word_length_cap < 1:
         raise ValueError("degree, sample budget and word length cap must be at least 1")
-    from .words import RowPair, Word, _first_trivial_step, _pair, evaluate_word, random_word
-
     rng = random.Random(seed)
     pool: list[Word] = []
     pairs: list[tuple[RowPair, RowPair | None]] = []

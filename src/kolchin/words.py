@@ -8,7 +8,9 @@ class, so its memory is linear in the order.
 
 Commutator convention, used everywhere: [x, g] = x^-1 g^-1 x g, and
 left-normed iteration [[x, g], g], ...  Probes return None rather than
-guessing when a cap is exhausted.
+guessing when a cap is exhausted.  The ``DEFAULT_*`` constants are the
+one home of the default caps and sample budget: the samplers here and
+in ``reps`` and the CLI's environment defaults read them.
 
 Word products and commutator walks run on row pairs (ints, den), the
 canonical form a ``Matrix`` stores, multiplied by the field kernel's
@@ -32,6 +34,7 @@ if TYPE_CHECKING:
 DEFAULT_DEPTH_CAP = 10
 DEFAULT_ELEMENT_CAP = 100_000
 DEFAULT_WORD_LENGTH_CAP = 8
+DEFAULT_SAMPLE_BUDGET = 1000  # samples of the Engel and Kaloujnine samplers
 MAX_WORD_LETTERS = 10_000  # letters of one parsed word, name^k counting |k|
 
 
@@ -137,26 +140,19 @@ class ElementTable:
         return len(self.elements)
 
 
-def enumerate_elements(
-    rep: "Representation",
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    length_cap: int | None = None,
-) -> ElementTable:
-    """BFS over words by length until the group closes or a cap is hit;
-    memory is linear in the number of elements."""
-    if element_cap < 1 or (length_cap is not None and length_cap < 1):
-        raise ValueError("caps must be at least 1")
+def enumerate_elements(rep: "Representation",
+                       element_cap: int = DEFAULT_ELEMENT_CAP) -> ElementTable:
+    """BFS over words by length until the group closes or the element
+    cap is hit; memory is linear in the number of elements."""
+    if element_cap < 1:
+        raise ValueError("element cap must be at least 1")
     letters = [((name, 1), rep.generator(name)) for name in rep.names]
     letters += [((name, -1), rep.inverse(name)) for name in rep.names]
     one = rep.identity()
     table = ElementTable({one: 0}, [None], [None], {letter: [] for letter, _ in letters}, False)
     index = table.elements
     frontier = [(0, one)]
-    length = 0
     while frontier:
-        length += 1
-        if length_cap is not None and length > length_cap:
-            return table
         new: list[tuple[int, Matrix]] = []
         for i, m in frontier:
             for letter, mat in letters:
@@ -254,7 +250,7 @@ def nil_index_probe(g: Matrix, x: Matrix, depth_cap: int = DEFAULT_DEPTH_CAP) ->
 def engel_probe(
     rep: "Representation",
     n: int,
-    sample_budget: int = 1000,
+    sample_budget: int = DEFAULT_SAMPLE_BUDGET,
     length_cap: int = DEFAULT_WORD_LENGTH_CAP,
     seed: int = 0,
 ) -> tuple[Word, Word] | None:

@@ -74,14 +74,18 @@ def random_upper_unitriangular(rng, n, rational=False):
     return Matrix(QQ, rows)
 
 
+def conjugated(rep, p):
+    """The same group in the basis whose rows are the rows of p: each
+    generator g becomes p g p^-1."""
+    pinv = p.inverse()
+    return Representation(rep.field, [(name, p * g * pinv) for name, g in rep.items()])
+
+
 def conjugated_unitriangular_rep(rng, n, num_gens, rational=False):
     """A unipotent group hidden by a base change: P U P^-1."""
     p = random_unimodular(rng, n)
-    pinv = p.inverse()
-    gens = {}
-    for t in range(num_gens):
-        gens[f"g{t}"] = p * random_upper_unitriangular(rng, n, rational) * pinv
-    return Representation(QQ, gens)
+    gens = {f"g{t}": random_upper_unitriangular(rng, n, rational) for t in range(num_gens)}
+    return conjugated(Representation(QQ, gens), p)
 
 
 def unitriangular_corpus(seed, count):

@@ -79,3 +79,11 @@ def test_is_prime_refuses_above_the_deterministic_bound():
         is_prime(2**89 - 1)  # prime, but beyond what the fixed bases decide
     with pytest.raises(ValueError):
         Field(2**89 - 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("value", [True, False, 1.0, None, [1]])
+def test_of_refuses_bools_and_other_types(field, value):
+    # bool is an int subclass, so only an explicit rule keeps true out
+    with pytest.raises(TypeError):
+        field.of(value)

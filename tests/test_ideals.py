@@ -76,7 +76,7 @@ def ref_coordinate_space(a, mats):
 
 def ref_ideal_contains(a, space, m):
     coords = a.coordinates(m)
-    return coords is not None and space.contains_vector(coords)
+    return coords is not None and not any(space.reduce(coords))
 
 
 def ref_is_ideal(a, space):

@@ -27,8 +27,7 @@ from kolchin import algebra, reps, words
 from kolchin.cli import main
 from kolchin.fields import Field
 from kolchin.linalg import Subspace, flat
-from kolchin.repfile import (matrix_from_rows, matrix_to_rows, representation_from_dict,
-                             save_representation)
+from kolchin.repfile import matrix_to_rows, representation_from_dict
 from kolchin.words import MAX_WORD_LETTERS
 from corpus import conjugated_unitriangular_rep, heisenberg
 
@@ -89,6 +88,10 @@ def test_prime_field_scalars_reduced():
     (lambda d: d["generators"].update(a=[[1, "1/0", 0], [0, 1, 0], [0, 0, 1]]), "denominator"),
     (lambda d: d["generators"].update(a=[[1, 0], [0, 1]]), "3x3"),
     (lambda d: d["generators"].update(a=[[0, 0, 0], [0, 1, 0], [0, 0, 1]]), "invertible"),
+    (lambda d: d.update(dim=True), "dim must be a positive integer, got True"),
+    (lambda d: d.update(field={"Fp": True}), "field order must be an integer, got True"),
+    (lambda d: d["generators"].update(a=[[1, True, 0], [0, 1, 0], [0, 0, 1]]), "bad scalar True"),
+    (lambda d: d["generators"].update({"1": d["generators"]["a"]}), "cannot be spelled"),
 ])
 def test_parse_errors(mutate, message):
     doc = copy.deepcopy(HEIS_DOC)
@@ -124,6 +127,8 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["check-unipotent", str(path)]) == 1
     path.write_text(json.dumps({"field": "Q", "dim": 2,
                                 "generators": {"d": [["1/0", 0], [0, 1]]}}))
+    assert main(["check-unipotent", str(path)]) == 1
+    path.write_text(json.dumps({"field": "Q", "dim": True, "generators": {"d": [[1]]}}))
     assert main(["check-unipotent", str(path)]) == 1
 
 
@@ -315,11 +320,11 @@ def test_certificate_invariant_flag_without_drops_rejected():
 
 def test_save_and_load(tmp_path):
     rep = heisenberg()
-    path = str(tmp_path / "out.json")
-    save_representation(path, rep)
+    path = tmp_path / "out.json"
+    path.write_text(dumps_representation(rep))
     from kolchin import load_representation
 
-    assert load_representation(path) == rep
+    assert load_representation(str(path)) == rep
 
 
 def test_cli_long_identity_check_has_no_traceback(tmp_path, capsys):
@@ -890,7 +895,7 @@ def _radical_forgery(path, kind):
     added (Borel), or conjugated away from the group's invariant flag."""
     rep = load_representation(path)
     doc = json.loads(Path(_golden_cert(path, "radical")).read_text())
-    rad = [matrix_from_rows(QQ, rows, 3) for rows in doc["payload"]["radical_basis"]]
+    rad = [Matrix(QQ, rows, 3) for rows in doc["payload"]["radical_basis"]]
     one = rep.identity()
     if kind == "row dropped":
         return rad[:-1]
@@ -905,16 +910,16 @@ def _radical_forgery(path, kind):
         assert e * e == e and e != one
         forged = rad + [e]
         span = Subspace(QQ, 9, [flat(m) for m in forged])
-        assert all(span.contains_vector(flat(rep.inverse(n) * m * rep.generator(n)))
-                   for n in rep.names for m in forged)
+        assert not any(any(span.reduce(flat(rep.inverse(n) * m * rep.generator(n))))
+                       for n in rep.names for m in forged)
         return forged
     q = Matrix(QQ, [[1, 0, 0], [1, 1, 0], [0, 2, 1]])
     forged = [q.inverse() * r * q for r in rad]
     # nilpotent like the radical, of its dimension, and not conjugation-stable
     assert all((x * y * z).is_zero() for x in forged for y in forged for z in forged)
     span = Subspace(QQ, 9, [flat(m) for m in forged])
-    assert not all(span.contains_vector(flat(rep.inverse(n) * m * rep.generator(n)))
-                   for n in rep.names for m in forged)
+    assert any(any(span.reduce(flat(rep.inverse(n) * m * rep.generator(n))))
+               for n in rep.names for m in forged)
     return forged
 
 
@@ -1043,3 +1048,92 @@ def test_cli_word_and_sampler_caps_exit_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("must be at least 1") == 3 and "above the word cap" in err
     assert "Traceback" not in err
+
+
+# -- input rules, each with one owner ----------------------------------------------
+
+def test_cli_refuses_a_generator_named_1(tmp_path, capsys):
+    # the default --x (the first generator) was read as the identity
+    # word, and a nil index of 1 was certified
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 2, "generators": {
+        "1": [[1, 1], [0, 1]], "b": [[2, 0], [0, 1]]}}))
+    assert main(["probe", str(path), "--kind", "nil", "--g", "b"]) == 1
+    err = capsys.readouterr().err
+    assert "cannot be spelled" in err and "Traceback" not in err
+
+
+def _first_one_to_true(rows) -> bool:
+    """Replace the first entry 1 of nested rows by true, in place."""
+    for i, x in enumerate(rows):
+        if isinstance(x, list):
+            if _first_one_to_true(x):
+                return True
+        elif type(x) is int and x == 1:
+            rows[i] = True
+            return True
+    return False
+
+
+@pytest.mark.parametrize("label, select", [
+    ("kolchin", lambda payload: payload["flag"][1]),
+    ("kolchin", lambda payload: payload["base_change"]),
+    ("pi", lambda payload: payload["algebra_basis"][0]),
+    ("radical", lambda payload: payload["radical_basis"][0]),
+], ids=["flag", "base-change", "algebra-basis", "radical-basis"])
+@pytest.mark.parametrize("edit", ["true", "wide"])
+def test_check_cert_refuses_bool_entries_and_wrong_widths(label, select, edit, tmp_path, capsys):
+    # a true entry read as 1 before the field refused bools; a row one
+    # entry too wide is refused by Matrix, as every row is
+    def apply(doc):
+        rows = select(doc["payload"])
+        if edit == "wide":
+            for row in rows:
+                row.append(0)
+        else:
+            assert _first_one_to_true(rows)
+
+    bad = _edited(_golden_cert(GOLDEN_HEIS, label), tmp_path, apply)
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+    err = capsys.readouterr().err
+    assert "malformed certificate payload" in err and "Traceback" not in err
+
+
+# -- branches no other test reaches ------------------------------------------------
+
+def test_cli_usage_exits_of_the_commands(heis_file, capsys):
+    assert main(["identity-check", heis_file, "--length", "0"]) == 1
+    assert main(["pi-check", heis_file, "--max-degree", "1"]) == 1
+    assert main(["probe", heis_file, "--kind", "algebraic"]) == 1
+    err = capsys.readouterr().err
+    assert "--length must be at least 1" in err
+    assert "--max-degree must be at least 2" in err
+    assert "--g is required for --kind algebraic" in err
+
+
+def test_cli_lift_through_radical_in_small_characteristic_is_inconclusive(tmp_path, capsys):
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps({"field": {"Fp": 2}, "dim": 2,
+                                "generators": {"u": [[1, 1], [0, 1]]}}))
+    cert = tmp_path / "lift.json"
+    assert main(["identity-check", str(path), "--length", "2", "--lift-through-radical",
+                 "--cert", str(cert)]) == 3
+    assert "inconclusive: characteristic 2" in capsys.readouterr().err
+    assert not cert.exists()
+
+
+def test_algebraic_probe_stabilises_by_membership(tmp_path, capsys):
+    # over F_3, [u, d] = u, so the depth-2 commutator is u again: not 1,
+    # but already in the subgroup the depth-1 commutator generates
+    rep = representation_from_dict(S3_DOC)
+    u, d = rep.generator("u"), rep.generator("d")
+    c1 = u.inverse() * d.inverse() * u * d
+    assert c1 == u and c1.inverse() * d.inverse() * c1 * d == c1
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3_DOC))
+    cert = str(tmp_path / "alg.json")
+    assert main(["probe", str(path), "--kind", "algebraic", "--g", "d", "--x", "u",
+                 "--cert", cert]) == 0
+    assert "stabilise at depth 2" in capsys.readouterr().out
+    assert json.loads(Path(cert).read_text())["payload"]["stabilized_at"] == 2
+    assert main(["check-cert", str(path), cert]) == 0

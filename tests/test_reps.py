@@ -27,8 +27,10 @@ from kolchin import (
 )
 from kolchin import algebra, reps
 from kolchin.algebra import Ideal
-from kolchin.words import brute_force_unipotent_radical, enumerate_elements, evaluate_word, random_word
+from kolchin.words import (Word, brute_force_unipotent_radical, enumerate_elements, evaluate_word,
+                           random_word)
 from corpus import (
+    conjugated,
     conjugated_unitriangular_rep,
     heisenberg,
     random_invertible,
@@ -119,13 +121,13 @@ def test_kolchin_conjugation_invariance():
     rep = heisenberg()
     for _ in range(5):
         p = random_invertible(rng, QQ, 3)
-        cert = kolchin_flag(rep.conjugated(p))
+        cert = kolchin_flag(conjugated(rep, p))
         assert isinstance(cert, UnitriCertificate)
         assert cert.degree == 3
     d = diag_rep()
     for _ in range(5):
         p = random_invertible(rng, QQ, 2)
-        res = kolchin_flag(d.conjugated(p))
+        res = kolchin_flag(conjugated(d, p))
         assert isinstance(res, NotUnipotent)
 
 
@@ -447,3 +449,16 @@ def test_long_identity_sweeps_do_not_recurse():
     with pytest.raises(LiftHypothesisError) as info:
         lift_identity_through_nilpotent_ideal(rep, rep.enveloping().radical, 5000)
     assert info.value.witness == ("a",) * 5000
+
+
+@pytest.mark.parametrize("name", ["", "1", "a b", " a", "a\tb", "b\n", "a^2", "^"])
+def test_generator_names_must_be_spellable_in_a_word(name):
+    with pytest.raises(ValueError, match="cannot be spelled"):
+        Representation(QQ, {"a": Matrix.identity(QQ, 2), name: Matrix.identity(QQ, 2)})
+
+
+def test_spellable_generator_names_evaluate_as_one_letter():
+    t = Matrix(QQ, [[1, 1], [0, 1]])
+    rep = Representation(QQ, {name: t for name in ("11", "a-1", "x_1", "é")})
+    for name in rep.names:
+        assert evaluate_word(rep, Word.parse(f"{name} {name}^-1 {name}")) == t

@@ -107,13 +107,6 @@ def test_enumerate_trivial():
     assert table.closed and len(table) == 1
 
 
-def test_enumerate_length_cap():
-    rep = Representation(QQ, {"u": Matrix(QQ, [[1, 1], [0, 1]])})
-    table = enumerate_elements(rep, length_cap=3)
-    assert not table.closed
-    assert len(table) == 7  # u^-3 .. u^3
-
-
 def tree_word(table, i):
     """The word the BFS tree spells for element i."""
     letters = []
@@ -302,8 +295,6 @@ def test_caps_must_be_positive():
     rep = heisenberg()
     with pytest.raises(ValueError):
         enumerate_elements(rep, element_cap=0)
-    with pytest.raises(ValueError):
-        enumerate_elements(rep, element_cap=10, length_cap=0)
 
 
 def reference_conjugacy_classes(elems):
