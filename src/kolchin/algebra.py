@@ -73,10 +73,12 @@ def _matrices(span: Subspace, n: int) -> tuple[Matrix, ...]:
 class AlgebraBasis:
     """Basis of a unital subalgebra of the n x n matrices.
 
-    The algebra is its ``span``: the canonical reduced echelon span of
-    its matrices flattened into F^(n^2).  ``basis`` is that span's rows
-    reshaped into matrices, so it is the same for every spanning input
-    and ``==`` is span equality.  ``contains`` reduces ``flat(m)``
+    The algebra is only its ``span``, the canonical reduced echelon span
+    of its matrices flattened into F^(n^2), and its ``generators``, as an
+    ``Ideal`` is.  ``basis`` reshapes the span's rows into matrices on
+    each read (as ``Ideal.matrices`` does), so it is the same for every
+    spanning input, ``==`` is span equality, and a closure whose basis
+    nobody reads reshapes nothing.  ``contains`` reduces ``flat(m)``
     against the span; ``coordinates`` reads the entries of a member at
     the pivots, since each basis matrix is 1 at its own pivot and 0 at
     the others.
@@ -86,7 +88,7 @@ class AlgebraBasis:
     keeps the spun matrices, and its loop proves the closure.
     """
 
-    __slots__ = ("field", "matrix_size", "basis", "span", "generators")
+    __slots__ = ("field", "matrix_size", "span", "generators")
 
     def __init__(self, field: Field, matrix_size: int, basis: Sequence[Matrix]):
         mats = tuple(basis)
@@ -100,26 +102,31 @@ class AlgebraBasis:
         self.span = Subspace._spanned(field, matrix_size ** 2, [flat(b) for b in mats])
         if self.span.dim != len(mats):
             raise ValueError("basis matrices are linearly dependent")
-        self.basis = self.generators = _matrices(self.span, matrix_size)
+        self.generators = _matrices(self.span, matrix_size)
         self._check_closure()
 
     @classmethod
     def _spun(cls, span: Subspace, matrix_size: int, generators: Sequence[Matrix]):
         a = object.__new__(cls)
         a.field, a.matrix_size, a.span = span.field, matrix_size, span
-        a.basis, a.generators = _matrices(span, matrix_size), tuple(generators)
+        a.generators = tuple(generators)
         return a
 
     def _check_closure(self):
         if not self.contains(Matrix.identity(self.field, self.matrix_size)):
             raise ValueError("algebra span does not contain the identity")
+        basis = self.basis
         for g in self.generators:
-            if not self.contains(g) or not all(self.contains(b * g) for b in self.basis):
+            if not self.contains(g) or not all(self.contains(b * g) for b in basis):
                 raise ValueError("span is not closed under the generators")
 
     @property
+    def basis(self) -> tuple[Matrix, ...]:
+        return _matrices(self.span, self.matrix_size)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.span.dim
 
     def _flat(self, m: Matrix) -> tuple:
         if m.nrows != self.matrix_size or m.ncols != self.matrix_size or m.field != self.field:

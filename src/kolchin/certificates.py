@@ -45,6 +45,10 @@ algorithm that made it:
   nontrivial at every step up to the depth cap.  Past
   ``ENGEL_CHECK_STEPS`` steps either check is inconclusive.
 
+Every integer field of a payload must be a JSON integer (never a bool,
+nor a float such as 2.0) of at least its least value (``_int``; 2 for
+both pi-check degrees), and a membership verdict a JSON boolean.
+
 Identical inputs and seeds produce byte-identical certificates; no
 timestamps or environment data are embedded.
 """
@@ -131,6 +135,18 @@ def _require(cond: bool, message: str):
         raise CertificateError(message)
 
 
+def _int(value, least: int, message: str) -> int:
+    _require(type(value) is int and value >= least, message)
+    return value
+
+
+def _checked_flag(rep: Representation, payload_steps) -> Flag:
+    # the payload's steps: they must ascend from 0 to V, and each g - 1 drop them
+    flag = Flag([Subspace(rep.field, rep.dim, rows) for rows in payload_steps])
+    _require(flag_drops(rep.generators, flag.steps), FLAG_DROP_FAILS)
+    return flag
+
+
 def _enveloping_span(rep: Representation) -> Subspace:
     """The enveloping algebra as the span of its matrices flattened into
     F^(n^2), spun here from the identity by right multiplication with
@@ -179,10 +195,9 @@ def check_certificate(rep: Representation, cert: dict) -> str:
 
 def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
     if result == "unitriangular":
-        steps = [Subspace(rep.field, rep.dim, rows) for rows in payload["flag"]]
-        flag = Flag(steps)  # validates ascent from 0 to V
-        _require(flag.degree == payload["degree"], "degree does not match the flag")
-        _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
+        flag = _checked_flag(rep, payload["flag"])
+        degree = _int(payload["degree"], 0, "degree must be a nonnegative integer")
+        _require(flag.degree == degree, "degree does not match the flag")
         base = Matrix(rep.field, payload["base_change"], rep.dim)
         _require(base.nrows == rep.dim, f"base change does not have {rep.dim} rows")
         _require(Subspace._spanned(rep.field, rep.dim, base.ints).dim == rep.dim,
@@ -190,13 +205,12 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
         # base-change rows fill the flag from the bottom up: the rows
         # below.dim:step.dim enter at step, and every later step holds
         # step, as Flag checked
-        for below, step in zip(steps, steps[1:]):
+        for below, step in zip(flag.steps, flag.steps[1:]):
             for v in base.ints[below.dim:step.dim]:
                 _require(not any(step._residual(v)), "base change rows do not follow the flag")
-        return f"unitriangular certificate of degree {payload['degree']} verified"
+        return f"unitriangular certificate of degree {degree} verified"
     if result == "not-unipotent":
-        stage = payload["stage"]
-        _require(type(stage) is int and stage >= 1, "obstruction stage must be a positive integer")
+        stage = _int(payload["stage"], 1, "obstruction stage must be a positive integer")
         reached = Subspace(rep.field, rep.dim, payload["reached"])
         own_stage, own_reached = _quotient_chain(rep)
         _require(own_reached is not None, "the group is unipotent: the fixed-space chain reaches V")
@@ -218,15 +232,11 @@ def _quotient_chain(rep: Representation) -> tuple[int, Subspace | None]:
         fix = fixed_space([quotient_action(g, w) for g in rep.generators])
         if fix.is_zero():
             return stage, w
-        # quotient coordinates are the non-pivot standard coordinates of w
-        free = w.complement_coordinates()
-        lifted = []
-        for q in fix.basis.rows:
-            v = [0] * rep.dim
-            for c, x in zip(free, q):
-                v[c] = x
-            lifted.append(v)
-        w = w.sum(Subspace(rep.field, rep.dim, lifted))
+        # quotient coordinate k is the k-th non-pivot standard coordinate
+        # of w; each integer row of fix stands for its line, as w's rows do
+        at = {c: k for k, c in enumerate(w.complement_coordinates())}
+        lifted = [[q[at[c]] if c in at else 0 for c in range(rep.dim)] for q in fix.basis.ints]
+        w = Subspace._spanned(rep.field, rep.dim, [*w.basis.ints, *lifted])
         stage += 1
     return stage, None
 
@@ -236,6 +246,8 @@ def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> s
     _require(all(name in indices for name in rep.names),
              "a generator has no unipotency index")
     for label, claimed in indices.items():
+        if claimed is not None:
+            _int(claimed, 1, f"unipotency index of {label!r} must be a positive integer or null")
         if label.startswith("word:"):
             m = evaluate_word(rep, Word.parse(label[5:]))
         else:
@@ -248,8 +260,7 @@ def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> s
 
 
 def _check_identity(rep: Representation, result: str, payload: dict) -> str:
-    n = payload["length"]
-    _require(type(n) is int and n >= 1, "identity length must be a positive integer")
+    n = _int(payload["length"], 1, "identity length must be a positive integer")
     one = rep.identity()
     if result == "witness":
         names = payload["witness"]
@@ -270,13 +281,12 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
     if result == "verified":
         # all length-n generator products vanish iff V (h_1-1)...(h_n-1) = 0
         lifted = payload.get("modulo_radical")
-        bound = payload["lifted_bound"] if lifted else n
+        bound = (_int(payload["lifted_bound"], 1, "lifted bound must be a positive integer")
+                 if lifted else n)
         _require(difference_product_spans(rep.generators, bound)[-1].is_zero(),
                  f"difference products of length {bound} do not all vanish")
         if "series" in payload:
-            steps = [Subspace(rep.field, rep.dim, rows) for rows in payload["series"]]
-            Flag(steps)
-            _require(flag_drops(rep.generators, steps), FLAG_DROP_FAILS)
+            _checked_flag(rep, payload["series"])
         if lifted:
             return f"lifted identity bound {bound} verified"
         return f"length-{n} identity verified"
@@ -298,15 +308,18 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     minimal = payload.get("minimal_degree")
     _require(result == ("not-found" if minimal is None else "degree-found"),
              f"result {result!r} contradicts the minimal degree")
+    # pi-check sweeps from degree 2, so it never writes a degree below 2
+    message = "pi-check degrees must be integers of at least 2"
+    top = _int(payload["max_degree"], 2, message)
     # S_j holding implies S_(j+1) holds, so a witness one below the claimed
     # degree, or at the top of a sweep that found none, shows all below fail
-    below = payload["max_degree"] if minimal is None else minimal - 1
+    below = top if minimal is None else _int(minimal, 2, message) - 1
     _require(below < 2 or str(below) in witnesses, f"no degree-{below} witness")
     if minimal is None:
         return "standard identity witnesses verified"
     # every subalgebra of M_n satisfies S_2n (Amitsur-Levitzki); below it,
     # S_k is multilinear and alternating, so the basis subsets decide it
-    if type(minimal) is not int or minimal != 2 * rep.dim:
+    if minimal != 2 * rep.dim:
         _require(standard_identity_sweep(basis, minimal) is None,
                  "claimed minimal degree fails a re-sweep")
     return f"standard identity of degree {minimal} verified"
@@ -334,6 +347,7 @@ def _check_radical(rep: Representation, result: str, payload: dict) -> str:
              "embedded radical is not the trace-form kernel of the enveloping algebra")
     one = rep.identity()
     for word_text, verdict in payload.get("tests", {}).items():
+        _require(type(verdict) is bool, f"membership verdict for word {word_text!r} is not a bool")
         m = evaluate_word(rep, Word.parse(word_text))
         inside = span.contains(flat(m - one))
         _require(inside == verdict, f"membership verdict mismatch for word {word_text!r}")
@@ -344,8 +358,7 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
     kind = payload["kind"]
     if result == "counterexample":
         if kind == "engel":
-            depth = payload["depth"]
-            _require(type(depth) is int and depth >= 1, "Engel depth must be a positive integer")
+            depth = _int(payload["depth"], 1, "Engel depth must be a positive integer")
             x = evaluate_word(rep, Word.parse(payload["counterexample"][0]))
             y = evaluate_word(rep, Word.parse(payload["counterexample"][1]))
             # once c repeats, the walk cycles through values already seen, none of them 1
@@ -363,9 +376,9 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
         raise CertificateError(f"no counterexample checker for probe kind {kind!r}")
     if result == "index-found":
         _require(kind == "nil", f"no index checker for probe kind {kind!r}")
-        index, cap = payload["index"], payload["depth_cap"]
-        _require(type(index) is int and type(cap) is int and 1 <= index <= cap,
-                 "nil index must be a positive integer no larger than the depth cap")
+        message = "nil index must be a positive integer no larger than the depth cap"
+        index = _int(payload["index"], 1, message)
+        _require(index <= _int(payload["depth_cap"], 1, message), message)
         if index > ENGEL_CHECK_STEPS:
             raise CheckInconclusive(f"nil index {index} is above the cap of "
                                     f"{ENGEL_CHECK_STEPS} steps")
@@ -375,9 +388,9 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
                                  f"before the claimed index {index}")
         return f"nil index {index} verified"
     if kind == "nil" and result == "inconclusive":
-        cap = payload["depth_cap"]
-        _require(payload["index"] is None and type(cap) is int and cap >= 1,
-                 "an inconclusive nil probe has no index and a positive integer depth cap")
+        message = "an inconclusive nil probe has no index and a positive integer depth cap"
+        _require(payload["index"] is None, message)
+        cap = _int(payload["depth_cap"], 1, message)
         first = _first_trivial_nil_step(rep, payload, min(cap, ENGEL_CHECK_STEPS))
         _require(first is None, f"the nil walk reaches 1 at step {first}, within the depth cap {cap}")
         if cap > ENGEL_CHECK_STEPS:

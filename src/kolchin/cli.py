@@ -26,6 +26,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain
 
 from .algebra import CharacteristicTooSmallError, SweepCapExceeded, minimal_standard_degree
 from .certificates import (
@@ -175,16 +176,11 @@ def _emit(args, rep, command, result, payload, seed=None):
 def cmd_check_unipotent(rep, args) -> int:
     indices = {}
     all_unipotent = True
-    for name in rep.names:
-        idx = unipotency_index(rep, rep.generator(name))
-        indices[name] = idx
-        print(f"{name}: " + (f"unipotent, index {idx}" if idx else "not unipotent"))
-        all_unipotent &= idx is not None
-    for text in args.element:
-        m = evaluate_word(rep, Word.parse(text))
-        idx = unipotency_index(rep, m)
-        indices[f"word:{text}"] = idx
-        print(f"word '{text}': " + (f"unipotent, index {idx}" if idx else "not unipotent"))
+    # (certificate key, printed label, matrix): the generators, then each word
+    words = ((f"word:{t}", f"word '{t}'", evaluate_word(rep, Word.parse(t))) for t in args.element)
+    for key, label, m in chain(((name, name, g) for name, g in rep.items()), words):
+        idx = indices[key] = unipotency_index(rep, m)
+        print(f"{label}: " + (f"unipotent, index {idx}" if idx else "not unipotent"))
         all_unipotent &= idx is not None
     result = "unipotent" if all_unipotent else "not-unipotent"
     _emit(args, rep, "check-unipotent", result, {"indices": indices})
@@ -319,28 +315,7 @@ def cmd_unipotent_radical(rep, args) -> int:
 
 def cmd_probe(rep, args) -> int:
     kind = args.kind
-    x_text = args.x if args.x is not None else rep.names[0]
-    x = evaluate_word(rep, Word.parse(x_text))
     payload = {"kind": kind, "seed": args.seed}
-    if kind == "nil":
-        if args.g is None:
-            print("--g is required for --kind nil", file=sys.stderr)
-            return USAGE_ERROR
-        if args.depth_cap > ENGEL_CHECK_STEPS:
-            # an index found deeper could not be checked by check-cert
-            print(f"inconclusive: depth cap {args.depth_cap} is above the cap of "
-                  f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
-            return INCONCLUSIVE
-        g = evaluate_word(rep, Word.parse(args.g))
-        idx = nil_index_probe(g, x, args.depth_cap)
-        payload.update({"g": args.g, "x": x_text, "depth_cap": args.depth_cap, "index": idx})
-        if idx is None:
-            print(f"no vanishing depth up to {args.depth_cap} (inconclusive)")
-            _emit(args, rep, "probe", "inconclusive", payload, seed=args.seed)
-            return INCONCLUSIVE
-        print(f"nil index {idx}")
-        _emit(args, rep, "probe", "index-found", payload, seed=args.seed)
-        return OK
     if kind == "engel":
         if args.n > ENGEL_CHECK_STEPS:
             # a counterexample found deeper could not be checked by check-cert
@@ -361,10 +336,29 @@ def cmd_probe(rep, args) -> int:
         print(f"counterexample pair: x = '{pair[0]}', y = '{pair[1]}'")
         _emit(args, rep, "probe", "counterexample", payload, seed=args.seed)
         return PROPERTY_FAILS
-    # algebraic
+    # only the nil and algebraic walks start from x: the first generator unless given
+    x_text = args.x if args.x is not None else rep.names[0]
+    x = evaluate_word(rep, Word.parse(x_text))
     if args.g is None:
-        print("--g is required for --kind algebraic", file=sys.stderr)
+        print(f"--g is required for --kind {kind}", file=sys.stderr)
         return USAGE_ERROR
+    if kind == "nil":
+        if args.depth_cap > ENGEL_CHECK_STEPS:
+            # an index found deeper could not be checked by check-cert
+            print(f"inconclusive: depth cap {args.depth_cap} is above the cap of "
+                  f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
+            return INCONCLUSIVE
+        g = evaluate_word(rep, Word.parse(args.g))
+        idx = nil_index_probe(g, x, args.depth_cap)
+        payload.update({"g": args.g, "x": x_text, "depth_cap": args.depth_cap, "index": idx})
+        if idx is None:
+            print(f"no vanishing depth up to {args.depth_cap} (inconclusive)")
+            _emit(args, rep, "probe", "inconclusive", payload, seed=args.seed)
+            return INCONCLUSIVE
+        print(f"nil index {idx}")
+        _emit(args, rep, "probe", "index-found", payload, seed=args.seed)
+        return OK
+    # algebraic
     g = evaluate_word(rep, Word.parse(args.g))
     k = algebraic_element_probe(g, x, args.depth_cap, args.element_cap)
     payload.update({"g": args.g, "x": x_text, "depth_cap": args.depth_cap,

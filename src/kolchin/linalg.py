@@ -341,14 +341,6 @@ class Matrix:
         scalar = self._k.scalar
         return tuple(tuple(scalar(x, den) for x in r) for r in self.ints)
 
-    @classmethod
-    def vstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        if any(m.ncols != mats[0].ncols or m._k is not mats[0]._k for m in mats):
-            raise ValueError("vstack needs equal column counts over one field")
-        den = lcm(*(m.den for m in mats))
-        return cls.from_ints(mats[0].field, [[x * (den // m.den) for x in r]
-                                             for m in mats for r in m.ints], den, mats[0].ncols)
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -611,17 +603,9 @@ class Subspace:
         return tuple(k.scalar(x, den) for x in self._residual(v))
 
     def contains(self, other: "Subspace") -> bool:
-        self._require_compatible(other)
-        return not any(any(self._residual(r)) for r in other.basis.ints)
-
-    def _require_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._require_compatible(other)
-        return Subspace._spanned(self.field, self.ambient_dim,
-                                 self.basis.ints + other.basis.ints)
+        return not any(any(self._residual(r)) for r in other.basis.ints)
 
     def __eq__(self, other) -> bool:
         return (
@@ -758,10 +742,12 @@ def assemble_flag_basis(f: Flag) -> Matrix:
     compatible generator into triangular form.  It is invertible with
     no further test: each picked row grew the span, so the rows are
     independent, and they span the last step, which ``Flag`` requires
-    to be V.
+    to be V.  The picked integer rows are brought over the lcm of their
+    steps' denominators and make one ``Matrix.from_ints``.
     """
     span = RowSpan(f.field, f.ambient_dim)
-    picked = [Matrix.from_ints(f.field, [ints], step.basis.den, f.ambient_dim)
-              for step in f.steps[1:] for ints in step.basis.ints if span.absorb(ints)]
-    # a zero-dimensional space picks no rows, and its stack still needs a width
-    return Matrix.vstack(picked or [Matrix.zero(f.field, 0, f.ambient_dim)])
+    picked = [(ints, step.basis.den) for step in f.steps[1:] for ints in step.basis.ints
+              if span.absorb(ints)]
+    den = lcm(*(d for _, d in picked))  # 1 when V = 0 picks no rows
+    return Matrix.from_ints(f.field, [[x * (den // d) for x in ints] for ints, d in picked],
+                            den, f.ambient_dim)

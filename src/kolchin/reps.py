@@ -40,9 +40,11 @@ from .words import (DEFAULT_SAMPLE_BUDGET, DEFAULT_WORD_LENGTH_CAP, RowPair, Wor
 class Representation:
     """Finitely many named invertible matrices acting on row vectors.
     Each name must be one letter of a word (``Word.parse``): nonempty,
-    without whitespace or ``^``, and not the identity ``1``."""
+    without whitespace or ``^``, and not the identity ``1``.  It owns
+    ``generators``, in name order, and each g - 1 (``differences``, built
+    once, on the first read)."""
 
-    __slots__ = ("field", "dim", "names", "_gens", "_invs", "_env")
+    __slots__ = ("field", "dim", "names", "generators", "_diffs", "_gens", "_invs", "_env")
 
     def __init__(self, field: Field, generators: Mapping[str, Matrix] | Iterable[tuple[str, Matrix]]):
         items = list(generators.items()) if isinstance(generators, Mapping) else list(generators)
@@ -68,13 +70,16 @@ class Representation:
         self.field = field
         self.dim = dim
         self.names = names
+        self.generators = tuple(gens[n] for n in names)
         self._gens = gens
         self._invs = invs
-        self._env = None
+        self._env = self._diffs = None
 
     @property
-    def generators(self) -> tuple[Matrix, ...]:
-        return tuple(self._gens[n] for n in self.names)
+    def differences(self) -> tuple[Matrix, ...]:
+        if self._diffs is None:  # built on the first read, so loading a rep costs none
+            self._diffs = tuple(g - self.identity() for g in self.generators)
+        return self._diffs
 
     def generator(self, name: str) -> Matrix:
         try:
@@ -92,7 +97,7 @@ class Representation:
         return Matrix.identity(self.field, self.dim)
 
     def items(self) -> tuple[tuple[str, Matrix], ...]:
-        return tuple((n, self._gens[n]) for n in self.names)
+        return tuple(zip(self.names, self.generators))
 
     def enveloping(self) -> "EnvelopingData":
         if self._env is None:
@@ -104,11 +109,11 @@ class Representation:
             isinstance(other, Representation)
             and self.field == other.field
             and self.names == other.names
-            and all(self._gens[n] == other._gens[n] for n in self.names)
+            and self.generators == other.generators
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.names, tuple(self._gens[n] for n in self.names)))
+        return hash((self.field, self.names, self.generators))
 
     def __repr__(self) -> str:
         return f"Representation(dim {self.dim} over {self.field}, generators {list(self.names)})"
@@ -119,11 +124,11 @@ class EnvelopingData:
 
     ``algebra`` is the span closure of the generators and the identity,
     closed by its spin.  The ideals are computed on first read and then
-    kept: ``augmentation_ideal`` is the ideal closure of the g - 1, and
-    ``augmentation_index`` is its ``nilpotency_index`` (one power chain),
-    or None when the ideal is not nilpotent.  The ideal holds every
-    g - 1, so it is nilpotent only if they are: a generator difference
-    that is not nilpotent answers None with no closure and no chain.
+    kept: ``augmentation_ideal`` is the ideal closure of the g - 1 the
+    representation owns, and ``augmentation_index`` is its
+    ``nilpotency_index`` (one power chain), or None when the ideal is
+    not nilpotent.  The ideal holds every g - 1, so it is nilpotent only
+    if they are: one that is not answers None with no closure or chain.
 
     The closure is a right spin of the g - 1, with only them multiplied
     on the left: every kept element is (h - 1)*w, so the span is closed
@@ -144,16 +149,15 @@ class EnvelopingData:
         # no reference back to rep: the representation caches this
         # object, and a cycle would outlive the last reference to either
         self.algebra = span_closure(rep.field, rep.generators)
+        self.differences = rep.differences
 
     @cached_property
     def augmentation_ideal(self) -> Ideal:
-        one = Matrix.identity(self.algebra.field, self.algebra.matrix_size)
-        return ideal_closure(self.algebra, [g - one for g in self.algebra.generators])
+        return ideal_closure(self.algebra, self.differences)
 
     @cached_property
     def augmentation_index(self) -> int | None:
-        one = Matrix.identity(self.algebra.field, self.algebra.matrix_size)
-        if any(_nilpotency_index(g - one) is None for g in self.algebra.generators):
+        if any(_nilpotency_index(d) is None for d in self.differences):
             return None
         return self.augmentation_ideal.nilpotency_index
 
@@ -229,11 +233,9 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
     W_(i-2), so in W_(i-1), and W_(i-1) lies in W_i; the loop keeps
     only steps that grow, from 0, and stops at V.
     """
-    one = rep.identity()
-    diffs = [g - one for g in rep.generators]
     steps = [Subspace.zero(rep.field, rep.dim)]
     while not steps[-1].is_full():
-        w = preimage(steps[-1], diffs)
+        w = preimage(steps[-1], rep.differences)
         if w.dim == steps[-1].dim:
             return NotUnipotent(len(steps), w)
         steps.append(w)
@@ -250,9 +252,7 @@ def generator_identity_witness(rep: Representation, n: int) -> tuple[str, ...] |
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
-    one = rep.identity()
-    diffs = [(name, rep.generator(name) - one) for name in rep.names]
-    return _first_live_tuple(diffs, n, Matrix.is_zero)
+    return _first_live_tuple(tuple(zip(rep.names, rep.differences)), n, Matrix.is_zero)
 
 
 def _first_live_tuple(diffs, n: int, dead):
@@ -374,10 +374,8 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
-    one = rep.identity()
-    diffs = [(name, rep.generator(name) - one) for name in rep.names]
     # prefixes already inside the ideal stay inside under right multiplication
-    hit = _first_live_tuple(diffs, n, a1.contains)
+    hit = _first_live_tuple(tuple(zip(rep.names, rep.differences)), n, a1.contains)
     if hit is not None:
         raise LiftHypothesisError(hit)
     m = a1.nilpotency_index
@@ -396,16 +394,11 @@ def regular_representation(rep: Representation) -> Representation:
     Dimension equals the algebra dimension; the generator g maps to the
     matrix of x -> x*g in the algebra basis coordinates.
     """
-    env = rep.enveloping()
-    alg = env.algebra
-    gens = []
-    for name in rep.names:
-        g = rep.generator(name)
-        rows = []
-        for b in alg.basis:  # the spin closed the algebra under every g
-            rows.append(alg.coordinates(b * g))
-        gens.append((name, Matrix(rep.field, rows, ncols=alg.dim)))
-    return Representation(rep.field, gens)
+    alg = rep.enveloping().algebra
+    basis = alg.basis  # the spin closed the algebra under every g
+    return Representation(rep.field, [
+        (name, Matrix(rep.field, [alg.coordinates(b * g) for b in basis], ncols=alg.dim))
+        for name, g in rep.items()])
 
 
 class UnipotentRadical:

@@ -53,16 +53,17 @@ class Word:
         """Parse words like ``"a b^-1 a"``; ``"1"`` tokens mean identity.
 
         ``name^k`` expands into |k| letters, up to ``MAX_WORD_LETTERS`` in all.
+        A ``^`` must be followed by an integer: ``a^`` is refused.
         """
         letters: list[tuple[str, int]] = []
         for token in text.split():
             if token == "1":
                 continue
-            name, _, exp = token.partition("^")
+            name, caret, exp = token.partition("^")
             if not name:
                 raise ValueError(f"malformed word token {token!r}")
             k = 1
-            if exp:
+            if caret:  # "a^" has an empty exponent, as malformed as "a^x"
                 try:
                     k = int(exp)
                 except ValueError:

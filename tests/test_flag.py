@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from kolchin import (GF, QQ, Matrix, NotUnipotent, Representation, Subspace, UnitriCertificate,
                      fixed_space, ideal_power_chain, invariant_series_from_identity, kolchin_flag,
                      quotient_action)
-from kolchin.linalg import Flag, RowSpan, flag_drops, kernel, preimage
+from kolchin.certificates import _quotient_chain
+from kolchin.linalg import Flag, RowSpan, assemble_flag_basis, flag_drops, kernel, preimage
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -24,7 +25,8 @@ FIELDS = [QQ, GF(2), GF(3), GF(5)]
 # -- quotient-route reference ---------------------------------------------------
 
 def ref_hstack(mats):
-    return Matrix.vstack([m.transpose() for m in mats]).transpose()
+    rows = [[x for r in rs for x in r] for rs in zip(*(m.rows for m in mats))]
+    return Matrix(mats[0].field, rows, ncols=sum(m.ncols for m in mats))
 
 
 def ref_fixed_space(mats):
@@ -60,7 +62,7 @@ def ref_kolchin_flag(rep):
         fix = ref_fixed_space(qmats)
         if fix.is_zero():
             return NotUnipotent(stage, w)
-        w = w.sum(Subspace(field, n, ref_lift_from_quotient(w, fix.basis.rows)))
+        w = Subspace(field, n, [*w.basis.rows, *ref_lift_from_quotient(w, fix.basis.rows)])
         steps.append(w)
         if w.is_full():
             break
@@ -152,6 +154,24 @@ def matrix_lists(draw):
     return mats
 
 
+@st.composite
+def flags(draw):
+    """A flag over one field: the growing spans of the prefixes of
+    random rows (with fraction entries over Q, so the steps' echelon
+    rows have different denominators), then V."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=2 * n))
+    steps = [Subspace.zero(field, n)]
+    for k in range(1, len(rows) + 1):
+        s = Subspace(field, n, rows[:k])
+        if s.dim > steps[-1].dim:
+            steps.append(s)
+    if not steps[-1].is_full():
+        steps.append(Subspace.full(field, n))
+    return Flag(steps)
+
+
 # -- tests ----------------------------------------------------------------------
 
 @settings(max_examples=200)
@@ -233,3 +253,22 @@ def test_obstruction_matches_quotient_route(field, gens, stage):
 def test_zero_dimensional_space_has_the_empty_flag():
     rep = Representation(QQ, {"e": Matrix(QQ, [], ncols=0)})
     assert_same(kolchin_flag(rep), ref_kolchin_flag(rep))
+
+
+@settings(max_examples=200)
+@given(flags())
+def test_base_change_matches_the_picked_rows_stacked_by_matrix(flag):
+    assert assemble_flag_basis(flag) == ref_assemble_flag_basis(flag)
+
+
+@settings(max_examples=150)
+@given(groups())
+def test_checker_chain_matches_the_quotient_route(rep):
+    # the checker's not-unipotent chain lifts integer rows and spans them
+    # with w's in one elimination; the reference lifts scalar rows
+    ref = ref_kolchin_flag(rep)
+    stage, reached = _quotient_chain(rep)
+    if isinstance(ref, NotUnipotent):
+        assert (stage, reached) == (ref.stage, ref.reached)
+    else:
+        assert reached is None

@@ -307,7 +307,8 @@ def flattened(m):
 @given(cases())
 def test_coordinates_match_express_in_rows_on_the_flat_basis(case):
     field, gens, a, i, probes, trial = case
-    flat_basis = Matrix.vstack([flattened(b) for b in a.basis])
+    flat_basis = Matrix(field, [[x for r in b.rows for x in r] for b in a.basis],
+                        ncols=a.matrix_size ** 2)
     for m in probes + list(a.basis) + list(i.matrices):
         assert a.coordinates(m) == express_in_rows(flat_basis, flattened(m))
 
@@ -578,3 +579,24 @@ def test_power_chain_spans_match_the_coordinate_route(case):
         chain, index = ideal_power_chain(a, ideal)
         assert index == ref_index == ideal.nilpotency_index
         assert chain == [flat_span(a, s) for s in ref_chain]
+
+
+@settings(max_examples=60)
+@given(algebras())
+def test_closures_reshape_no_basis_until_it_is_read(case):
+    # an algebra is only its span: the span closure, membership and the
+    # ideal closure read the flattened rows, and the basis matrices are
+    # reshaped from them on each read of .basis
+    field, gens = case
+    n = gens[0].nrows
+    one = Matrix.identity(field, n)
+    with mock.patch.object(algebra, "_matrices", wraps=algebra._matrices) as reshape:
+        a = span_closure(field, gens)
+        assert all(a.contains(g) for g in gens) and a.contains(one)
+        i = ideal_closure(a, [g - one for g in gens])
+        assert a.dim == a.span.dim and i.dim == i.span.dim
+        assert reshape.call_count == 0
+        basis = a.basis
+        assert reshape.call_count == 1
+    assert basis == tuple(Matrix(field, [row[k * n:(k + 1) * n] for k in range(n)])
+                          for row in a.span.basis.rows)

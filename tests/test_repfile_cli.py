@@ -1099,6 +1099,54 @@ def test_check_cert_refuses_bool_entries_and_wrong_widths(label, select, edit, t
     assert "malformed certificate payload" in err and "Traceback" not in err
 
 
+def _vacuous_pi(payload):
+    # "no identity of degree <= 1": there is nothing to sweep and no
+    # witness to show, and pi-check, which starts at 2, never writes it
+    payload.update(minimal_degree=None, max_degree=1, witnesses={})
+
+
+@pytest.mark.parametrize("label, edit, message", [
+    ("unipotent", lambda p: p["indices"].update(a=2.0),
+     "unipotency index of 'a' must be a positive integer or null"),
+    ("kolchin", lambda p: p.update(degree=3.0), "degree must be a nonnegative integer"),
+    ("radical", lambda p: p["tests"].update({"a b": 1}),
+     "membership verdict for word 'a b' is not a bool"),
+    ("pi", lambda p: p.update(max_degree=4.0), "pi-check degrees must be integers of at least 2"),
+    ("pi", _vacuous_pi, "pi-check degrees must be integers of at least 2"),
+], ids=["unipotent-index-2.0", "kolchin-degree-3.0", "radical-verdict-1", "pi-max-degree-4.0",
+        "pi-max-degree-1"])
+def test_check_cert_refuses_retyped_payload_fields(label, edit, message, tmp_path, capsys):
+    # each number is right, or (max_degree 1) claims nothing: a float, or
+    # 1 for true, was read as the int it equals, and each edit verified
+    def apply(doc):
+        edit(doc["payload"])
+        if label == "pi" and doc["payload"]["minimal_degree"] is None:
+            doc["result"] = "not-found"
+
+    bad = _edited(_golden_cert(GOLDEN_HEIS, label), tmp_path, apply)
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_an_empty_exponent_is_a_malformed_word(capsys):
+    # "a^" was read as the word a, and its index 2 was reported
+    assert main(["check-unipotent", GOLDEN_HEIS, "--element", "a^"]) == 1
+    captured = capsys.readouterr()
+    assert "malformed exponent in token 'a^'" in captured.err
+    assert "word 'a^'" not in captured.out
+
+
+def test_only_the_walks_that_start_from_x_read_it(capsys):
+    # the Engel sampler draws both of its elements and never reads --x
+    assert main(["probe", GOLDEN_HEIS, "--kind", "engel", "--x", "zz", "--n", "2",
+                 "--sample-budget", "5"]) == 0
+    assert "unknown generator" not in capsys.readouterr().err
+    for kind in ("nil", "algebraic"):
+        assert main(["probe", GOLDEN_HEIS, "--kind", kind, "--g", "b", "--x", "zz"]) == 1
+        assert "unknown generator 'zz'" in capsys.readouterr().err
+
+
 # -- branches no other test reaches ------------------------------------------------
 
 def test_cli_usage_exits_of_the_commands(heis_file, capsys):

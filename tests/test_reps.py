@@ -227,6 +227,40 @@ def test_augmentation_closure_multiplies_only_its_seeds_on_the_left():
     assert product.call_count == k * i.dim + k * len(i.generators) == 10
 
 
+@pytest.mark.parametrize("make", [
+    heisenberg, diag_rep, lambda: conjugated_unitriangular_rep(random.Random(5), 4, 3, True)],
+    ids=["heisenberg", "diagonal", "conjugated-unitriangular"])
+def test_a_built_representation_subtracts_no_identity_again(make, monkeypatch):
+    # each g - 1 is built once, on the first read of rep.differences; the
+    # lift's closing check goes through difference_product_spans, which
+    # takes arbitrary matrices and keeps its own g - 1, so its calls are
+    # not counted
+    rep = make()
+    differences = rep.differences
+    assert differences == tuple(g - rep.identity() for g in rep.generators)
+    subs = []
+    sub, spans = Matrix.__sub__, reps.difference_product_spans
+
+    def uncounted(*args):
+        before = len(subs)
+        result = spans(*args)
+        del subs[before:]
+        return result
+
+    monkeypatch.setattr(Matrix, "__sub__", lambda a, b: subs.append((a, b)) or sub(a, b))
+    monkeypatch.setattr(reps, "difference_product_spans", uncounted)
+    kolchin_flag(rep)
+    generator_identity_witness(rep, rep.dim)
+    env = rep.enveloping()
+    ideal, index = env.augmentation_ideal, env.augmentation_index
+    if index is None:
+        with pytest.raises(ValueError, match="not nilpotent"):
+            lift_identity_through_nilpotent_ideal(rep, ideal, 1)
+    else:
+        assert lift_identity_through_nilpotent_ideal(rep, ideal, 1) == index
+    assert subs == [] and rep.differences is differences
+
+
 def test_kolchin_iff_finite_degree():
     for rep in (trivial_rep(), single_transvection(), heisenberg(), diag_rep()):
         cert = kolchin_flag(rep)

@@ -56,6 +56,8 @@ def test_word_parse_errors():
         Word.parse("^2")
     with pytest.raises(ValueError):
         Word.parse("a^x")
+    with pytest.raises(ValueError, match="malformed exponent"):
+        Word.parse("a^")  # an empty exponent is not read as a^1
 
 
 def test_word_inverse_and_concat():
