@@ -47,7 +47,11 @@ algorithm that made it:
 
 Every integer field of a payload must be a JSON integer (never a bool,
 nor a float such as 2.0) of at least its least value (``_int``; 2 for
-both pi-check degrees), and a membership verdict a JSON boolean.
+both pi-check degrees), and a membership verdict a JSON boolean.  Only
+the result kinds the commands write are accepted: ``report`` for a
+unipotent-radical certificate, and for a probe only the proved kinds
+above and, as evidence whose envelope alone is checked, an Engel
+``consistent`` and an algebraic ``stabilized`` or ``inconclusive``.
 
 Identical inputs and seeds produce byte-identical certificates; no
 timestamps or environment data are embedded.
@@ -340,6 +344,7 @@ def _trace_radical(rep: Representation) -> Subspace:
 
 
 def _check_radical(rep: Representation, result: str, payload: dict) -> str:
+    _require(result == "report", f"unknown result kind {result!r}")
     radical = _trace_radical(rep)
     basis = [Matrix(rep.field, rows, rep.dim) for rows in payload["radical_basis"]]
     span = _embedded_span(rep, basis)
@@ -399,6 +404,8 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
         return f"no nil index up to the depth cap {cap} verified"
     # Consistent and stabilised outcomes, and an algebraic probe that ran out
     # of caps, are evidence; only the envelope is checkable.
+    evidence = {("engel", "consistent"), ("algebraic", "stabilized"), ("algebraic", "inconclusive")}
+    _require((kind, result) in evidence, f"unknown result kind {result!r} for probe kind {kind!r}")
     return f"probe report accepted (evidence only, kind {kind})"
 
 

@@ -1,30 +1,32 @@
 """Command-line front end.
 
 Commands read a representation file, print a human-readable report,
-and optionally emit a machine-checkable certificate with --cert.
+and, all but check-cert, optionally emit a machine-checkable
+certificate with --cert.  A certificate's command is the parsed
+command, and its seed is probe's --seed (null for every other command).
 
 Exit codes: 0 the property holds, 1 usage, parse, arithmetic or file
 error, 2 the property fails (a witness is printed), 3 inconclusive (a
 cap, a characteristic restriction or the recursion limit got in the
-way).  A standard-identity sweep that would take more than
+way; ``main`` maps each of these to 3 in one place).  A
+standard-identity sweep that would take more than
 algebra.SWEEP_WORK_CAP scalar multiplications (n^3 per n x n product)
 is cut: pi-check and check-cert then exit 3, and pi-check writes no
 certificate.  So is an identity-check --length above
 certificates.ENGEL_CHECK_STEPS = 1,000, before any sweep, and so is
 check-cert on a witness certificate of such a length.
 
-Default caps honour the environment variables KOLCHIN_DEPTH_CAP,
-KOLCHIN_ELEMENT_CAP, KOLCHIN_WORD_LENGTH_CAP and KOLCHIN_SAMPLE_BUDGET,
-read on every call; a value that is not an integer is an error (exit 1).
-Words have at most MAX_WORD_LETTERS = 10,000 letters (name^k counts |k|):
-a longer one is exit 1 (2 in a certificate), as is a larger --length-cap.
+Caps come only from their flags (--depth-cap, --element-cap,
+--sample-budget, --length-cap), which default to the words.DEFAULT_*
+constants.  Words have at most MAX_WORD_LETTERS = 10,000 letters
+(name^k counts |k|): a longer one is exit 1 (2 in a certificate), as
+is a larger --length-cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from itertools import chain
 
@@ -71,31 +73,14 @@ from .words import (
 OK, USAGE_ERROR, PROPERTY_FAILS, INCONCLUSIVE = 0, 1, 2, 3
 
 
-# option dest -> (environment variable, default when it is unset)
-_ENV_DEFAULTS = {
-    "depth_cap": ("KOLCHIN_DEPTH_CAP", DEFAULT_DEPTH_CAP),
-    "element_cap": ("KOLCHIN_ELEMENT_CAP", DEFAULT_ELEMENT_CAP),
-    "sample_budget": ("KOLCHIN_SAMPLE_BUDGET", DEFAULT_SAMPLE_BUDGET),
-    "length_cap": ("KOLCHIN_WORD_LENGTH_CAP", DEFAULT_WORD_LENGTH_CAP),
-}
+class StepCapExceeded(Exception):
+    """A step count above ENGEL_CHECK_STEPS: check-cert could not check
+    the answer, so the command refuses it as inconclusive."""
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _resolve_env_defaults(args) -> None:
-    """Fill the cap options left unset from the environment."""
-    for dest, (name, default) in _ENV_DEFAULTS.items():
-        value = _env_int(name, default)
-        if getattr(args, dest, 0) is None:
-            setattr(args, dest, value)
+def _within_step_cap(what: str, steps: int) -> None:
+    if steps > ENGEL_CHECK_STEPS:
+        raise StepCapExceeded(f"{what} {steps} is above the cap of {ENGEL_CHECK_STEPS} steps")
 
 
 class UsageError(Exception):
@@ -111,8 +96,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Cap options default
-    to None and are resolved from the environment by ``main``."""
+    """The argument parser, built once per process."""
     parser = _Parser(prog="kolchin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -124,51 +108,48 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-unipotent", "unipotency indices of generators or words")
     p.add_argument("--element", action="append", default=[], metavar="WORD",
                    help="additionally test this word (repeatable)")
-    p.add_argument("--cert", help="write a certificate here")
 
-    p = add("kolchin", "build an invariant flag that unitriangularizes the group")
-    p.add_argument("--cert", help="write the flag certificate here")
+    add("kolchin", "build an invariant flag that unitriangularizes the group")
 
     p = add("identity-check", "sweep generator tuples for the difference-product identity")
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument("--lift-through-radical", action="store_true",
                    help="check the identity modulo the radical and lift the bound")
-    p.add_argument("--cert", help="write a certificate here")
 
     p = add("pi-check", "minimal standard polynomial identity of the enveloping algebra")
     p.add_argument("--max-degree", type=int, required=True, metavar="K")
-    p.add_argument("--cert", help="write a certificate here")
 
     p = add("unipotent-radical", "membership in the largest normal unitriangular subgroup")
     p.add_argument("--test", action="append", default=[], metavar="WORD",
                    help="test this word for membership (repeatable)")
     p.add_argument("--oracle", action="store_true",
                    help="on finite groups, cross-check against brute force")
-    p.add_argument("--element-cap", type=int)
-    p.add_argument("--cert", help="write a certificate here")
+    p.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
 
     p = add("probe", "sampling probes for nil / Engel / algebraic behaviour")
     p.add_argument("--kind", choices=("nil", "engel", "algebraic"), required=True)
     p.add_argument("--g", metavar="WORD", help="probe element (word; '1' is the identity)")
     p.add_argument("--x", metavar="WORD", help="companion element (default: first generator)")
     p.add_argument("--n", type=int, default=2, help="Engel depth")
-    p.add_argument("--depth-cap", type=int)
-    p.add_argument("--element-cap", type=int)
-    p.add_argument("--sample-budget", type=int)
-    p.add_argument("--length-cap", type=int)
+    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
+    p.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--sample-budget", type=int, default=DEFAULT_SAMPLE_BUDGET)
+    p.add_argument("--length-cap", type=int, default=DEFAULT_WORD_LENGTH_CAP)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cert", help="write a certificate here")
 
-    p = sub.add_parser("check-cert", help="independently verify a certificate")
-    p.add_argument("repfile", help="representation file (JSON)")
-    p.add_argument("certfile", help="certificate file (JSON)")
+    # every command above writes a certificate; --cert ends each usage line
+    for p in sub.choices.values():
+        p.add_argument("--cert", help="write a certificate here")
 
+    add("check-cert", "independently verify a certificate").add_argument(
+        "certfile", help="certificate file (JSON)")
     return parser
 
 
-def _emit(args, rep, command, result, payload, seed=None):
-    if getattr(args, "cert", None):
-        cert = make_certificate(command, rep, result, payload, seed=seed)
+def _emit(args, rep, result, payload):
+    if args.cert:
+        seed = args.seed if args.command == "probe" else None
+        cert = make_certificate(args.command, rep, result, payload, seed=seed)
         write_certificate(args.cert, cert)
         print(f"certificate written to {args.cert}")
 
@@ -183,7 +164,7 @@ def cmd_check_unipotent(rep, args) -> int:
         print(f"{label}: " + (f"unipotent, index {idx}" if idx else "not unipotent"))
         all_unipotent &= idx is not None
     result = "unipotent" if all_unipotent else "not-unipotent"
-    _emit(args, rep, "check-unipotent", result, {"indices": indices})
+    _emit(args, rep, result, {"indices": indices})
     return OK if all_unipotent else PROPERTY_FAILS
 
 
@@ -192,12 +173,12 @@ def cmd_kolchin(rep, args) -> int:
     if isinstance(res, NotUnipotent):
         print(f"not unipotent: stage {res.stage} has no nonzero fixed vectors")
         print(f"invariant subspace reached so far has dimension {res.reached.dim}")
-        _emit(args, rep, "kolchin", "not-unipotent",
+        _emit(args, rep, "not-unipotent",
               {"stage": res.stage, "reached": subspace_to_rows(res.reached)})
         return PROPERTY_FAILS
     print(f"unitriangular of degree {res.degree}")
     print("flag dimensions:", " < ".join(str(s.dim) for s in res.flag.steps))
-    _emit(args, rep, "kolchin", "unitriangular", {
+    _emit(args, rep, "unitriangular", {
         "degree": res.degree,
         "flag": flag_to_payload(res.flag),
         "base_change": matrix_to_rows(res.base_change),
@@ -211,37 +192,28 @@ def cmd_identity_check(rep, args) -> int:
     if n < 1:
         print("--length must be at least 1", file=sys.stderr)
         return USAGE_ERROR
-    if n > ENGEL_CHECK_STEPS:
-        print(f"inconclusive: identity length {n} is above the cap of "
-              f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
-        return INCONCLUSIVE
+    _within_step_cap("identity length", n)
     if args.lift_through_radical:
         try:
-            env = rep.enveloping()
-            bound = lift_identity_through_nilpotent_ideal(rep, env.radical, n)
-        except CharacteristicTooSmallError as e:
-            print(f"inconclusive: {e}", file=sys.stderr)
-            return INCONCLUSIVE
+            bound = lift_identity_through_nilpotent_ideal(rep, rep.enveloping().radical, n)
         except LiftHypothesisError as e:
             print(f"hypothesis fails: generator tuple {e.witness} is not in the radical")
-            _emit(args, rep, "identity-check", "witness",
+            _emit(args, rep, "witness",
                   {"length": n, "witness": list(e.witness), "modulo_radical": True})
             return PROPERTY_FAILS
         print(f"identity of length {n} holds modulo the radical; lifted bound {bound}, verified")
-        _emit(args, rep, "identity-check", "verified",
-              {"length": n, "lifted_bound": bound, "modulo_radical": True})
+        _emit(args, rep, "verified", {"length": n, "lifted_bound": bound, "modulo_radical": True})
         return OK
     # the span series decides the identity; only a failing one sweeps, to name the witness
     try:
         series = invariant_series_from_identity(rep, n)
     except IdentityFailsError as e:
         print(f"witness: ({' , '.join(e.witness)}) gives a nonzero product")
-        _emit(args, rep, "identity-check", "witness", {"length": n, "witness": list(e.witness)})
+        _emit(args, rep, "witness", {"length": n, "witness": list(e.witness)})
         return PROPERTY_FAILS
     print(f"identity of length {n} verified on all generator tuples")
     print("invariant series dimensions:", " < ".join(str(s.dim) for s in series.steps))
-    _emit(args, rep, "identity-check", "verified",
-          {"length": n, "series": flag_to_payload(series)})
+    _emit(args, rep, "verified", {"length": n, "series": flag_to_payload(series)})
     return OK
 
 
@@ -251,11 +223,7 @@ def cmd_pi_check(rep, args) -> int:
         return USAGE_ERROR
     alg = rep.enveloping().algebra
     print(f"enveloping algebra dimension: {alg.dim}")
-    try:
-        witnesses, minimal = minimal_standard_degree(alg, args.max_degree)
-    except SweepCapExceeded as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
-        return INCONCLUSIVE
+    witnesses, minimal = minimal_standard_degree(alg, args.max_degree)
     for k, combo in witnesses.items():
         print(f"standard identity of degree {k}: witness at basis tuple {combo}")
     payload = {
@@ -266,20 +234,16 @@ def cmd_pi_check(rep, args) -> int:
     }
     if minimal is None:
         print(f"no standard identity of degree <= {args.max_degree}")
-        _emit(args, rep, "pi-check", "not-found", payload)
+        _emit(args, rep, "not-found", payload)
         return INCONCLUSIVE
     print(f"standard identity of degree {minimal}: verified")
     print(f"minimal standard identity degree: {minimal}")
-    _emit(args, rep, "pi-check", "degree-found", payload)
+    _emit(args, rep, "degree-found", payload)
     return OK
 
 
 def cmd_unipotent_radical(rep, args) -> int:
-    try:
-        rad = unipotent_radical(rep)
-    except CharacteristicTooSmallError as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
-        return INCONCLUSIVE
+    rad = unipotent_radical(rep)
     print(f"radical ideal dimension: {rad.ideal.dim}")
     tests = {}
     all_members = True
@@ -309,7 +273,7 @@ def cmd_unipotent_radical(rep, args) -> int:
         except NotFiniteError as e:
             print(f"inconclusive oracle: {e}", file=sys.stderr)
             exit_code = INCONCLUSIVE
-    _emit(args, rep, "unipotent-radical", "report", payload)
+    _emit(args, rep, "report", payload)
     return exit_code
 
 
@@ -317,11 +281,7 @@ def cmd_probe(rep, args) -> int:
     kind = args.kind
     payload = {"kind": kind, "seed": args.seed}
     if kind == "engel":
-        if args.n > ENGEL_CHECK_STEPS:
-            # a counterexample found deeper could not be checked by check-cert
-            print(f"inconclusive: Engel depth {args.n} is above the cap of "
-                  f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
-            return INCONCLUSIVE
+        _within_step_cap("Engel depth", args.n)
         if args.length_cap > MAX_WORD_LETTERS:  # check-cert could not parse the words
             raise ValueError(f"--length-cap is above the word cap of {MAX_WORD_LETTERS} letters")
         pair = engel_probe(rep, args.n, args.sample_budget, args.length_cap, args.seed)
@@ -330,11 +290,11 @@ def cmd_probe(rep, args) -> int:
         if pair is None:
             print(f"consistent with the depth-{args.n} Engel identity "
                   f"({args.sample_budget} samples; evidence, not proof)")
-            _emit(args, rep, "probe", "consistent", payload, seed=args.seed)
+            _emit(args, rep, "consistent", payload)
             return OK
         payload["counterexample"] = [str(pair[0]), str(pair[1])]
         print(f"counterexample pair: x = '{pair[0]}', y = '{pair[1]}'")
-        _emit(args, rep, "probe", "counterexample", payload, seed=args.seed)
+        _emit(args, rep, "counterexample", payload)
         return PROPERTY_FAILS
     # only the nil and algebraic walks start from x: the first generator unless given
     x_text = args.x if args.x is not None else rep.names[0]
@@ -343,20 +303,16 @@ def cmd_probe(rep, args) -> int:
         print(f"--g is required for --kind {kind}", file=sys.stderr)
         return USAGE_ERROR
     if kind == "nil":
-        if args.depth_cap > ENGEL_CHECK_STEPS:
-            # an index found deeper could not be checked by check-cert
-            print(f"inconclusive: depth cap {args.depth_cap} is above the cap of "
-                  f"{ENGEL_CHECK_STEPS} steps", file=sys.stderr)
-            return INCONCLUSIVE
+        _within_step_cap("depth cap", args.depth_cap)
         g = evaluate_word(rep, Word.parse(args.g))
         idx = nil_index_probe(g, x, args.depth_cap)
         payload.update({"g": args.g, "x": x_text, "depth_cap": args.depth_cap, "index": idx})
         if idx is None:
             print(f"no vanishing depth up to {args.depth_cap} (inconclusive)")
-            _emit(args, rep, "probe", "inconclusive", payload, seed=args.seed)
+            _emit(args, rep, "inconclusive", payload)
             return INCONCLUSIVE
         print(f"nil index {idx}")
-        _emit(args, rep, "probe", "index-found", payload, seed=args.seed)
+        _emit(args, rep, "index-found", payload)
         return OK
     # algebraic
     g = evaluate_word(rep, Word.parse(args.g))
@@ -365,15 +321,14 @@ def cmd_probe(rep, args) -> int:
                     "element_cap": args.element_cap, "stabilized_at": k})
     if k is None:
         print("no stabilisation within the caps (inconclusive)")
-        _emit(args, rep, "probe", "inconclusive", payload, seed=args.seed)
+        _emit(args, rep, "inconclusive", payload)
         return INCONCLUSIVE
     print(f"commutator subgroup generators stabilise at depth {k} (evidence, not proof)")
-    _emit(args, rep, "probe", "stabilized", payload, seed=args.seed)
+    _emit(args, rep, "stabilized", payload)
     return OK
 
 
-def cmd_check_cert(args) -> int:
-    rep = load_representation(args.repfile)
+def cmd_check_cert(rep, args) -> int:
     cert = load_certificate(args.certfile)
     try:
         summary = check_certificate(rep, cert)
@@ -394,6 +349,7 @@ _HANDLERS = {
     "pi-check": cmd_pi_check,
     "unipotent-radical": cmd_unipotent_radical,
     "probe": cmd_probe,
+    "check-cert": cmd_check_cert,
 }
 
 
@@ -405,11 +361,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        _resolve_env_defaults(args)
-        if args.command == "check-cert":
-            return cmd_check_cert(args)
         rep = load_representation(args.repfile)
         return _HANDLERS[args.command](rep, args)
+    # before ValueError: CharacteristicTooSmallError is one
+    except (CharacteristicTooSmallError, SweepCapExceeded, StepCapExceeded) as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return INCONCLUSIVE
     except RecursionError:
         print("inconclusive: recursion limit exceeded", file=sys.stderr)
         return INCONCLUSIVE

@@ -40,7 +40,8 @@ from .words import (DEFAULT_SAMPLE_BUDGET, DEFAULT_WORD_LENGTH_CAP, RowPair, Wor
 class Representation:
     """Finitely many named invertible matrices acting on row vectors.
     Each name must be one letter of a word (``Word.parse``): nonempty,
-    without whitespace or ``^``, and not the identity ``1``.  It owns
+    without whitespace or ``^``, and not the identity ``1``; nor may it
+    start with ``word:``, the prefix of a word's check-unipotent key.  It owns
     ``generators``, in name order, and each g - 1 (``differences``, built
     once, on the first read)."""
 
@@ -56,6 +57,8 @@ class Representation:
         for name in names:
             if not isinstance(name, str) or name.split() != [name] or "^" in name or name == "1":
                 raise ValueError(f"generator name {name!r} cannot be spelled in a word")
+            if name.startswith("word:"):
+                raise ValueError(f"generator name {name!r} would collide with a word's key")
         dim = items[0][1].nrows
         gens: dict[str, Matrix] = {}
         invs: dict[str, Matrix] = {}

@@ -92,6 +92,9 @@ def test_prime_field_scalars_reduced():
     (lambda d: d.update(field={"Fp": True}), "field order must be an integer, got True"),
     (lambda d: d["generators"].update(a=[[1, True, 0], [0, 1, 0], [0, 0, 1]]), "bad scalar True"),
     (lambda d: d["generators"].update({"1": d["generators"]["a"]}), "cannot be spelled"),
+    # check-unipotent keys the word a as word:a, next to the generators
+    (lambda d: d["generators"].update({"word:a": d["generators"]["a"]}),
+     "collide with a word's key"),
 ])
 def test_parse_errors(mutate, message):
     doc = copy.deepcopy(HEIS_DOC)
@@ -439,26 +442,28 @@ S3_DOC = {"field": {"Fp": 3}, "dim": 2,
           "generators": {"u": [[1, 1], [0, 1]], "d": [[-1, 0], [0, 1]]}}
 
 
-def test_cli_malformed_env_cap_is_a_usage_error(heis_file, monkeypatch, capsys):
-    monkeypatch.setenv("KOLCHIN_ELEMENT_CAP", "abc")
-    assert main(["kolchin", heis_file]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "KOLCHIN_ELEMENT_CAP" in err
-    assert "Traceback" not in err
-
-
-def test_cli_env_caps_are_read_on_every_call(tmp_path, monkeypatch, capsys):
+def test_cli_element_cap_comes_from_its_flag(tmp_path, capsys):
     path = tmp_path / "s3.json"
     path.write_text(json.dumps(S3_DOC))
     argv = ["unipotent-radical", str(path), "--oracle"]
-    monkeypatch.delenv("KOLCHIN_ELEMENT_CAP", raising=False)
-    assert main(argv) == 0
-    monkeypatch.setenv("KOLCHIN_ELEMENT_CAP", "3")  # below the group order 6
-    assert main(argv) == 3
-    assert main(argv + ["--element-cap", "6"]) == 0
-    monkeypatch.delenv("KOLCHIN_ELEMENT_CAP")
-    assert main(argv) == 0
+    assert main(argv + ["--element-cap", "3"]) == 3  # below the group order 6
     assert "inconclusive oracle" in capsys.readouterr().err
+    assert main(argv + ["--element-cap", "6"]) == 0
+    assert main(argv) == 0
+
+
+def test_cli_ignores_kolchin_environment_variables(heis_file, monkeypatch, capsys):
+    # the caps were once also read from these variables, on every call,
+    # so a malformed one failed even check-cert, which reads no cap
+    argvs = [["kolchin", heis_file],
+             ["check-cert", GOLDEN_HEIS, _golden_cert(GOLDEN_HEIS, "kolchin")],
+             ["probe", heis_file, "--kind", "nil", "--g", "b", "--x", "a"]]
+    plain = [main(argv) for argv in argvs]
+    expected = capsys.readouterr()
+    for name in ("DEPTH_CAP", "ELEMENT_CAP", "WORD_LENGTH_CAP", "SAMPLE_BUDGET"):
+        monkeypatch.setenv(f"KOLCHIN_{name}", "abc")
+    assert [main(argv) for argv in argvs] == plain == [0, 0, 0]
+    assert capsys.readouterr() == expected
 
 
 def test_cli_repeated_options_do_not_leak_between_calls(tmp_path, capsys):
@@ -1127,6 +1132,30 @@ def test_check_cert_refuses_retyped_payload_fields(label, edit, message, tmp_pat
     assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, label, result, kind", [
+    (GOLDEN_HEIS, "engel", "proved", None),
+    (GOLDEN_HEIS, "engel", "consistent", "nil"),
+    (GOLDEN_HEIS, "engel", "stabilized", "nil"),
+    (GOLDEN_HEIS, "engel", "holds", "bogus"),
+    (GOLDEN_HEIS, "radical", "all-members", None),
+    (BOREL, "radical", "all-members", None),
+], ids=["engel-proved", "nil-consistent", "nil-stabilized", "bogus-holds",
+        "heis-radical-all-members", "borel-radical-all-members"])
+def test_check_cert_refuses_result_kinds_no_command_writes(path, label, result, kind, tmp_path,
+                                                           capsys):
+    # each was accepted: an unknown probe outcome as evidence, and the
+    # radical checker never read the result
+    def apply(doc):
+        doc["result"] = result
+        if kind:
+            doc["payload"]["kind"] = kind
+
+    bad = _edited(_golden_cert(path, label), tmp_path, apply)
+    assert main(["check-cert", path, bad]) == 2
+    err = capsys.readouterr().err
+    assert "unknown result kind" in err and "Traceback" not in err
 
 
 def test_an_empty_exponent_is_a_malformed_word(capsys):
