@@ -17,12 +17,13 @@ build, so only what a constructor is given gets checked.
 
 Every closure is a right spin (``_spin``): each kept matrix is
 multiplied on the right by each generator, and the products that grow
-the span are kept in turn.  An ideal records its ``generators`` too:
-matrices s with I = sum of the s*A, a right ideal that the seeds
-generate.  Only they are multiplied on the left, because g*I is the sum
-of the (g*s)*A: once each g*s lies in I, so does g*I.  The power chain
-multiplies them on the left too: I^(k+1) = I*I^k is the sum of the
-s*I^k, since A*I^k = I^k.
+the span are kept in turn; a zero product is never absorbed.  An ideal
+records its ``generators`` too: matrices s with I = sum of the s*A, a
+right ideal that the seeds generate.  Only they are multiplied on the
+left, because g*I is the sum of the (g*s)*A: once each g*s lies in I,
+so does g*I; and a generator g inside I takes no left product, as
+g*I lies in I*A = I.  The power chain multiplies them on the left too:
+I^(k+1) = I*I^k is the sum of the s*I^k, since A*I^k = I^k.
 """
 
 from __future__ import annotations
@@ -159,13 +160,15 @@ def _spin(span: RowSpan, seeds: Sequence[Matrix], generators: Sequence[Matrix]) 
     each one kept, and each product kept on the way, on the right by
     each generator, keeping the products that grow the span.  What the
     spin adds to ``span`` is the sum of the s*A over the kept seeds s,
-    A the unital algebra the generators make.  Returns the kept seeds."""
+    A the unital algebra the generators make.  Returns the kept seeds.
+    A zero product adds nothing to a span, so it is never absorbed:
+    over nilpotent generators most products are zero."""
     work = [s for s in seeds if span.absorb(flat(s))]
     kept = work[:]
     for m in work:  # grows while it is walked
         for g in generators:
             prod = m * g
-            if span.absorb(flat(prod)):
+            if not prod.is_zero() and span.absorb(flat(prod)):
                 work.append(prod)
     return kept
 
@@ -280,17 +283,22 @@ def ideal_closure(a: AlgebraBasis, seeds: Sequence[Matrix]) -> Ideal:
     for a kept seed s and a word w, so I = sum of the s*A is closed on
     the right; each g*s lies in I, so g*I = sum of the (g*s)*A lies in I.
 
-    For augmentation seeds h - 1 every left product already lies in the
-    right ideal, as g(h - 1) = (g - 1)h + (h - 1) - (g - 1): the closure
-    takes k*dim I + k*(kept seeds) products for k generators.
+    A generator g that lies in the right ideal takes no more left
+    products: g*I lies in I*A = I, and the span only grows, so g stays
+    inside it to the end.  For augmentation
+    seeds h - 1 over the differences g - 1 as generators, every
+    generator is a seed, so the closure takes k*dim I products for k
+    generators and no left product.
     """
     for s in seeds:
         if not a.contains(s):
             raise ValueError("seed matrix lies outside the algebra")
     span = RowSpan(a.field, a.matrix_size ** 2)
     kept = _spin(span, seeds, a.generators)
+    outside = list(a.generators)
     for s in kept:  # grows while it is walked
-        for g in a.generators:
+        outside = [g for g in outside if not span.contains(flat(g))]
+        for g in outside:
             kept += _spin(span, [g * s], a.generators)
     return Ideal._of_span(a, span.to_subspace(), kept)
 
@@ -306,7 +314,8 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
     Each step multiplies the generators s of I on the left: I is the
     sum of the s*A, and A*I^k = I^k, so I^(k+1) = I * I^k is the sum of
     the s*I^k, spanned by the products s*u over the basis matrices u of
-    I^k.  No product needs a spin.
+    I^k.  No product needs a spin, and a zero one is not absorbed: over
+    nilpotent generators each power has more of them than the last.
     """
     if i.parent != a:
         raise ValueError("ideal does not belong to the algebra")
@@ -318,7 +327,9 @@ def ideal_power_chain(a: AlgebraBasis, i: Ideal):
         span = RowSpan(a.field, a.matrix_size ** 2)
         for s in i.generators:
             for u in current:
-                span.absorb(flat(s * u))
+                prod = s * u
+                if not prod.is_zero():
+                    span.absorb(flat(prod))
         space = span.to_subspace()
         chain.append(space)
         if space.is_zero():

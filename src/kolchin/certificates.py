@@ -52,6 +52,10 @@ the result kinds the commands write are accepted: ``report`` for a
 unipotent-radical certificate, and for a probe only the proved kinds
 above and, as evidence whose envelope alone is checked, an Engel
 ``consistent`` and an algebraic ``stabilized`` or ``inconclusive``.
+The envelope is what probe writes: for Engel a positive depth, sample
+budget and length cap; for algebraic a positive depth cap and element
+cap, and a stabilisation depth from 1 to the depth cap (null when
+inconclusive).
 
 Identical inputs and seeds produce byte-identical certificates; no
 timestamps or environment data are embedded.
@@ -403,9 +407,23 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
                                     f"steps, below the depth cap {cap}")
         return f"no nil index up to the depth cap {cap} verified"
     # Consistent and stabilised outcomes, and an algebraic probe that ran out
-    # of caps, are evidence; only the envelope is checkable.
+    # of caps, are evidence; only the envelope, the values probe writes, is
+    # checkable.
     evidence = {("engel", "consistent"), ("algebraic", "stabilized"), ("algebraic", "inconclusive")}
     _require((kind, result) in evidence, f"unknown result kind {result!r} for probe kind {kind!r}")
+    if kind == "engel":
+        for key in ("depth", "sample_budget", "length_cap"):
+            _int(payload[key], 1, f"Engel {key} must be a positive integer")
+    else:
+        message = "algebraic caps must be positive integers"
+        cap = _int(payload["depth_cap"], 1, message)
+        _int(payload["element_cap"], 1, message)
+        if result == "stabilized":
+            message = "a stabilised algebraic probe stops at a depth from 1 to its depth cap"
+            _require(_int(payload["stabilized_at"], 1, message) <= cap, message)
+        else:
+            _require(payload["stabilized_at"] is None,
+                     "an inconclusive algebraic probe has no stabilisation depth")
     return f"probe report accepted (evidence only, kind {kind})"
 
 

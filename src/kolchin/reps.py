@@ -42,10 +42,13 @@ class Representation:
     Each name must be one letter of a word (``Word.parse``): nonempty,
     without whitespace or ``^``, and not the identity ``1``; nor may it
     start with ``word:``, the prefix of a word's check-unipotent key.  It owns
-    ``generators``, in name order, and each g - 1 (``differences``, built
-    once, on the first read)."""
+    ``generators``, in name order, each g - 1 (``differences``), and the
+    spans V_k of the length-k difference products (``difference_spans``);
+    each is built once, on its first read.  The identity questions read
+    the span series, so no tuple sweep decides one."""
 
-    __slots__ = ("field", "dim", "names", "generators", "_diffs", "_gens", "_invs", "_env")
+    __slots__ = ("field", "dim", "names", "generators", "_diffs", "_spans", "_gens", "_invs",
+                 "_env")
 
     def __init__(self, field: Field, generators: Mapping[str, Matrix] | Iterable[tuple[str, Matrix]]):
         items = list(generators.items()) if isinstance(generators, Mapping) else list(generators)
@@ -76,13 +79,22 @@ class Representation:
         self.generators = tuple(gens[n] for n in names)
         self._gens = gens
         self._invs = invs
-        self._env = self._diffs = None
+        self._env = self._diffs = self._spans = None
 
     @property
     def differences(self) -> tuple[Matrix, ...]:
         if self._diffs is None:  # built on the first read, so loading a rep costs none
             self._diffs = tuple(g - self.identity() for g in self.generators)
         return self._diffs
+
+    @property
+    def difference_spans(self) -> list[Subspace]:
+        """``difference_product_spans(generators, dim)``: the series
+        descends strictly, so it ends within dim steps, and V_n is its
+        entry at min(n, len - 1) for every length n."""
+        if self._spans is None:
+            self._spans = difference_product_spans(self.generators, self.dim)
+        return self._spans
 
     def generator(self, name: str) -> Matrix:
         try:
@@ -125,19 +137,23 @@ class Representation:
 class EnvelopingData:
     """Enveloping algebra of a representation with its two key ideals.
 
-    ``algebra`` is the span closure of the generators and the identity,
-    closed by its spin.  The ideals are computed on first read and then
+    ``algebra`` is the span closure of the differences g - 1 and the
+    identity, closed by its spin.  Since g = (g - 1) + 1 it is the
+    algebra the generators make, with the same canonical span and
+    basis; only its ``generators`` are the g - 1.  For a unipotent group
+    they are nilpotent, so their long products are zero, and no closure
+    absorbs those.  The ideals are computed on first read and then
     kept: ``augmentation_ideal`` is the ideal closure of the g - 1 the
     representation owns, and ``augmentation_index`` is its
     ``nilpotency_index`` (one power chain), or None when the ideal is
     not nilpotent.  The ideal holds every g - 1, so it is nilpotent only
     if they are: one that is not answers None with no closure or chain.
 
-    The closure is a right spin of the g - 1, with only them multiplied
-    on the left: every kept element is (h - 1)*w, so the span is closed
-    on the right, and g(h - 1) = (g - 1)h + (h - 1) - (g - 1) already
-    lies in it, so no left product grows it.  The chain spans the
-    products (h - 1)*u, u in a basis of the last power.
+    The closure is a right spin of the g - 1 by the g - 1: every kept
+    element is (h - 1)*w, so the span is closed on the right, and each
+    generator g - 1 is a seed, so it lies in the right ideal and takes
+    no left product.  The chain spans the nonzero products (h - 1)*u,
+    u in a basis of the last power.
 
     ``radical`` is the augmentation ideal when its index exists: the
     algebra is F*1 plus the augmentation ideal, so a nilpotent
@@ -151,7 +167,7 @@ class EnvelopingData:
     def __init__(self, rep: Representation):
         # no reference back to rep: the representation caches this
         # object, and a cycle would outlive the last reference to either
-        self.algebra = span_closure(rep.field, rep.generators)
+        self.algebra = span_closure(rep.field, rep.differences)
         self.differences = rep.differences
 
     @cached_property
@@ -247,14 +263,19 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
 
 
 def generator_identity_witness(rep: Representation, n: int) -> tuple[str, ...] | None:
-    """Sweep all generator n-tuples for (h_1-1)...(h_n-1) != 0.
+    """Lexicographically first generator n-tuple with (h_1-1)...(h_n-1)
+    != 0, or None when every such product vanishes.
 
-    Returns the lexicographically first violating tuple of generator
-    names, or None when every product vanishes.  Zero prefixes are
-    pruned since every extension of them vanishes too.
+    Every length-n product vanishes iff V_n, the span of the
+    x (h_1-1)...(h_n-1), is zero, so the representation's span series
+    decides the identity; the tuple sweep runs only to name a failing
+    tuple.  Zero prefixes are pruned since every extension of them
+    vanishes too.
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
+    if rep.difference_spans[:n + 1][-1].is_zero():
+        return None
     return _first_live_tuple(tuple(zip(rep.names, rep.differences)), n, Matrix.is_zero)
 
 
@@ -323,9 +344,11 @@ def invariant_series_from_identity(rep: Representation, n: int) -> Flag:
     """Invariant flag with trivial factor actions built from a verified
     length-n generator identity.
 
-    The steps are the spans of all length-k difference products; the
-    identity holds iff the last is zero, and only a failing one runs the
-    tuple sweep, to name its witness (IdentityFailsError carries it).
+    The steps are the spans of all length-k difference products, read
+    from the representation's series (``Representation.difference_spans``,
+    whose first n + 1 entries are ``difference_product_spans`` up to n);
+    the identity holds iff the last is zero, and only a failing one runs
+    the tuple sweep, to name its witness (IdentityFailsError carries it).
     V_k is the sum of the V_(k-1) (g-1), so the group acts trivially on
     every factor.  Repeated zero steps (when the identity holds below
     length n) are collapsed.
@@ -335,7 +358,7 @@ def invariant_series_from_identity(rep: Representation, n: int) -> Flag:
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
-    spans = difference_product_spans(rep.generators, n)
+    spans = rep.difference_spans[:n + 1]
     if not spans[-1].is_zero():
         raise IdentityFailsError(n, generator_identity_witness(rep, n))
     return Flag._ascending(spans[::-1])
@@ -370,8 +393,8 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
     Requires every length-n generator difference product to lie in
     ``a1`` (checked; LiftHypothesisError carries the first failing
     tuple) and ``a1`` nilpotent of some index m.  The conclusion - all
-    length-(m*n) products vanish - is verified through the product
-    spans before the bound is returned.  The index is the ideal's
+    length-(m*n) products vanish - is verified on the representation's
+    span series before the bound is returned.  The index is the ideal's
     ``nilpotency_index``, read only once the hypothesis holds, so a
     failing sweep runs no chain and a chain already run is not repeated.
     """
@@ -386,7 +409,7 @@ def lift_identity_through_nilpotent_ideal(rep: Representation, a1: Ideal, n: int
         raise ValueError("the ideal is not nilpotent")
 
     bound = m * n
-    if not difference_product_spans(rep.generators, bound)[-1].is_zero():
+    if not rep.difference_spans[:bound + 1][-1].is_zero():
         raise InternalInconsistencyError("lifted identity failed matrix-level verification")
     return bound
 
@@ -398,7 +421,7 @@ def regular_representation(rep: Representation) -> Representation:
     matrix of x -> x*g in the algebra basis coordinates.
     """
     alg = rep.enveloping().algebra
-    basis = alg.basis  # the spin closed the algebra under every g
+    basis = alg.basis  # the spin closed the algebra under every g - 1, so under every g
     return Representation(rep.field, [
         (name, Matrix(rep.field, [alg.coordinates(b * g) for b in basis], ncols=alg.dim))
         for name, g in rep.items()])

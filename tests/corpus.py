@@ -1,11 +1,16 @@
-"""Seeded random generators, and a small reference, shared by the test suite."""
+"""Seeded random generators, hypothesis group strategies and a small
+reference, shared by the test suite."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from kolchin import GF, QQ, Matrix, Representation
+
+FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
 
 def unit_matrix(field, n, i, j):
@@ -102,3 +107,61 @@ def unitriangular_corpus(seed, count):
         k = rng.randint(2, 4)
         reps.append(conjugated_unitriangular_rep(rng, n, k, rational))
     return reps
+
+
+# -- hypothesis strategies ---------------------------------------------------------
+
+@st.composite
+def scalars(draw, field, nonzero=False):
+    if field.p is not None:
+        return draw(st.integers(1 if nonzero else 0, field.p - 1))
+    x = draw(st.integers(-4, 4).filter(bool) if nonzero else st.integers(-4, 4))
+    return Fraction(x, draw(st.integers(1, 4))) if draw(st.booleans()) else x
+
+
+def unitriangular(draw, field, n, lower=False, nonzero=False):
+    return Matrix(field, [[1 if i == j else draw(scalars(field, nonzero))
+                           if (i > j if lower else i < j) else 0 for j in range(n)]
+                          for i in range(n)])
+
+
+@st.composite
+def groups(draw):
+    """A group P T_k P^-1 over one field.  Every T_k is upper
+    unitriangular, except that in a blocked group the diagonal block at
+    rows ``lo:hi`` is replaced by an invertible L U D (unit triangular
+    L and U, diagonal D), always in the first generator and by choice
+    in the others.  The first block has nonzero entries in L, U and D,
+    so it is seldom unipotent.  A block at the bottom tends to fail at
+    stage 1, one higher up after the flag has covered the rows below
+    it."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n)) if draw(st.booleans()) else lo
+    p = unitriangular(draw, field, n, lower=True) * unitriangular(draw, field, n)
+    pinv = p.inverse()
+    gens = {}
+    for k in range(draw(st.integers(1, 3))):
+        t = [list(r) for r in unitriangular(draw, field, n).rows]
+        if hi > lo and (k == 0 or draw(st.booleans())):
+            d, first = hi - lo, k == 0
+            diag = Matrix(field, [[draw(scalars(field, True)) if i == j else 0 for j in range(d)]
+                                  for i in range(d)])
+            block = (unitriangular(draw, field, d, lower=True, nonzero=first)
+                     * unitriangular(draw, field, d, nonzero=first) * diag)
+            for i in range(d):
+                t[lo + i][lo:hi] = block.rows[i]
+        gens[f"g{k}"] = p * Matrix(field, t) * pinv
+    return Representation(field, gens)
+
+
+@st.composite
+def groups_with_identity(draw):
+    """A group from ``groups``, half the time with the identity added as
+    one more generator, at a drawn position."""
+    rep = draw(groups())
+    items = list(rep.items())
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), ("e", rep.identity()))
+    return Representation(rep.field, items)

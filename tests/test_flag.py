@@ -7,19 +7,17 @@ lifts that space back into V through the non-pivot coordinates of W and
 adds it to W.  The base change is assembled from the steps' scalar rows.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolchin import (GF, QQ, Matrix, NotUnipotent, Representation, Subspace, UnitriCertificate,
-                     fixed_space, ideal_power_chain, invariant_series_from_identity, kolchin_flag,
-                     quotient_action)
+                     fixed_space, generator_identity_witness, ideal_power_chain,
+                     invariant_series_from_identity, kolchin_flag, quotient_action)
+from kolchin.reps import _first_live_tuple, difference_product_spans
 from kolchin.certificates import _quotient_chain
 from kolchin.linalg import Flag, RowSpan, assemble_flag_basis, flag_drops, kernel, preimage
-
-FIELDS = [QQ, GF(2), GF(3), GF(5)]
+from corpus import FIELDS, groups, groups_with_identity, scalars
 
 
 # -- quotient-route reference ---------------------------------------------------
@@ -95,51 +93,6 @@ def assert_same(got, want):
 # -- strategies -----------------------------------------------------------------
 
 @st.composite
-def scalars(draw, field, nonzero=False):
-    if field.p is not None:
-        return draw(st.integers(1 if nonzero else 0, field.p - 1))
-    x = draw(st.integers(-4, 4).filter(bool) if nonzero else st.integers(-4, 4))
-    return Fraction(x, draw(st.integers(1, 4))) if draw(st.booleans()) else x
-
-
-def unitriangular(draw, field, n, lower=False, nonzero=False):
-    return Matrix(field, [[1 if i == j else draw(scalars(field, nonzero))
-                           if (i > j if lower else i < j) else 0 for j in range(n)]
-                          for i in range(n)])
-
-
-@st.composite
-def groups(draw):
-    """A group P T_k P^-1 over one field.  Every T_k is upper
-    unitriangular, except that in a blocked group the diagonal block at
-    rows ``lo:hi`` is replaced by an invertible L U D (unit triangular
-    L and U, diagonal D), always in the first generator and by choice
-    in the others.  The first block has nonzero entries in L, U and D,
-    so it is seldom unipotent.  A block at the bottom tends to fail at
-    stage 1, one higher up after the flag has covered the rows below
-    it."""
-    field = draw(st.sampled_from(FIELDS))
-    n = draw(st.integers(1, 5))
-    lo = draw(st.integers(0, n - 1))
-    hi = draw(st.integers(lo + 1, n)) if draw(st.booleans()) else lo
-    p = unitriangular(draw, field, n, lower=True) * unitriangular(draw, field, n)
-    pinv = p.inverse()
-    gens = {}
-    for k in range(draw(st.integers(1, 3))):
-        t = [list(r) for r in unitriangular(draw, field, n).rows]
-        if hi > lo and (k == 0 or draw(st.booleans())):
-            d, first = hi - lo, k == 0
-            diag = Matrix(field, [[draw(scalars(field, True)) if i == j else 0 for j in range(d)]
-                                  for i in range(d)])
-            block = (unitriangular(draw, field, d, lower=True, nonzero=first)
-                     * unitriangular(draw, field, d, nonzero=first) * diag)
-            for i in range(d):
-                t[lo + i][lo:hi] = block.rows[i]
-        gens[f"g{k}"] = p * Matrix(field, t) * pinv
-    return Representation(field, gens)
-
-
-@st.composite
 def matrix_lists(draw):
     """Square matrices I + A B with A of size n x r and B of size r x n,
     so that fixed spaces of every dimension occur."""
@@ -212,6 +165,19 @@ def test_flags_drop_every_step(rep):
         assert Flag(series.steps) == series
         assert (series.field, series.ambient_dim) == (rep.field, rep.dim)
         assert flag_drops(rep.generators, series.steps)
+
+
+@settings(max_examples=150)
+@given(groups_with_identity())
+def test_the_owned_span_series_answers_every_identity_length(rep):
+    # the series is built once, up to dim; its first n + 1 entries are
+    # the spans up to n for every n, and V_n = 0 decides the identity
+    # as the tuple sweep does
+    diffs = tuple(zip(rep.names, rep.differences))
+    for n in range(1, rep.dim + 3):
+        assert rep.difference_spans[:n + 1] == difference_product_spans(rep.generators, n)
+        assert (generator_identity_witness(rep, n)
+                == _first_live_tuple(diffs, n, Matrix.is_zero))
 
 
 @settings(max_examples=100)

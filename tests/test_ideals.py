@@ -39,7 +39,7 @@ from kolchin import algebra, load_representation
 from kolchin.algebra import _matrices, span_closure
 from kolchin.linalg import kernel
 from kolchin.linalg import RowSpan, express_in_rows, flat
-from corpus import ref_from_coordinates
+from corpus import groups_with_identity, ref_from_coordinates
 
 F5 = GF(5)
 
@@ -544,6 +544,51 @@ def test_ideal_closure_matches_the_two_sided_closure(case):
     # the kept seeds generate it as a right ideal
     assert all(i.contains(s) for s in i.generators)
     assert spin(a, i.generators, a.generators, ["right"]) == i.span
+
+
+@st.composite
+def mixed_seeds(draw):
+    """An algebra spun from each generator g of a group, or from g - 1,
+    as drawn, and seeds: a drawn subset of the algebra's generators,
+    which lie in the right ideal they spin, and by choice a few more
+    matrices of the algebra."""
+    rep = draw(groups_with_identity())
+    gens = [d if draw(st.booleans()) else g for g, d in zip(rep.generators, rep.differences)]
+    a = span_closure(rep.field, gens)
+    seeds = [g for g in gens if draw(st.booleans())]
+    if draw(st.booleans()):
+        seeds += seed_matrices(draw, a)
+    return a, seeds
+
+
+@settings(max_examples=100)
+@given(mixed_seeds())
+def test_ideal_closure_skips_generators_inside_the_right_ideal(case):
+    # a generator g inside the right ideal I has g*I in I*A = I, so only
+    # the generators outside it are multiplied on the left
+    a, seeds = case
+    i = ideal_closure(a, seeds)
+    assert i.span == ref_two_sided_closure(a, seeds)
+    assert spin(a, i.generators, a.generators, ["right"]) == i.span
+
+
+@settings(max_examples=100)
+@given(groups_with_identity())
+def test_envelope_over_the_differences_matches_the_generators_route(rep):
+    # g = (g - 1) + 1, so the g - 1 spin the algebra the g do, and its
+    # span is canonical; the augmentation ideal, closed over the g - 1
+    # with no left product, is the two-sided closure of the g - 1 over
+    # the algebra spun from the g, and its index is the coordinate
+    # route's
+    field = rep.field
+    env = rep.enveloping()
+    a, ref = env.algebra, span_closure(field, rep.generators)
+    assert a.generators == rep.differences
+    assert a.span == span_closure(field, rep.differences).span == ref.span
+    i = env.augmentation_ideal
+    assert i.span == ref_two_sided_closure(ref, rep.differences)
+    _, ref_index = ref_power_chain(ref, ref_coordinate_space(ref, i.matrices))
+    assert ideal_power_chain(a, i)[1] == env.augmentation_index == ref_index
 
 
 def test_corner_seed_reaches_all_of_m3_from_its_row():

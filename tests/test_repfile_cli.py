@@ -1158,6 +1158,44 @@ def test_check_cert_refuses_result_kinds_no_command_writes(path, label, result, 
     assert "unknown result kind" in err and "Traceback" not in err
 
 
+MIX_DOC = {"field": "Q", "dim": 2, "generators": {"d": [[2, 0], [0, 1]], "t": [[1, 1], [0, 1]]}}
+
+
+@pytest.mark.parametrize("result, key, value", [
+    ("consistent", "depth", "abc"),
+    ("consistent", "depth", 0),
+    ("consistent", "sample_budget", -1),
+    ("consistent", "length_cap", None),
+    ("stabilized", "depth_cap", 0),
+    ("stabilized", "element_cap", "100"),
+    ("stabilized", "stabilized_at", 0),
+    ("stabilized", "stabilized_at", 11),
+    ("stabilized", "stabilized_at", None),
+    ("inconclusive", "depth_cap", True),
+    ("inconclusive", "element_cap", 0),
+    ("inconclusive", "stabilized_at", 2),
+])
+def test_check_cert_reads_the_payload_of_an_evidence_only_probe(result, key, value, tmp_path,
+                                                                 capsys):
+    # each was accepted as evidence without its payload being read:
+    # probe refuses these values, so it never writes them
+    if result == "consistent":
+        path, cert = GOLDEN_HEIS, _golden_cert(GOLDEN_HEIS, "engel")
+    else:
+        doc, opts = ((S3_DOC, ["--g", "d", "--x", "u"]) if result == "stabilized" else
+                     (MIX_DOC, ["--g", "d", "--x", "t", "--depth-cap", "4", "--element-cap", "40"]))
+        path, cert = str(tmp_path / "rep.json"), str(tmp_path / "probe.json")
+        Path(path).write_text(json.dumps(doc))
+        main(["probe", path, "--kind", "algebraic", *opts, "--cert", cert])
+    assert json.loads(Path(cert).read_text())["result"] == result
+    assert main(["check-cert", path, cert]) == 0
+    bad = _edited(cert, tmp_path, lambda doc: doc["payload"].update({key: value}))
+    capsys.readouterr()
+    assert main(["check-cert", path, bad]) == 2
+    err = capsys.readouterr().err
+    assert "certificate verification FAILED" in err and "Traceback" not in err
+
+
 def test_an_empty_exponent_is_a_malformed_word(capsys):
     # "a^" was read as the word a, and its index 2 was reported
     assert main(["check-unipotent", GOLDEN_HEIS, "--element", "a^"]) == 1

@@ -27,6 +27,7 @@ from kolchin import (
 )
 from kolchin import algebra, reps
 from kolchin.algebra import Ideal
+from kolchin.linalg import RowSpan
 from kolchin.words import (Word, brute_force_unipotent_radical, enumerate_elements, evaluate_word,
                            random_word)
 from corpus import (
@@ -213,18 +214,46 @@ def test_enveloping_computes_each_ideal_once_on_first_read():
         assert unitriangular_degree(diag_rep()) is None and calls == []
 
 
-def test_augmentation_closure_multiplies_only_its_seeds_on_the_left():
-    # the right spin takes k products per kept element, and the left
-    # products of the k kept seeds g - 1 all fall inside the right ideal
-    a = heisenberg().enveloping().algebra
-    one = Matrix.identity(QQ, 3)
-    seeds = [g - one for g in a.generators]
+def test_augmentation_closure_takes_no_left_product():
+    # the right spin takes k products per kept element, and the k
+    # generators g - 1 are the seeds, so each lies in the right ideal
+    # and takes no left product
+    rep = heisenberg()
+    a = rep.enveloping().algebra
+    seeds = list(rep.differences)
+    assert a.generators == tuple(seeds)
     with mock.patch.object(Matrix, "__mul__", autospec=True,
                            side_effect=Matrix.__mul__) as product:
         i = ideal_closure(a, seeds)
     k = len(a.generators)
     assert i.dim == 3 and i.generators == tuple(seeds)
-    assert product.call_count == k * i.dim + k * len(i.generators) == 10
+    assert product.call_count == k * i.dim == 6
+
+
+def test_the_unipotent_envelope_absorbs_no_zero_product(monkeypatch):
+    # over the nilpotent g - 1 every product of three is zero, and no
+    # closure or chain hands one to a span
+    absorbed = []
+    absorb = RowSpan.absorb
+    monkeypatch.setattr(RowSpan, "absorb", lambda span, v: absorbed.append(v) or absorb(span, v))
+    rep = heisenberg()
+    assert unitriangular_degree(rep) == 3 and rep.enveloping().radical.dim == 3
+    assert absorbed and all(any(v) for v in absorbed)
+
+
+def test_the_span_series_decides_identities_and_the_sweep_only_names_a_tuple():
+    rep = heisenberg()
+    spans = mock.patch.object(reps, "difference_product_spans",
+                              wraps=reps.difference_product_spans)
+    sweep = mock.patch.object(reps, "_first_live_tuple", wraps=reps._first_live_tuple)
+    with spans as built, sweep as swept:
+        assert generator_identity_witness(rep, 3) is None
+        assert invariant_series_from_identity(rep, 3).degree == 3
+    assert built.call_count == 1 and swept.call_count == 0
+    # (a - 1)(b - 1) = e13 is not zero: the sweep runs once, to name it
+    with sweep as swept:
+        assert generator_identity_witness(rep, 2) == ("a", "b")
+    assert swept.call_count == 1
 
 
 @pytest.mark.parametrize("make", [
@@ -232,9 +261,9 @@ def test_augmentation_closure_multiplies_only_its_seeds_on_the_left():
     ids=["heisenberg", "diagonal", "conjugated-unitriangular"])
 def test_a_built_representation_subtracts_no_identity_again(make, monkeypatch):
     # each g - 1 is built once, on the first read of rep.differences; the
-    # lift's closing check goes through difference_product_spans, which
-    # takes arbitrary matrices and keeps its own g - 1, so its calls are
-    # not counted
+    # span series that the witness and the lift's closing check read is
+    # built by difference_product_spans, which takes arbitrary matrices
+    # and keeps its own g - 1, so its calls are not counted
     rep = make()
     differences = rep.differences
     assert differences == tuple(g - rep.identity() for g in rep.generators)
