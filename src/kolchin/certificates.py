@@ -23,20 +23,20 @@ algorithm that made it:
   stage (a positive integer) and the claimed reached subspace;
 - pi-check: the embedded basis spans exactly the enveloping algebra,
   which the checker spins itself; each witness has increasing indices,
-  a degree below 2n (M_n satisfies S_2n) and a nonzero value; the degree
-  below the claimed one has a witness, and S_k at the claimed degree k
-  vanishes on every k-subset of the basis, as the checker sweeps itself,
-  unless k = 2n, where S_k holds by Amitsur-Levitzki.  The re-sweep,
-  and each witness, may take ``algebra.SWEEP_WORK_CAP``; past it the
-  check is inconclusive (``CheckInconclusive``);
+  a degree below 2n (M_n satisfies S_2n) and a nonzero value; the
+  claimed degree k is at most the max degree, the degree below it has a
+  witness, and S_k vanishes on every k-subset of the basis, as the
+  checker sweeps itself, unless k = 2n, where S_k holds by
+  Amitsur-Levitzki.  The re-sweep, and each witness, may take
+  ``algebra.SWEEP_WORK_CAP``; past it the check is inconclusive;
 - unipotent-radical: the embedded radical is exactly the kernel of the
   trace form Tr(xy) on that algebra (characteristic 0 or p > n), and
   the membership verdicts follow.  That kernel is an ideal, Tr being
   associative, so the group (inverses lie in the algebra) conjugates it
   to itself; and Tr(x^k) = 0 for all k with n < p makes it nilpotent;
-- an Engel counterexample: the depth is a positive integer and the walk
+- an Engel counterexample: exactly two words x and y, and the walk
   c <- [c, y] from x, computed from the definition, does not reach 1
-  within it.  The walk stops early once c repeats; past
+  within the depth.  The walk stops early once c repeats; past
   ``ENGEL_CHECK_STEPS`` steps without a repeat the check is
   inconclusive (``CheckInconclusive``);
 - a nil index k: a positive integer no larger than the depth cap, with
@@ -52,10 +52,10 @@ the result kinds the commands write are accepted: ``report`` for a
 unipotent-radical certificate, and for a probe only the proved kinds
 above and, as evidence whose envelope alone is checked, an Engel
 ``consistent`` and an algebraic ``stabilized`` or ``inconclusive``.
-The envelope is what probe writes: for Engel a positive depth, sample
-budget and length cap; for algebraic a positive depth cap and element
-cap, and a stabilisation depth from 1 to the depth cap (null when
-inconclusive).
+The envelope is what probe writes: for Engel (on every report) a
+positive depth, sample budget and length cap; for algebraic a positive
+depth cap and element cap, and a stabilisation depth from 1 to the
+depth cap (null when inconclusive).
 
 Identical inputs and seeds produce byte-identical certificates; no
 timestamps or environment data are embedded.
@@ -90,6 +90,13 @@ class CertificateError(ValueError):
 
 class CheckInconclusive(Exception):
     """The checker reached one of its caps before it could decide."""
+
+
+def within_step_cap(what: str, steps: int) -> None:
+    """The one owner of the step cap: the checker takes at most
+    ENGEL_CHECK_STEPS steps, so it and the CLI refuse more."""
+    if steps > ENGEL_CHECK_STEPS:
+        raise CheckInconclusive(f"{what} {steps} is above the cap of {ENGEL_CHECK_STEPS} steps")
 
 
 def representation_digest(rep: Representation) -> str:
@@ -275,9 +282,7 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
         _require(isinstance(names, list) and len(names) == n
                  and all(name in rep.names for name in names),
                  f"witness must list exactly {n} generator names")
-        if n > ENGEL_CHECK_STEPS:
-            raise CheckInconclusive(f"identity length {n} is above the cap of "
-                                    f"{ENGEL_CHECK_STEPS} steps")
+        within_step_cap("identity length", n)
         prod = one
         for name in names:
             prod = prod * (rep.generator(name) - one)
@@ -291,7 +296,8 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
         lifted = payload.get("modulo_radical")
         bound = (_int(payload["lifted_bound"], 1, "lifted bound must be a positive integer")
                  if lifted else n)
-        _require(difference_product_spans(rep.generators, bound)[-1].is_zero(),
+        diffs = [g - one for g in rep.generators]
+        _require(difference_product_spans(diffs, bound)[-1].is_zero(),
                  f"difference products of length {bound} do not all vanish")
         if "series" in payload:
             _checked_flag(rep, payload["series"])
@@ -316,12 +322,14 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     minimal = payload.get("minimal_degree")
     _require(result == ("not-found" if minimal is None else "degree-found"),
              f"result {result!r} contradicts the minimal degree")
-    # pi-check sweeps from degree 2, so it never writes a degree below 2
+    # pi-check sweeps from degree 2 to its max degree, and writes no other
     message = "pi-check degrees must be integers of at least 2"
     top = _int(payload["max_degree"], 2, message)
     # S_j holding implies S_(j+1) holds, so a witness one below the claimed
     # degree, or at the top of a sweep that found none, shows all below fail
     below = top if minimal is None else _int(minimal, 2, message) - 1
+    _require(minimal is None or below < top,
+             f"minimal degree {minimal} is above the max degree {top}")
     _require(below < 2 or str(below) in witnesses, f"no degree-{below} witness")
     if minimal is None:
         return "standard identity witnesses verified"
@@ -365,11 +373,14 @@ def _check_radical(rep: Representation, result: str, payload: dict) -> str:
 
 def _check_probe(rep: Representation, result: str, payload: dict) -> str:
     kind = payload["kind"]
+    if kind == "engel":  # the envelope probe writes on every Engel report
+        depth, _, _ = (_int(payload[key], 1, f"Engel {key} must be a positive integer")
+                       for key in ("depth", "sample_budget", "length_cap"))
     if result == "counterexample":
         if kind == "engel":
-            depth = _int(payload["depth"], 1, "Engel depth must be a positive integer")
-            x = evaluate_word(rep, Word.parse(payload["counterexample"][0]))
-            y = evaluate_word(rep, Word.parse(payload["counterexample"][1]))
+            pair = payload["counterexample"]
+            _require(type(pair) is list and len(pair) == 2, "Engel counterexample is not two words")
+            x, y = (evaluate_word(rep, Word.parse(text)) for text in pair)
             # once c repeats, the walk cycles through values already seen, none of them 1
             seen = {x}
             for c in _commutator_walk(x, y, min(depth, ENGEL_CHECK_STEPS)):
@@ -388,9 +399,7 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
         message = "nil index must be a positive integer no larger than the depth cap"
         index = _int(payload["index"], 1, message)
         _require(index <= _int(payload["depth_cap"], 1, message), message)
-        if index > ENGEL_CHECK_STEPS:
-            raise CheckInconclusive(f"nil index {index} is above the cap of "
-                                    f"{ENGEL_CHECK_STEPS} steps")
+        within_step_cap("nil index", index)
         first = _first_trivial_nil_step(rep, payload, index)
         _require(first is not None, f"the nil walk does not reach 1 at the claimed index {index}")
         _require(first == index, f"the nil walk reaches 1 at step {first}, "
@@ -411,10 +420,7 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
     # checkable.
     evidence = {("engel", "consistent"), ("algebraic", "stabilized"), ("algebraic", "inconclusive")}
     _require((kind, result) in evidence, f"unknown result kind {result!r} for probe kind {kind!r}")
-    if kind == "engel":
-        for key in ("depth", "sample_budget", "length_cap"):
-            _int(payload[key], 1, f"Engel {key} must be a positive integer")
-    else:
+    if kind == "algebraic":
         message = "algebraic caps must be positive integers"
         cap = _int(payload["depth_cap"], 1, message)
         _int(payload["element_cap"], 1, message)

@@ -8,13 +8,13 @@ command, and its seed is probe's --seed (null for every other command).
 Exit codes: 0 the property holds, 1 usage, parse, arithmetic or file
 error, 2 the property fails (a witness is printed), 3 inconclusive (a
 cap, a characteristic restriction or the recursion limit got in the
-way; ``main`` maps each of these to 3 in one place).  A
-standard-identity sweep that would take more than
+way; ``main`` maps each of these to 3 in one place, check-cert's too).
+A standard-identity sweep that would take more than
 algebra.SWEEP_WORK_CAP scalar multiplications (n^3 per n x n product)
 is cut: pi-check and check-cert then exit 3, and pi-check writes no
-certificate.  So is an identity-check --length above
-certificates.ENGEL_CHECK_STEPS = 1,000, before any sweep, and so is
-check-cert on a witness certificate of such a length.
+certificate.  certificates.within_step_cap refuses a step count above
+ENGEL_CHECK_STEPS = 1,000 (identity --length, Engel --n, nil
+--depth-cap) before any walk or sweep, as check-cert does.
 
 Caps come only from their flags (--depth-cap, --element-cap,
 --sample-budget, --length-cap), which default to the words.DEFAULT_*
@@ -32,7 +32,6 @@ from itertools import chain
 
 from .algebra import CharacteristicTooSmallError, SweepCapExceeded, minimal_standard_degree
 from .certificates import (
-    ENGEL_CHECK_STEPS,
     CertificateError,
     CheckInconclusive,
     check_certificate,
@@ -41,6 +40,7 @@ from .certificates import (
     make_certificate,
     matrix_to_rows,
     subspace_to_rows,
+    within_step_cap,
     write_certificate,
 )
 from .repfile import load_representation
@@ -71,16 +71,6 @@ from .words import (
 )
 
 OK, USAGE_ERROR, PROPERTY_FAILS, INCONCLUSIVE = 0, 1, 2, 3
-
-
-class StepCapExceeded(Exception):
-    """A step count above ENGEL_CHECK_STEPS: check-cert could not check
-    the answer, so the command refuses it as inconclusive."""
-
-
-def _within_step_cap(what: str, steps: int) -> None:
-    if steps > ENGEL_CHECK_STEPS:
-        raise StepCapExceeded(f"{what} {steps} is above the cap of {ENGEL_CHECK_STEPS} steps")
 
 
 class UsageError(Exception):
@@ -192,7 +182,7 @@ def cmd_identity_check(rep, args) -> int:
     if n < 1:
         print("--length must be at least 1", file=sys.stderr)
         return USAGE_ERROR
-    _within_step_cap("identity length", n)
+    within_step_cap("identity length", n)
     if args.lift_through_radical:
         try:
             bound = lift_identity_through_nilpotent_ideal(rep, rep.enveloping().radical, n)
@@ -260,10 +250,8 @@ def cmd_unipotent_radical(rep, args) -> int:
     if args.oracle:
         try:
             table = enumerate_elements(rep, args.element_cap)
-            if not table.closed:
-                raise NotFiniteError("enumeration hit the element cap")
-            members = {m for m in table.elements if rad.contains(m)}
             brute = set(brute_force_unipotent_radical(rep, elements=table))
+            members = {m for m in table.elements if rad.contains(m)}
             agree = members == brute
             print(f"group order {len(table)}; radical subgroup order {len(brute)}; "
                   + ("oracle agrees" if agree else "ORACLE DISAGREES"))
@@ -281,7 +269,7 @@ def cmd_probe(rep, args) -> int:
     kind = args.kind
     payload = {"kind": kind, "seed": args.seed}
     if kind == "engel":
-        _within_step_cap("Engel depth", args.n)
+        within_step_cap("Engel depth", args.n)
         if args.length_cap > MAX_WORD_LETTERS:  # check-cert could not parse the words
             raise ValueError(f"--length-cap is above the word cap of {MAX_WORD_LETTERS} letters")
         pair = engel_probe(rep, args.n, args.sample_budget, args.length_cap, args.seed)
@@ -303,7 +291,7 @@ def cmd_probe(rep, args) -> int:
         print(f"--g is required for --kind {kind}", file=sys.stderr)
         return USAGE_ERROR
     if kind == "nil":
-        _within_step_cap("depth cap", args.depth_cap)
+        within_step_cap("depth cap", args.depth_cap)
         g = evaluate_word(rep, Word.parse(args.g))
         idx = nil_index_probe(g, x, args.depth_cap)
         payload.update({"g": args.g, "x": x_text, "depth_cap": args.depth_cap, "index": idx})
@@ -335,9 +323,6 @@ def cmd_check_cert(rep, args) -> int:
     except CertificateError as e:
         print(f"certificate verification FAILED: {e}", file=sys.stderr)
         return PROPERTY_FAILS
-    except CheckInconclusive as e:
-        print(f"certificate check inconclusive: {e}", file=sys.stderr)
-        return INCONCLUSIVE
     print(summary)
     return OK
 
@@ -364,7 +349,7 @@ def main(argv=None) -> int:
         rep = load_representation(args.repfile)
         return _HANDLERS[args.command](rep, args)
     # before ValueError: CharacteristicTooSmallError is one
-    except (CharacteristicTooSmallError, SweepCapExceeded, StepCapExceeded) as e:
+    except (CharacteristicTooSmallError, SweepCapExceeded, CheckInconclusive) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return INCONCLUSIVE
     except RecursionError:

@@ -372,27 +372,10 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, sub)
 
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
     def scale(self, s) -> "Matrix":
         s = self.field.of(s)
         return Matrix.from_ints(self.field, [[s.numerator * x for x in r] for r in self.ints],
                                 self.den * s.denominator, self.ncols)
-
-    def __pow__(self, k: int) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def transpose(self) -> "Matrix":
         return Matrix._new(self._k, _columns(self.ints, self.ncols), self.den, self.nrows)

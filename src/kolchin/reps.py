@@ -89,11 +89,11 @@ class Representation:
 
     @property
     def difference_spans(self) -> list[Subspace]:
-        """``difference_product_spans(generators, dim)``: the series
+        """``difference_product_spans(differences, dim)``: the series
         descends strictly, so it ends within dim steps, and V_n is its
         entry at min(n, len - 1) for every length n."""
         if self._spans is None:
-            self._spans = difference_product_spans(self.generators, self.dim)
+            self._spans = difference_product_spans(self.differences, self.dim)
         return self._spans
 
     def generator(self, name: str) -> Matrix:
@@ -140,11 +140,12 @@ class EnvelopingData:
     ``algebra`` is the span closure of the differences g - 1 and the
     identity, closed by its spin.  Since g = (g - 1) + 1 it is the
     algebra the generators make, with the same canonical span and
-    basis; only its ``generators`` are the g - 1.  For a unipotent group
-    they are nilpotent, so their long products are zero, and no closure
-    absorbs those.  The ideals are computed on first read and then
-    kept: ``augmentation_ideal`` is the ideal closure of the g - 1 the
-    representation owns, and ``augmentation_index`` is its
+    basis; only its ``generators`` are the g - 1, the tuple the
+    representation owns.  For a unipotent group they are nilpotent, so
+    their long products are zero, and no closure absorbs those.  The
+    ideals are computed on first read and then kept:
+    ``augmentation_ideal`` is the ideal closure of those g - 1, and
+    ``augmentation_index`` is its
     ``nilpotency_index`` (one power chain), or None when the ideal is
     not nilpotent.  The ideal holds every g - 1, so it is nilpotent only
     if they are: one that is not answers None with no closure or chain.
@@ -168,15 +169,14 @@ class EnvelopingData:
         # no reference back to rep: the representation caches this
         # object, and a cycle would outlive the last reference to either
         self.algebra = span_closure(rep.field, rep.differences)
-        self.differences = rep.differences
 
     @cached_property
     def augmentation_ideal(self) -> Ideal:
-        return ideal_closure(self.algebra, self.differences)
+        return ideal_closure(self.algebra, self.algebra.generators)
 
     @cached_property
     def augmentation_index(self) -> int | None:
-        if any(_nilpotency_index(d) is None for d in self.differences):
+        if any(_nilpotency_index(d) is None for d in self.algebra.generators):
             return None
         return self.augmentation_ideal.nilpotency_index
 
@@ -307,25 +307,24 @@ def _first_live_tuple(diffs, n: int, dead):
     return None
 
 
-def difference_product_spans(generators: Sequence[Matrix], upto: int) -> list[Subspace]:
-    """Spans V_k of all vectors x (h_1-1)...(h_k-1), for k = 0..upto and
-    each h_i one of the (at least one) n x n matrices ``generators``.
+def difference_product_spans(differences: Sequence[Matrix], upto: int) -> list[Subspace]:
+    """Spans V_k of all vectors x d_1...d_k, for k = 0..upto and each d_i
+    one of the (at least one) n x n matrices ``differences``, used as
+    given: a caller holding group elements passes their g - 1.
 
-    Satisfies V_k = sum over generators of V_{k-1} (g-1), which keeps
-    the computation linear in ``upto``.  Since V_k is a function of
+    Satisfies V_k = sum over the d of V_{k-1} d, which keeps the
+    computation linear in ``upto``.  Since V_k is a function of
     V_{k-1}, the list stops early at a zero span or before a span
     equal to the last one: its entries strictly descend, and the last
     one is V_upto.
     """
-    field, n = generators[0].field, generators[0].nrows
-    one = Matrix.identity(field, n)
-    diffs = [g - one for g in generators]
+    field, n = differences[0].field, differences[0].nrows
     spans = [Subspace.full(field, n)]
     for _ in range(upto):
         prev = spans[-1]
         if prev.is_zero():
             break
-        nxt = Subspace._spanned(field, n, [r for d in diffs for r in (prev.basis * d).ints])
+        nxt = Subspace._spanned(field, n, [r for d in differences for r in (prev.basis * d).ints])
         if nxt == prev:
             break
         spans.append(nxt)

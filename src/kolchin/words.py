@@ -10,7 +10,7 @@ Commutator convention, used everywhere: [x, g] = x^-1 g^-1 x g, and
 left-normed iteration [[x, g], g], ...  Probes return None rather than
 guessing when a cap is exhausted.  The ``DEFAULT_*`` constants are the
 one home of the default caps and sample budget: the samplers here and
-in ``reps`` and the CLI's environment defaults read them.
+in ``reps``, and the CLI's flags, default to them.
 
 Word products and commutator walks run on row pairs (ints, den), the
 canonical form a ``Matrix`` stores, multiplied by the field kernel's
@@ -368,23 +368,24 @@ def brute_force_unipotent_radical(
     lies in no unitriangular subgroup), then on all of its members.
     Each test works in V: a subgroup acts unitriangularly iff its span
     V (h_1-1)...(h_n-1), n = dim V, is zero, so the oracle runs none of
-    the algebra code behind the radical it cross-checks.
+    the algebra code behind the radical it cross-checks; it subtracts
+    the identity from each member it tests.
 
     A last span test on the union itself asserts that it acts
     unitriangularly, which makes it the unique maximum: any
     unitriangular normal subgroup is a union of classes C with <C> in
     it, each of which passed.  Requires the group to be finite
-    (NotFiniteError otherwise); returns the elements in enumeration
-    order.  ``elements``, a closed enumeration of ``rep`` already at
-    hand, saves enumerating again.
+    (NotFiniteError from ``conjugacy_classes`` otherwise); returns the
+    elements in enumeration order.  ``elements``, an enumeration of
+    ``rep`` already at hand, saves enumerating again.
     """
     from .reps import difference_product_spans, unipotency_index
 
     table = elements if elements is not None else enumerate_elements(rep, element_cap)
-    elems = list(table.elements)
+    elems, one = list(table.elements), rep.identity()
 
     def unitriangular(members: Sequence[int]) -> bool:
-        return difference_product_spans([elems[i] for i in members], rep.dim)[-1].is_zero()
+        return difference_product_spans([elems[i] - one for i in members], rep.dim)[-1].is_zero()
 
     radical = [i for cls in conjugacy_classes(table)
                if unipotency_index(rep, elems[cls[0]]) is not None and unitriangular(cls)

@@ -175,7 +175,7 @@ def test_the_owned_span_series_answers_every_identity_length(rep):
     # as the tuple sweep does
     diffs = tuple(zip(rep.names, rep.differences))
     for n in range(1, rep.dim + 3):
-        assert rep.difference_spans[:n + 1] == difference_product_spans(rep.generators, n)
+        assert rep.difference_spans[:n + 1] == difference_product_spans(rep.differences, n)
         assert (generator_identity_witness(rep, n)
                 == _first_live_tuple(diffs, n, Matrix.is_zero))
 

@@ -109,7 +109,6 @@ def test_product_sum_difference_negation(pair):
     assert same(a * b, ref_mul(field, ra, rb))
     assert same(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)])
     assert same(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)])
-    assert same(-a, [[-x for x in r] for r in ra])
 
 
 @given(matrices(), st.fractions(min_value=-9, max_value=9, max_denominator=9))
@@ -120,19 +119,6 @@ def test_scale_and_trace(m, s):
         t = m.trace()
         assert t == sum((ref[i][i] for i in range(m.nrows)), Fraction(0))
         assert type(t) is int or t.denominator != 1
-
-
-@given(squares, st.integers(-3, 4))
-def test_powers_including_negative(m, k):
-    _, pivots, inverse = ref_rref(QQ, ref_entries(m))
-    base = ref_entries(m)
-    if k < 0:
-        assume(len(pivots) == m.nrows)
-        base = inverse
-    expected = [[Fraction(int(i == j)) for j in range(m.nrows)] for i in range(m.nrows)]
-    for _ in range(abs(k)):
-        expected = ref_mul(QQ, expected, base)
-    assert same(m ** k, expected)
 
 
 @given(squares)

@@ -766,7 +766,8 @@ def test_check_cert_engel_huge_depth_is_decided_or_capped(tmp_path, heis_file, c
     rep = loads_representation(s3.read_text())
     cycle = tmp_path / "s3-engel.json"
     cycle.write_text(json.dumps(make_certificate("probe", rep, "counterexample", {
-        "kind": "engel", "depth": 10**7, "counterexample": ["u", "d"]})))
+        "kind": "engel", "depth": 10**7, "sample_budget": 1, "length_cap": 1,
+        "counterexample": ["u", "d"]})))
     assert main(["check-cert", str(s3), str(cycle)]) == 0
     assert time.perf_counter() - start < 10
 
@@ -911,7 +912,8 @@ def _radical_forgery(path, kind):
         # 1/2-eigenline: an idempotent of the algebra, stable under
         # conjugation modulo the radical, which is what makes the forgery
         # conjugation-stable and not nilpotent
-        e = ((rep.generator("a") - one) ** 2).scale(4)
+        d = rep.generator("a") - one
+        e = (d * d).scale(4)
         assert e * e == e and e != one
         forged = rad + [e]
         span = Subspace(QQ, 9, [flat(m) for m in forged])
@@ -1194,6 +1196,34 @@ def test_check_cert_reads_the_payload_of_an_evidence_only_probe(result, key, val
     assert main(["check-cert", path, bad]) == 2
     err = capsys.readouterr().err
     assert "certificate verification FAILED" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload.update(sample_budget=0), "Engel sample_budget must be a positive"),
+    (lambda payload: payload.update(length_cap="abc"), "Engel length_cap must be a positive"),
+    (lambda payload: payload["counterexample"].append("a"), "is not two words"),
+], ids=["zero-budget", "string-length-cap", "third-word"])
+def test_check_cert_reads_the_envelope_of_an_engel_counterexample(edit, message, tmp_path,
+                                                                  capsys):
+    # each was accepted: the envelope was read only on a consistent
+    # report, and only the first two words of a counterexample
+    cert = _golden_cert(BOREL, "engel")
+    assert main(["check-cert", BOREL, cert]) == 0
+    bad = _edited(cert, tmp_path, lambda doc: edit(doc["payload"]))
+    assert main(["check-cert", BOREL, bad]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("top", [2, 3])
+def test_check_cert_refuses_a_minimal_degree_above_the_max_degree(top, tmp_path, capsys):
+    # pi-check sweeps up to its max degree, so it never writes a larger
+    # minimal degree; the golden degree 4 under a smaller max was accepted
+    bad = _edited(_golden_cert(BOREL, "pi"), tmp_path,
+                  lambda doc: doc["payload"].update(max_degree=top))
+    assert main(["check-cert", BOREL, bad]) == 2
+    err = capsys.readouterr().err
+    assert f"minimal degree 4 is above the max degree {top}" in err and "Traceback" not in err
 
 
 def test_an_empty_exponent_is_a_malformed_word(capsys):

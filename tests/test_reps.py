@@ -2,6 +2,8 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolchin import (
     GF,
@@ -26,7 +28,7 @@ from kolchin import (
     unitriangular_degree,
 )
 from kolchin import algebra, reps
-from kolchin.algebra import Ideal
+from kolchin.algebra import Ideal, minimal_standard_degree
 from kolchin.linalg import RowSpan
 from kolchin.words import (Word, brute_force_unipotent_radical, enumerate_elements, evaluate_word,
                            random_word)
@@ -35,7 +37,9 @@ from corpus import (
     conjugated_unitriangular_rep,
     heisenberg,
     random_invertible,
+    scalars,
     unit_matrix,
+    unitriangular,
 )
 
 
@@ -130,6 +134,59 @@ def test_kolchin_conjugation_invariance():
         p = random_invertible(rng, QQ, 2)
         res = kolchin_flag(conjugated(d, p))
         assert isinstance(res, NotUnipotent)
+
+
+def _invertible(draw, field, n, shape):
+    """An invertible n x n matrix: U for "unitriangular", D U for
+    "triangular", and a row permutation of L D U for "full" (L lower and
+    U upper unitriangular, D diagonal with nonzero entries)."""
+    m = unitriangular(draw, field, n)
+    if shape == "unitriangular":
+        return m
+    m = Matrix(field, [[draw(scalars(field, True)) if i == j else 0 for j in range(n)]
+                       for i in range(n)]) * m
+    if shape == "triangular":
+        return m
+    rows = (unitriangular(draw, field, n, lower=True) * m).rows
+    return Matrix(field, [rows[i] for i in draw(st.permutations(range(n)))])
+
+
+@st.composite
+def shaped_groups(draw):
+    """(group, P, renamed): a group over Q (with fraction entries) or
+    GF(5) whose generators are all unitriangular, all triangular or all
+    invertible; an invertible P; and the same matrices in a drawn order
+    under fresh names."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["unitriangular", "triangular", "full"]))
+    gens = [_invertible(draw, field, n, shape) for _ in range(draw(st.integers(1, 3)))]
+    rep = Representation(field, {f"g{i}": g for i, g in enumerate(gens)})
+    order = draw(st.permutations(range(len(gens))))
+    renamed = Representation(field, [(f"h{j}", gens[i]) for j, i in enumerate(order)])
+    return rep, _invertible(draw, field, n, "full"), renamed
+
+
+def _conjugation_invariants(rep):
+    res = kolchin_flag(rep)
+    flag = (("degree", res.degree, [s.dim for s in res.flag.steps])
+            if isinstance(res, UnitriCertificate) else ("stage", res.stage, res.reached.dim))
+    env = rep.enveloping()
+    return (flag, unitriangular_degree(rep), env.algebra.dim, env.radical.dim,
+            minimal_standard_degree(env.algebra, 2 * rep.dim)[1])
+
+
+@settings(max_examples=150)
+@given(shaped_groups())
+def test_random_groups_are_invariant_under_conjugation_and_renaming(drawn):
+    # p g p^-1 is the same group in another basis, and a renaming or
+    # reordering of the generators is the same group: neither may change
+    # an answer, and a renaming not even a span
+    rep, p, renamed = drawn
+    assert _conjugation_invariants(conjugated(rep, p)) == _conjugation_invariants(rep)
+    env, renamed_env = rep.enveloping(), renamed.enveloping()
+    assert renamed_env.algebra.span == env.algebra.span
+    assert renamed_env.radical.span == env.radical.span
 
 
 def test_generator_identity_examples():
@@ -262,22 +319,13 @@ def test_the_span_series_decides_identities_and_the_sweep_only_names_a_tuple():
 def test_a_built_representation_subtracts_no_identity_again(make, monkeypatch):
     # each g - 1 is built once, on the first read of rep.differences; the
     # span series that the witness and the lift's closing check read is
-    # built by difference_product_spans, which takes arbitrary matrices
-    # and keeps its own g - 1, so its calls are not counted
+    # spanned over those same differences, and subtracts nothing itself
     rep = make()
     differences = rep.differences
     assert differences == tuple(g - rep.identity() for g in rep.generators)
     subs = []
-    sub, spans = Matrix.__sub__, reps.difference_product_spans
-
-    def uncounted(*args):
-        before = len(subs)
-        result = spans(*args)
-        del subs[before:]
-        return result
-
+    sub = Matrix.__sub__
     monkeypatch.setattr(Matrix, "__sub__", lambda a, b: subs.append((a, b)) or sub(a, b))
-    monkeypatch.setattr(reps, "difference_product_spans", uncounted)
     kolchin_flag(rep)
     generator_identity_witness(rep, rep.dim)
     env = rep.enveloping()

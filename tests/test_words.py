@@ -413,9 +413,11 @@ def test_oracle_span_test_agrees_with_unitriangular_degree(draw):
     tested = []
     original = reps.difference_product_spans
 
-    def recording(gens, upto):
-        spans = original(gens, upto)
-        sub = Representation(rep.field, {f"n{i}": g for i, g in enumerate(gens)})
+    def recording(diffs, upto):
+        # the oracle passes each member's g - 1; the identity added back gives g
+        spans = original(diffs, upto)
+        one = rep.identity()
+        sub = Representation(rep.field, {f"n{i}": d + one for i, d in enumerate(diffs)})
         tested.append((sub, spans[-1].is_zero()))
         return spans
 
