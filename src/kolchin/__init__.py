@@ -40,7 +40,6 @@ from .algebra import (
     upper_triangular_algebra,
 )
 from .reps import (
-    EnvelopingData,
     IdentityFailsError,
     LiftHypothesisError,
     NotUnipotent,

@@ -23,9 +23,10 @@ algorithm that made it:
   stage (a positive integer) and the claimed reached subspace;
 - pi-check: the embedded basis spans exactly the enveloping algebra,
   which the checker spins itself; each witness has increasing indices,
-  a degree below 2n (M_n satisfies S_2n) and a nonzero value; the
-  claimed degree k is at most the max degree, the degree below it has a
-  witness, and S_k vanishes on every k-subset of the basis, as the
+  a degree below 2n (M_n satisfies S_2n), a key ``str(k)`` for a k from
+  2 to the max degree (the degrees pi-check sweeps) and a nonzero value;
+  the claimed degree k is at most the max degree, the degree below it
+  has a witness, and S_k vanishes on every k-subset of the basis, as the
   checker sweeps itself, unless k = 2n, where S_k holds by
   Amitsur-Levitzki.  The re-sweep, and each witness, may take
   ``algebra.SWEEP_WORK_CAP``; past it the check is inconclusive;
@@ -34,7 +35,8 @@ algorithm that made it:
   the membership verdicts follow.  That kernel is an ideal, Tr being
   associative, so the group (inverses lie in the algebra) conjugates it
   to itself; and Tr(x^k) = 0 for all k with n < p makes it nilpotent;
-- an Engel counterexample: exactly two words x and y, and the walk
+- an Engel counterexample: exactly two words x and y, each of at most
+  the length cap's letters (probe samples no longer word), and the walk
   c <- [c, y] from x, computed from the definition, does not reach 1
   within the depth.  The walk stops early once c repeats; past
   ``ENGEL_CHECK_STEPS`` steps without a repeat the check is
@@ -311,17 +313,7 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     basis = [Matrix(rep.field, rows, rep.dim) for rows in payload["algebra_basis"]]
     _require(_embedded_span(rep, basis).to_subspace() == _enveloping_span(rep),
              "embedded basis does not span the enveloping algebra")
-    witnesses = payload.get("witnesses", {})
-    for k_str, combo in witnesses.items():
-        # S_2n holds on M_n (Amitsur-Levitzki); a repeated index makes S_k vanish
-        _require(int(k_str) < 2 * rep.dim, f"degree-{k_str} witness is not below 2n")
-        _require(all(type(j) is int and i < j for i, j in zip([-1] + combo, combo)),
-                 f"degree-{k_str} witness indices must strictly increase")
-        value = standard_identity_eval(int(k_str), [basis[i] for i in combo])
-        _require(not value.is_zero(), f"degree-{k_str} witness evaluates to zero")
     minimal = payload.get("minimal_degree")
-    _require(result == ("not-found" if minimal is None else "degree-found"),
-             f"result {result!r} contradicts the minimal degree")
     # pi-check sweeps from degree 2 to its max degree, and writes no other
     message = "pi-check degrees must be integers of at least 2"
     top = _int(payload["max_degree"], 2, message)
@@ -330,6 +322,19 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     below = top if minimal is None else _int(minimal, 2, message) - 1
     _require(minimal is None or below < top,
              f"minimal degree {minimal} is above the max degree {top}")
+    witnesses = payload.get("witnesses", {})
+    for k_str, combo in witnesses.items():
+        k = int(k_str)
+        # S_2n holds on M_n (Amitsur-Levitzki); a repeated index makes S_k vanish
+        _require(k < 2 * rep.dim, f"degree-{k_str} witness is not below 2n")
+        _require(all(type(j) is int and i < j for i, j in zip([-1] + combo, combo)),
+                 f"degree-{k_str} witness indices must strictly increase")
+        _require(k_str == str(k) and 2 <= k <= top,
+                 f"degree-{k_str} witness is not at a degree from 2 to the max degree {top}")
+        value = standard_identity_eval(k, [basis[i] for i in combo])
+        _require(not value.is_zero(), f"degree-{k_str} witness evaluates to zero")
+    _require(result == ("not-found" if minimal is None else "degree-found"),
+             f"result {result!r} contradicts the minimal degree")
     _require(below < 2 or str(below) in witnesses, f"no degree-{below} witness")
     if minimal is None:
         return "standard identity witnesses verified"
@@ -374,13 +379,16 @@ def _check_radical(rep: Representation, result: str, payload: dict) -> str:
 def _check_probe(rep: Representation, result: str, payload: dict) -> str:
     kind = payload["kind"]
     if kind == "engel":  # the envelope probe writes on every Engel report
-        depth, _, _ = (_int(payload[key], 1, f"Engel {key} must be a positive integer")
-                       for key in ("depth", "sample_budget", "length_cap"))
+        depth, _, length_cap = (_int(payload[key], 1, f"Engel {key} must be a positive integer")
+                                for key in ("depth", "sample_budget", "length_cap"))
     if result == "counterexample":
         if kind == "engel":
             pair = payload["counterexample"]
             _require(type(pair) is list and len(pair) == 2, "Engel counterexample is not two words")
-            x, y = (evaluate_word(rep, Word.parse(text)) for text in pair)
+            words = [Word.parse(text) for text in pair]
+            _require(all(len(w) <= length_cap for w in words),
+                     f"an Engel counterexample word is longer than the length cap {length_cap}")
+            x, y = (evaluate_word(rep, w) for w in words)
             # once c repeats, the walk cycles through values already seen, none of them 1
             seen = {x}
             for c in _commutator_walk(x, y, min(depth, ENGEL_CHECK_STEPS)):

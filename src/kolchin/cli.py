@@ -90,33 +90,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kolchin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("repfile", help="representation file (JSON)")
         return p
 
-    p = add("check-unipotent", "unipotency indices of generators or words")
+    p = add("check-unipotent", "unipotency indices of generators or words", cmd_check_unipotent)
     p.add_argument("--element", action="append", default=[], metavar="WORD",
                    help="additionally test this word (repeatable)")
 
-    add("kolchin", "build an invariant flag that unitriangularizes the group")
+    add("kolchin", "build an invariant flag that unitriangularizes the group", cmd_kolchin)
 
-    p = add("identity-check", "sweep generator tuples for the difference-product identity")
+    p = add("identity-check", "sweep generator tuples for the difference-product identity",
+            cmd_identity_check)
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument("--lift-through-radical", action="store_true",
                    help="check the identity modulo the radical and lift the bound")
 
-    p = add("pi-check", "minimal standard polynomial identity of the enveloping algebra")
+    p = add("pi-check", "minimal standard polynomial identity of the enveloping algebra",
+            cmd_pi_check)
     p.add_argument("--max-degree", type=int, required=True, metavar="K")
 
-    p = add("unipotent-radical", "membership in the largest normal unitriangular subgroup")
+    p = add("unipotent-radical", "membership in the largest normal unitriangular subgroup",
+            cmd_unipotent_radical)
     p.add_argument("--test", action="append", default=[], metavar="WORD",
                    help="test this word for membership (repeatable)")
     p.add_argument("--oracle", action="store_true",
                    help="on finite groups, cross-check against brute force")
     p.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
 
-    p = add("probe", "sampling probes for nil / Engel / algebraic behaviour")
+    p = add("probe", "sampling probes for nil / Engel / algebraic behaviour", cmd_probe)
     p.add_argument("--kind", choices=("nil", "engel", "algebraic"), required=True)
     p.add_argument("--g", metavar="WORD", help="probe element (word; '1' is the identity)")
     p.add_argument("--x", metavar="WORD", help="companion element (default: first generator)")
@@ -131,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--cert", help="write a certificate here")
 
-    add("check-cert", "independently verify a certificate").add_argument(
+    add("check-cert", "independently verify a certificate", cmd_check_cert).add_argument(
         "certfile", help="certificate file (JSON)")
     return parser
 
@@ -185,7 +189,7 @@ def cmd_identity_check(rep, args) -> int:
     within_step_cap("identity length", n)
     if args.lift_through_radical:
         try:
-            bound = lift_identity_through_nilpotent_ideal(rep, rep.enveloping().radical, n)
+            bound = lift_identity_through_nilpotent_ideal(rep, rep.radical, n)
         except LiftHypothesisError as e:
             print(f"hypothesis fails: generator tuple {e.witness} is not in the radical")
             _emit(args, rep, "witness",
@@ -211,7 +215,7 @@ def cmd_pi_check(rep, args) -> int:
     if args.max_degree < 2:
         print("--max-degree must be at least 2", file=sys.stderr)
         return USAGE_ERROR
-    alg = rep.enveloping().algebra
+    alg = rep.algebra
     print(f"enveloping algebra dimension: {alg.dim}")
     witnesses, minimal = minimal_standard_degree(alg, args.max_degree)
     for k, combo in witnesses.items():
@@ -327,17 +331,6 @@ def cmd_check_cert(rep, args) -> int:
     return OK
 
 
-_HANDLERS = {
-    "check-unipotent": cmd_check_unipotent,
-    "kolchin": cmd_kolchin,
-    "identity-check": cmd_identity_check,
-    "pi-check": cmd_pi_check,
-    "unipotent-radical": cmd_unipotent_radical,
-    "probe": cmd_probe,
-    "check-cert": cmd_check_cert,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -347,7 +340,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         rep = load_representation(args.repfile)
-        return _HANDLERS[args.command](rep, args)
+        return args.handler(rep, args)
     # before ValueError: CharacteristicTooSmallError is one
     except (CharacteristicTooSmallError, SweepCapExceeded, CheckInconclusive) as e:
         print(f"inconclusive: {e}", file=sys.stderr)

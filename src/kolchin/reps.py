@@ -4,7 +4,8 @@ Unipotency indices, simultaneous unitriangularization via iterated
 preimages in V, generator-product identities and their invariant series,
 degree lifting through nilpotent ideals, the right-regular
 representation on the enveloping algebra, and the unipotent radical
-computed from the algebra's nilpotent radical.
+computed from the algebra's nilpotent radical.  A ``Representation``
+owns every value derived from its generators, each a cached property.
 
 Operations returning a witness use the convention: ``None`` means the
 property was verified, anything else is a concrete counterexample.
@@ -18,6 +19,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
+    AlgebraBasis,
     Ideal,
     InternalInconsistencyError,
     ideal_closure,
@@ -41,14 +43,31 @@ class Representation:
     """Finitely many named invertible matrices acting on row vectors.
     Each name must be one letter of a word (``Word.parse``): nonempty,
     without whitespace or ``^``, and not the identity ``1``; nor may it
-    start with ``word:``, the prefix of a word's check-unipotent key.  It owns
-    ``generators``, in name order, each g - 1 (``differences``), and the
-    spans V_k of the length-k difference products (``difference_spans``);
-    each is built once, on its first read.  The identity questions read
-    the span series, so no tuple sweep decides one."""
+    start with ``word:``, the prefix of a word's check-unipotent key.
 
-    __slots__ = ("field", "dim", "names", "generators", "_diffs", "_spans", "_gens", "_invs",
-                 "_env")
+    It owns ``generators``, in name order, and each value derived from
+    them, built on its first read: each g - 1 (``differences``), the
+    spans V_k of the length-k difference products (``difference_spans``),
+    the enveloping ``algebra``, its ``augmentation_ideal`` with that
+    ideal's ``augmentation_index``, and the algebra's ``radical``.  The
+    identity questions read the span series, so no tuple sweep decides
+    one.
+
+    ``algebra`` is the span closure of the g - 1 (1 spun on the right
+    by them): since g = (g - 1) + 1 it is the algebra the generators
+    make, and only its ``generators`` are the g - 1, the tuple
+    ``differences``.  For a unipotent group these are nilpotent, so no
+    closure absorbs their long, zero products.  The
+    ``augmentation_ideal`` is the ideal closure of the g - 1, a right
+    spin of them by them: they are its seeds, so they take no left
+    product.  ``augmentation_index`` is its ``nilpotency_index`` (one
+    power chain over the products (h - 1)*u), or None; a g - 1 that is
+    not nilpotent answers None with no closure or chain.  The
+    ``radical`` is the augmentation ideal when that index exists (the
+    algebra is F*1 plus that ideal, so it has codimension 1), else the
+    trace-form kernel, built with no chain.  Over prime fields with
+    p <= n it raises CharacteristicTooSmallError on either route, since
+    the certificate checker has only the trace form there."""
 
     def __init__(self, field: Field, generators: Mapping[str, Matrix] | Iterable[tuple[str, Matrix]]):
         items = list(generators.items()) if isinstance(generators, Mapping) else list(generators)
@@ -79,22 +98,39 @@ class Representation:
         self.generators = tuple(gens[n] for n in names)
         self._gens = gens
         self._invs = invs
-        self._env = self._diffs = self._spans = None
 
-    @property
+    @cached_property
     def differences(self) -> tuple[Matrix, ...]:
-        if self._diffs is None:  # built on the first read, so loading a rep costs none
-            self._diffs = tuple(g - self.identity() for g in self.generators)
-        return self._diffs
+        return tuple(g - self.identity() for g in self.generators)
 
-    @property
+    @cached_property
     def difference_spans(self) -> list[Subspace]:
         """``difference_product_spans(differences, dim)``: the series
         descends strictly, so it ends within dim steps, and V_n is its
         entry at min(n, len - 1) for every length n."""
-        if self._spans is None:
-            self._spans = difference_product_spans(self.differences, self.dim)
-        return self._spans
+        return difference_product_spans(self.differences, self.dim)
+
+    @cached_property
+    def algebra(self) -> AlgebraBasis:
+        return span_closure(self.field, self.differences)
+
+    @cached_property
+    def augmentation_ideal(self) -> Ideal:
+        return ideal_closure(self.algebra, self.algebra.generators)
+
+    @cached_property
+    def augmentation_index(self) -> int | None:
+        if any(_nilpotency_index(d) is None for d in self.algebra.generators):
+            return None
+        return self.augmentation_ideal.nilpotency_index
+
+    @cached_property
+    def radical(self) -> Ideal:
+        a = self.algebra
+        p = a.field.characteristic()
+        if not 0 < p <= a.matrix_size and self.augmentation_index is not None:
+            return self.augmentation_ideal
+        return trace_radical(a)
 
     def generator(self, name: str) -> Matrix:
         try:
@@ -114,11 +150,6 @@ class Representation:
     def items(self) -> tuple[tuple[str, Matrix], ...]:
         return tuple(zip(self.names, self.generators))
 
-    def enveloping(self) -> "EnvelopingData":
-        if self._env is None:
-            self._env = EnvelopingData(self)
-        return self._env
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Representation)
@@ -132,61 +163,6 @@ class Representation:
 
     def __repr__(self) -> str:
         return f"Representation(dim {self.dim} over {self.field}, generators {list(self.names)})"
-
-
-class EnvelopingData:
-    """Enveloping algebra of a representation with its two key ideals.
-
-    ``algebra`` is the span closure of the differences g - 1 and the
-    identity, closed by its spin.  Since g = (g - 1) + 1 it is the
-    algebra the generators make, with the same canonical span and
-    basis; only its ``generators`` are the g - 1, the tuple the
-    representation owns.  For a unipotent group they are nilpotent, so
-    their long products are zero, and no closure absorbs those.  The
-    ideals are computed on first read and then kept:
-    ``augmentation_ideal`` is the ideal closure of those g - 1, and
-    ``augmentation_index`` is its
-    ``nilpotency_index`` (one power chain), or None when the ideal is
-    not nilpotent.  The ideal holds every g - 1, so it is nilpotent only
-    if they are: one that is not answers None with no closure or chain.
-
-    The closure is a right spin of the g - 1 by the g - 1: every kept
-    element is (h - 1)*w, so the span is closed on the right, and each
-    generator g - 1 is a seed, so it lies in the right ideal and takes
-    no left product.  The chain spans the nonzero products (h - 1)*u,
-    u in a basis of the last power.
-
-    ``radical`` is the augmentation ideal when its index exists: the
-    algebra is F*1 plus the augmentation ideal, so a nilpotent
-    augmentation ideal has codimension 1 and is the whole radical.
-    Otherwise it is the kernel of the trace form, built with no chain;
-    its index is computed on its first read.  Over prime fields with
-    p <= n it raises CharacteristicTooSmallError on either route, since
-    the certificate checker has only the trace form there.
-    """
-
-    def __init__(self, rep: Representation):
-        # no reference back to rep: the representation caches this
-        # object, and a cycle would outlive the last reference to either
-        self.algebra = span_closure(rep.field, rep.differences)
-
-    @cached_property
-    def augmentation_ideal(self) -> Ideal:
-        return ideal_closure(self.algebra, self.algebra.generators)
-
-    @cached_property
-    def augmentation_index(self) -> int | None:
-        if any(_nilpotency_index(d) is None for d in self.algebra.generators):
-            return None
-        return self.augmentation_ideal.nilpotency_index
-
-    @cached_property
-    def radical(self) -> Ideal:
-        a = self.algebra
-        p = a.field.characteristic()
-        if not 0 < p <= a.matrix_size and self.augmentation_index is not None:
-            return self.augmentation_ideal
-        return trace_radical(a)
 
 
 def unipotency_index(rep: Representation, g: Matrix) -> int | None:
@@ -369,12 +345,12 @@ def unitriangular_degree(rep: Representation) -> int | None:
     The enveloping algebra acts faithfully on V, so the ideal's power
     chain hitting zero at index n is equivalent to the length-n
     identity x (y_1-1)...(y_n-1) = 0 holding for all group elements,
-    not just for generators.  The index is the one the augmentation
-    ideal keeps (``EnvelopingData.augmentation_index``), so the chain
-    runs once for this degree and the radical together, and not at all
-    for a group with a generator that is not unipotent.
+    not just for generators.  The index is the representation's
+    ``augmentation_index``, so the chain runs once for this degree and
+    the radical together, and not at all for a group with a generator
+    that is not unipotent.
     """
-    return rep.enveloping().augmentation_index
+    return rep.augmentation_index
 
 
 class LiftHypothesisError(ValueError):
@@ -419,7 +395,7 @@ def regular_representation(rep: Representation) -> Representation:
     Dimension equals the algebra dimension; the generator g maps to the
     matrix of x -> x*g in the algebra basis coordinates.
     """
-    alg = rep.enveloping().algebra
+    alg = rep.algebra
     basis = alg.basis  # the spin closed the algebra under every g - 1, so under every g
     return Representation(rep.field, [
         (name, Matrix(rep.field, [alg.coordinates(b * g) for b in basis], ncols=alg.dim))
@@ -430,7 +406,7 @@ class UnipotentRadical:
     """Membership test for the largest normal unitriangularly-acting
     subgroup: g belongs iff g - 1 lies in the algebra's radical.
 
-    The radical is ``EnvelopingData.radical``: the augmentation ideal
+    The radical is ``Representation.radical``: the augmentation ideal
     when its power chain reaches zero (then every member is unipotent
     and the whole group is the subgroup), else the trace-form kernel.
     Either route is a two-sided ideal (the closure loop proves one, and
@@ -443,7 +419,7 @@ class UnipotentRadical:
 
     def __init__(self, rep: Representation):
         self.representation = rep
-        self.ideal = rep.enveloping().radical
+        self.ideal = rep.radical
 
     def contains(self, g: Matrix) -> bool:
         return self.ideal.contains(g - self.representation.identity())

@@ -174,9 +174,8 @@ def test_criterion_5_nilpotent_ideal_lifting():
         gens = {f"g{t}": random_upper_unitriangular(rng, n, rational=(trial % 3 == 1))
                 for t in range(rng.randint(2, 3))}
         rep = Representation(QQ, gens)
-        env = rep.enveloping()
-        a1 = _strictly_upper_ideal(env.algebra)
-        _, m = ideal_power_chain(env.algebra, a1)
+        a1 = _strictly_upper_ideal(rep.algebra)
+        _, m = ideal_power_chain(rep.algebra, a1)
         assert m is not None
         bound = lift_identity_through_nilpotent_ideal(rep, a1, 1)
         assert bound == m  # the lift itself verified all length-m products vanish
@@ -184,9 +183,8 @@ def test_criterion_5_nilpotent_ideal_lifting():
         assert degree is not None and degree <= bound
     # the three-dimensional integer Heisenberg instance is exactly tight
     rep = heisenberg()
-    env = rep.enveloping()
-    a1 = _strictly_upper_ideal(env.algebra)
-    _, m = ideal_power_chain(env.algebra, a1)
+    a1 = _strictly_upper_ideal(rep.algebra)
+    _, m = ideal_power_chain(rep.algebra, a1)
     assert m == 3
     assert lift_identity_through_nilpotent_ideal(rep, a1, 1) == 3
     assert unitriangular_degree(rep) == 3

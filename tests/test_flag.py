@@ -140,8 +140,7 @@ def test_flag_degree_is_the_augmentation_ideal_index(rep):
     # augmentation ideal w, and V is faithful, so its length is w's
     # nilpotency index; the power chain is the reference, over F_p with
     # p <= n too, and an obstruction goes with a chain that stabilises
-    env = rep.enveloping()
-    _, index = ideal_power_chain(env.algebra, env.augmentation_ideal)
+    _, index = ideal_power_chain(rep.algebra, rep.augmentation_ideal)
     flag = kolchin_flag(rep)
     assert (flag.degree if isinstance(flag, UnitriCertificate) else None) == index
 

@@ -462,20 +462,19 @@ def test_fixed_cases_rejected_by_the_checks_and_their_references():
 @given(triangular_groups())
 def test_radical_routes_match_the_trace_form(case):
     rep, kind = case
-    env = rep.enveloping()
-    assert env.radical.span == trace_radical(env.algebra).span
+    assert rep.radical.span == trace_radical(rep.algebra).span
     # the augmentation ideal is the radical exactly when it is nilpotent
-    nilpotent = env.augmentation_index is not None
-    assert (env.radical is env.augmentation_ideal) == nilpotent
+    nilpotent = rep.augmentation_index is not None
+    assert (rep.radical is rep.augmentation_ideal) == nilpotent
     if kind != "unipotent generators":
         assert nilpotent == (kind == "unipotent")
     # the properties no runtime check re-proves: the radical is stable
     # under conjugation by the group, and nilpotent of the index it keeps
-    rad = env.radical
+    rad = rep.radical
     for name in rep.names:
         g, gi = rep.generator(name), rep.inverse(name)
         assert all(rad.contains(gi * r * g) and rad.contains(g * r * gi) for r in rad.matrices)
-    _, index = ref_power_chain(env.algebra, ref_coordinate_space(env.algebra, rad.matrices))
+    _, index = ref_power_chain(rep.algebra, ref_coordinate_space(rep.algebra, rad.matrices))
     assert index is not None and rad.nilpotency_index == index
 
 
@@ -497,16 +496,15 @@ def test_trace_radical_is_built_unchecked_and_reads_its_index_once():
 
     with mock.patch.object(Ideal, "__init__", init), \
             mock.patch.object(algebra, "ideal_power_chain", chain):
-        env = rep.enveloping()
-        rad = env.radical
+        rad = rep.radical
         assert not rad.is_zero() and calls == []
         index = rad.nilpotency_index
         assert calls == ["chain"]
         assert rad.nilpotency_index == index and calls == ["chain"]
     with pytest.raises(AttributeError):
         rad.nilpotency_index = index
-    assert rad.span == ref_radical_span(env.algebra)
-    _, ref_index = ref_power_chain(env.algebra, ref_coordinate_space(env.algebra, rad.matrices))
+    assert rad.span == ref_radical_span(rep.algebra)
+    _, ref_index = ref_power_chain(rep.algebra, ref_coordinate_space(rep.algebra, rad.matrices))
     assert index == ref_index and index is not None
 
 
@@ -581,14 +579,13 @@ def test_envelope_over_the_differences_matches_the_generators_route(rep):
     # the algebra spun from the g, and its index is the coordinate
     # route's
     field = rep.field
-    env = rep.enveloping()
-    a, ref = env.algebra, span_closure(field, rep.generators)
+    a, ref = rep.algebra, span_closure(field, rep.generators)
     assert a.generators == rep.differences
     assert a.span == span_closure(field, rep.differences).span == ref.span
-    i = env.augmentation_ideal
+    i = rep.augmentation_ideal
     assert i.span == ref_two_sided_closure(ref, rep.differences)
     _, ref_index = ref_power_chain(ref, ref_coordinate_space(ref, i.matrices))
-    assert ideal_power_chain(a, i)[1] == env.augmentation_index == ref_index
+    assert ideal_power_chain(a, i)[1] == rep.augmentation_index == ref_index
 
 
 def test_corner_seed_reaches_all_of_m3_from_its_row():

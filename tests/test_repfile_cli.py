@@ -992,7 +992,7 @@ def test_pi_sweeps_past_the_sweep_cap_are_inconclusive(tmp_path, capsys):
                  [0, 1, 2, 3, 5, 10, 15], [0, 1, 2, 3, 4, 5, 10, 15],
                  [0, 1, 2, 3, 4, 5, 10, 15, 20]]
     cert.write_text(json.dumps(make_certificate("pi-check", rep, "degree-found", {
-        "algebra_basis": [matrix_to_rows(b) for b in rep.enveloping().algebra.basis],
+        "algebra_basis": [matrix_to_rows(b) for b in rep.algebra.basis],
         "witnesses": {str(len(w)): w for w in witnesses},
         "minimal_degree": 10, "max_degree": 12})))
     start = time.perf_counter()
@@ -1224,6 +1224,34 @@ def test_check_cert_refuses_a_minimal_degree_above_the_max_degree(top, tmp_path,
     assert main(["check-cert", BOREL, bad]) == 2
     err = capsys.readouterr().err
     assert f"minimal degree 4 is above the max degree {top}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap, code", [(3, 2), (4, 0)])
+def test_check_cert_holds_engel_counterexample_words_to_the_length_cap(cap, code, tmp_path,
+                                                                        capsys):
+    # probe samples words of at most --length-cap letters, and the golden
+    # words have 4: under a cap of 3 they were accepted
+    bad = _edited(_golden_cert(BOREL, "engel"), tmp_path,
+                  lambda doc: doc["payload"].update(length_cap=cap))
+    assert main(["check-cert", BOREL, bad]) == code
+    err = capsys.readouterr().err
+    assert ("longer than the length cap 3" in err) == (code == 2) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, combo", [("3", [0, 1, 2]), ("1", [0]), ("02", [1, 2])],
+                         ids=["above-max-degree", "degree-1", "second-spelling"])
+def test_check_cert_refuses_a_pi_witness_that_pi_check_never_writes(key, combo, tmp_path,
+                                                                     capsys):
+    # pi-check --max-degree 2 writes one witness, keyed "2"; each of
+    # these true witnesses beside it was accepted
+    cert = str(tmp_path / "cert.json")
+    assert main(["pi-check", BOREL, "--max-degree", "2", "--cert", cert]) == 3
+    assert main(["check-cert", BOREL, cert]) == 0
+    bad = _edited(cert, tmp_path, lambda doc: doc["payload"]["witnesses"].update({key: combo}))
+    assert main(["check-cert", BOREL, bad]) == 2
+    err = capsys.readouterr().err
+    assert f"degree-{key} witness is not at a degree from 2 to the max degree 2" in err
+    assert "Traceback" not in err
 
 
 def test_an_empty_exponent_is_a_malformed_word(capsys):

@@ -152,12 +152,12 @@ def _invertible(draw, field, n, shape):
 
 
 @st.composite
-def shaped_groups(draw):
+def shaped_groups(draw, fields=(QQ, GF(5))):
     """(group, P, renamed): a group over Q (with fraction entries) or
     GF(5) whose generators are all unitriangular, all triangular or all
     invertible; an invertible P; and the same matrices in a drawn order
     under fresh names."""
-    field = draw(st.sampled_from([QQ, GF(5)]))
+    field = draw(st.sampled_from(fields))
     n = draw(st.integers(1, 3))
     shape = draw(st.sampled_from(["unitriangular", "triangular", "full"]))
     gens = [_invertible(draw, field, n, shape) for _ in range(draw(st.integers(1, 3)))]
@@ -171,9 +171,8 @@ def _conjugation_invariants(rep):
     res = kolchin_flag(rep)
     flag = (("degree", res.degree, [s.dim for s in res.flag.steps])
             if isinstance(res, UnitriCertificate) else ("stage", res.stage, res.reached.dim))
-    env = rep.enveloping()
-    return (flag, unitriangular_degree(rep), env.algebra.dim, env.radical.dim,
-            minimal_standard_degree(env.algebra, 2 * rep.dim)[1])
+    return (flag, unitriangular_degree(rep), rep.algebra.dim, rep.radical.dim,
+            minimal_standard_degree(rep.algebra, 2 * rep.dim)[1])
 
 
 @settings(max_examples=150)
@@ -184,9 +183,22 @@ def test_random_groups_are_invariant_under_conjugation_and_renaming(drawn):
     # an answer, and a renaming not even a span
     rep, p, renamed = drawn
     assert _conjugation_invariants(conjugated(rep, p)) == _conjugation_invariants(rep)
-    env, renamed_env = rep.enveloping(), renamed.enveloping()
-    assert renamed_env.algebra.span == env.algebra.span
-    assert renamed_env.radical.span == env.radical.span
+    assert renamed.algebra.span == rep.algebra.span
+    assert renamed.radical.span == rep.radical.span
+
+
+P61 = 2 ** 61 - 1
+
+
+@settings(max_examples=150)
+@given(shaped_groups(fields=(QQ,)))
+def test_random_groups_over_q_answer_as_their_reductions_mod_a_large_prime(drawn):
+    # 2^61 - 1 divides no denominator or determinant of these small
+    # groups, so reducing mod it should change no answer
+    rep, p, _ = drawn
+    rep = conjugated(rep, p)
+    reduced = Representation(GF(P61), [(name, Matrix(GF(P61), g.rows)) for name, g in rep.items()])
+    assert _conjugation_invariants(reduced) == _conjugation_invariants(rep)
 
 
 def test_generator_identity_examples():
@@ -221,10 +233,10 @@ def test_unitriangular_degree_examples():
 
 
 def test_augmentation_ideal_heisenberg():
-    env = heisenberg().enveloping()
-    assert env.algebra.dim == 4
-    assert env.augmentation_ideal.dim == 3
-    chain, index = ideal_power_chain(env.algebra, env.augmentation_ideal)
+    rep = heisenberg()
+    assert rep.algebra.dim == 4
+    assert rep.augmentation_ideal.dim == 3
+    chain, index = ideal_power_chain(rep.algebra, rep.augmentation_ideal)
     assert index == 3
     assert [s.dim for s in chain] == [3, 1, 0]
 
@@ -245,25 +257,24 @@ def test_enveloping_computes_each_ideal_once_on_first_read():
         # unipotent: the radical is the augmentation ideal, and its chain
         # serves the degree as well
         rep = heisenberg()
-        env = rep.enveloping()
-        assert env.algebra.dim == 4 and calls == []
-        assert env.radical.dim == 3 and env.radical is env.radical
+        assert rep.algebra.dim == 4 and calls == []
+        assert rep.radical.dim == 3 and rep.radical is rep.radical
         assert calls == ["augmentation", "chain"]
-        assert env.augmentation_ideal is env.radical
-        assert env.augmentation_index == 3 and unitriangular_degree(rep) == 3
+        assert rep.augmentation_ideal is rep.radical
+        assert rep.augmentation_index == 3 and unitriangular_degree(rep) == 3
         assert calls == ["augmentation", "chain"]
 
         # not unipotent: d - 1 is not nilpotent, so the trace form runs
         # once, the index is None without a closure or a chain, and the
         # augmentation ideal waits for its own first read
         calls.clear()
-        env = diag_rep().enveloping()
-        assert env.algebra.dim == 2 and calls == []
-        assert env.radical.is_zero() and env.radical is env.radical
-        assert env.augmentation_index is None
+        rep = diag_rep()
+        assert rep.algebra.dim == 2 and calls == []
+        assert rep.radical.is_zero() and rep.radical is rep.radical
+        assert rep.augmentation_index is None
         assert calls == ["trace"]
-        assert env.augmentation_ideal.dim == 1
-        assert env.augmentation_ideal is env.augmentation_ideal
+        assert rep.augmentation_ideal.dim == 1
+        assert rep.augmentation_ideal is rep.augmentation_ideal
         assert calls == ["trace", "augmentation"]
 
         # the degree of a fresh non-unipotent group builds no ideal
@@ -276,7 +287,7 @@ def test_augmentation_closure_takes_no_left_product():
     # generators g - 1 are the seeds, so each lies in the right ideal
     # and takes no left product
     rep = heisenberg()
-    a = rep.enveloping().algebra
+    a = rep.algebra
     seeds = list(rep.differences)
     assert a.generators == tuple(seeds)
     with mock.patch.object(Matrix, "__mul__", autospec=True,
@@ -294,7 +305,7 @@ def test_the_unipotent_envelope_absorbs_no_zero_product(monkeypatch):
     absorb = RowSpan.absorb
     monkeypatch.setattr(RowSpan, "absorb", lambda span, v: absorbed.append(v) or absorb(span, v))
     rep = heisenberg()
-    assert unitriangular_degree(rep) == 3 and rep.enveloping().radical.dim == 3
+    assert unitriangular_degree(rep) == 3 and rep.radical.dim == 3
     assert absorbed and all(any(v) for v in absorbed)
 
 
@@ -328,8 +339,7 @@ def test_a_built_representation_subtracts_no_identity_again(make, monkeypatch):
     monkeypatch.setattr(Matrix, "__sub__", lambda a, b: subs.append((a, b)) or sub(a, b))
     kolchin_flag(rep)
     generator_identity_witness(rep, rep.dim)
-    env = rep.enveloping()
-    ideal, index = env.augmentation_ideal, env.augmentation_index
+    ideal, index = rep.augmentation_ideal, rep.augmentation_index
     if index is None:
         with pytest.raises(ValueError, match="not nilpotent"):
             lift_identity_through_nilpotent_ideal(rep, ideal, 1)
@@ -362,28 +372,24 @@ def test_identity_upgrade_to_words():
 
 def test_lift_through_zero_ideal_is_noop():
     rep = single_transvection()
-    env = rep.enveloping()
-    zero = ideal_closure(env.algebra, [Matrix.zero(QQ, 2, 2)])
+    zero = ideal_closure(rep.algebra, [Matrix.zero(QQ, 2, 2)])
     assert lift_identity_through_nilpotent_ideal(rep, zero, 2) == 2
 
 
 def test_lift_heisenberg_through_augmentation():
     rep = heisenberg()
-    env = rep.enveloping()
-    assert lift_identity_through_nilpotent_ideal(rep, env.augmentation_ideal, 1) == 3
+    assert lift_identity_through_nilpotent_ideal(rep, rep.augmentation_ideal, 1) == 3
     assert unitriangular_degree(rep) == 3
 
 
 def test_lift_transvection():
     rep = single_transvection()
-    env = rep.enveloping()
-    assert lift_identity_through_nilpotent_ideal(rep, env.augmentation_ideal, 1) == 2
+    assert lift_identity_through_nilpotent_ideal(rep, rep.augmentation_ideal, 1) == 2
 
 
 def test_lift_hypothesis_failure():
     rep = heisenberg()
-    env = rep.enveloping()
-    zero = ideal_closure(env.algebra, [Matrix.zero(QQ, 3, 3)])
+    zero = ideal_closure(rep.algebra, [Matrix.zero(QQ, 3, 3)])
     with pytest.raises(LiftHypothesisError) as info:
         lift_identity_through_nilpotent_ideal(rep, zero, 1)
     assert info.value.witness == ("a",)
@@ -391,9 +397,8 @@ def test_lift_hypothesis_failure():
 
 def test_lift_rejects_non_nilpotent_ideal():
     rep = diag_rep()
-    env = rep.enveloping()
     with pytest.raises(ValueError):
-        lift_identity_through_nilpotent_ideal(rep, env.augmentation_ideal, 1)
+        lift_identity_through_nilpotent_ideal(rep, rep.augmentation_ideal, 1)
 
 
 def test_regular_representation_trivial():
@@ -541,7 +546,7 @@ def test_iterative_sweeps_match_recursive_reference():
                                   for i in range(rep.dim)]))])
         one = rep.identity()
         diffs = [(name, rep.generator(name) - one) for name in rep.names]
-        radical = rep.enveloping().radical
+        radical = rep.radical
         for n in range(1, 5):
             assert generator_identity_witness(rep, n) == \
                 _recursive_first_tuple(diffs, n, Matrix.is_zero, one)
@@ -558,7 +563,7 @@ def test_long_identity_sweeps_do_not_recurse():
     rep = Representation(QQ, {"a": Matrix(QQ, [[2, 0], [0, 1]])})
     assert generator_identity_witness(rep, 5000) == ("a",) * 5000
     with pytest.raises(LiftHypothesisError) as info:
-        lift_identity_through_nilpotent_ideal(rep, rep.enveloping().radical, 5000)
+        lift_identity_through_nilpotent_ideal(rep, rep.radical, 5000)
     assert info.value.witness == ("a",) * 5000
 
 
