@@ -10,10 +10,13 @@ Every membership test is then one integer residual of ``flat(m)``
 against an echelon span, and the coordinates of a member in the
 algebra basis are its entries at the span's pivots.
 
-An algebra records its ``generators``, the spun matrices or else its
-basis.  Closures multiply by them only, since the words in them span
-the algebra: d*k products instead of d*d.  Their loops prove what they
-build, so only what a constructor is given gets checked.
+An algebra records its ``generators``, the matrices it was spun from
+(the unit matrices for ``matrix_algebra`` and
+``upper_triangular_algebra``).  Closures multiply by them only, since
+the words in them span the algebra: d*k products instead of d*d.
+Their loops prove what they build, so the one constructor of each
+class stores a span and generators without a check; the closures
+check only what they are given.
 
 Every closure is a right spin (``_spin``): each kept matrix is
 multiplied on the right by each generator, and the products that grow
@@ -84,42 +87,15 @@ class AlgebraBasis:
     the pivots, since each basis matrix is 1 at its own pivot and 0 at
     the others.
 
-    ``generators`` is the basis when built here, and the constructor
-    checks 1 and each product of two basis matrices; ``span_closure``
-    keeps the spun matrices, and its loop proves the closure.
+    The constructor stores what ``span_closure`` proved: the span of the
+    words in the generators, which holds 1 and is closed under them.
     """
 
     __slots__ = ("field", "matrix_size", "span", "generators")
 
-    def __init__(self, field: Field, matrix_size: int, basis: Sequence[Matrix]):
-        mats = tuple(basis)
-        if not mats:
-            raise ValueError("an algebra basis cannot be empty")
-        for b in mats:
-            if b.nrows != matrix_size or b.ncols != matrix_size or b.field != field:
-                raise ValueError("basis matrices must be square of the stated size")
-        self.field = field
-        self.matrix_size = matrix_size
-        self.span = Subspace._spanned(field, matrix_size ** 2, [flat(b) for b in mats])
-        if self.span.dim != len(mats):
-            raise ValueError("basis matrices are linearly dependent")
-        self.generators = _matrices(self.span, matrix_size)
-        self._check_closure()
-
-    @classmethod
-    def _spun(cls, span: Subspace, matrix_size: int, generators: Sequence[Matrix]):
-        a = object.__new__(cls)
-        a.field, a.matrix_size, a.span = span.field, matrix_size, span
-        a.generators = tuple(generators)
-        return a
-
-    def _check_closure(self):
-        if not self.contains(Matrix.identity(self.field, self.matrix_size)):
-            raise ValueError("algebra span does not contain the identity")
-        basis = self.basis
-        for g in self.generators:
-            if not self.contains(g) or not all(self.contains(b * g) for b in basis):
-                raise ValueError("span is not closed under the generators")
+    def __init__(self, span: Subspace, matrix_size: int, generators: Sequence[Matrix]):
+        self.field, self.matrix_size, self.span = span.field, matrix_size, span
+        self.generators = tuple(generators)
 
     @property
     def basis(self) -> tuple[Matrix, ...]:
@@ -191,42 +167,29 @@ def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
             raise ValueError("generators must be square of one size over the field")
     span = RowSpan(field, n * n)
     _spin(span, [Matrix.identity(field, n)], generators)
-    return AlgebraBasis._spun(span.to_subspace(), n, generators)
+    return AlgebraBasis(span.to_subspace(), n, generators)
 
 
 class Ideal:
     """Two-sided ideal of an AlgebraBasis.
 
     Stored as ``span``, the canonical echelon span of its matrices
-    flattened into F^(n^2), the space the parent's ``span`` lives in.
-    The constructor takes a subspace of the parent's coordinate space
-    and maps it to matrices once; ``matrices`` are the canonical
-    representatives, the reshaped basis rows of ``span``.
+    flattened into F^(n^2), the space the parent's ``span`` lives in;
+    ``matrices`` are the canonical representatives, the reshaped basis
+    rows of ``span``.  The constructor stores what ``ideal_closure`` or
+    ``trace_radical`` proved.
 
     ``generators`` generate the ideal as a right ideal, I = sum of the
-    s*A: the kept seeds of ``ideal_closure``, or the basis otherwise
-    (each b*A lies in I and holds b).  The power chain multiplies by them.
-    ``nilpotency_index`` runs one power chain on its first read and
-    keeps what it found.
+    s*A: the kept seeds of ``ideal_closure``, or the basis of the
+    trace radical (each b*A lies in I and holds b).  The power chain
+    multiplies by them.  ``nilpotency_index`` runs one power chain on
+    its first read and keeps what it found.
     """
 
     __slots__ = ("parent", "span", "generators", "_index")
 
-    def __init__(self, parent: AlgebraBasis, space: Subspace):
-        if space.ambient_dim != parent.dim or space.field != parent.field:
-            raise ValueError("ideal coordinates do not match the parent algebra")
-        flat_rows = space.basis * parent.span.basis
-        self.parent = parent
-        self.span = Subspace._spanned(parent.field, parent.matrix_size ** 2, flat_rows.ints)
-        self.generators = self.matrices
-        self._check_ideal()
-
-    @classmethod
-    def _of_span(cls, parent: AlgebraBasis, span: Subspace, generators: Sequence[Matrix]) -> "Ideal":
-        # an ideal from its canonical flattened span and its right-ideal generators
-        i = object.__new__(cls)
-        i.parent, i.span, i.generators = parent, span, tuple(generators)
-        return i
+    def __init__(self, parent: AlgebraBasis, span: Subspace, generators: Sequence[Matrix]):
+        self.parent, self.span, self.generators = parent, span, tuple(generators)
 
     @property
     def matrices(self) -> tuple[Matrix, ...]:
@@ -238,16 +201,6 @@ class Ideal:
         if not hasattr(self, "_index"):
             self._index = ideal_power_chain(self.parent, self)[1]
         return self._index
-
-    def _check_ideal(self):
-        inside, residual = self.parent.span._residual, self.span._residual
-        for u in self.matrices:
-            if any(inside(flat(u))):
-                raise ValueError("ideal matrix lies outside the algebra")
-            for g in self.parent.generators:
-                for prod in (g * u, u * g):
-                    if any(residual(flat(prod))):
-                        raise ValueError("subspace is not closed under algebra multiplication")
 
     @property
     def dim(self) -> int:
@@ -300,7 +253,7 @@ def ideal_closure(a: AlgebraBasis, seeds: Sequence[Matrix]) -> Ideal:
         outside = [g for g in outside if not span.contains(flat(g))]
         for g in outside:
             kept += _spin(span, [g * s], a.generators)
-    return Ideal._of_span(a, span.to_subspace(), kept)
+    return Ideal(a, span.to_subspace(), kept)
 
 
 def ideal_power_chain(a: AlgebraBasis, i: Ideal):
@@ -359,7 +312,7 @@ def trace_radical(a: AlgebraBasis) -> Ideal:
                                          for r in fb.ints], fb.den, n * n)
     flat_rows = kernel(fb * swapped.transpose()).basis * fb
     span = Subspace._spanned(a.field, n * n, flat_rows.ints)
-    return Ideal._of_span(a, span, _matrices(span, n))
+    return Ideal(a, span, _matrices(span, n))
 
 
 def standard_identity_eval(k: int, mats: Sequence[Matrix],
@@ -450,21 +403,17 @@ def minimal_standard_degree(a: AlgebraBasis, max_k: int):
     return witnesses, None
 
 
+def _unit_algebra(field: Field, n: int, units) -> AlgebraBasis:
+    # the span closure of the unit matrices E_ij, (i, j) in units
+    return span_closure(field, [Matrix(field, [[int((r, c) == ij) for c in range(n)]
+                                               for r in range(n)]) for ij in units])
+
+
 def matrix_algebra(field: Field, n: int) -> AlgebraBasis:
     """The full algebra M_n over the field, basis in row-major unit order."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            rows = [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)]
-            basis.append(Matrix(field, rows))
-    return AlgebraBasis(field, n, basis)
+    return _unit_algebra(field, n, [(i, j) for i in range(n) for j in range(n)])
 
 
 def upper_triangular_algebra(field: Field, n: int) -> AlgebraBasis:
     """All upper-triangular n x n matrices, unit basis in row-major order."""
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            rows = [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)]
-            basis.append(Matrix(field, rows))
-    return AlgebraBasis(field, n, basis)
+    return _unit_algebra(field, n, [(i, j) for i in range(n) for j in range(i, n)])

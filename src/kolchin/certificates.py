@@ -34,7 +34,9 @@ algorithm that made it:
   trace form Tr(xy) on that algebra (characteristic 0 or p > n), and
   the membership verdicts follow.  That kernel is an ideal, Tr being
   associative, so the group (inverses lie in the algebra) conjugates it
-  to itself; and Tr(x^k) = 0 for all k with n < p makes it nilpotent;
+  to itself; and Tr(x^k) = 0 for all k with n < p makes it nilpotent.
+  The payload holds the radical basis and the verdicts and nothing
+  else: the oracle's group and radical orders are printed, not written;
 - an Engel counterexample: exactly two words x and y, each of at most
   the length cap's letters (probe samples no longer word), and the walk
   c <- [c, y] from x, computed from the definition, does not reach 1
@@ -362,6 +364,8 @@ def _trace_radical(rep: Representation) -> Subspace:
 
 def _check_radical(rep: Representation, result: str, payload: dict) -> str:
     _require(result == "report", f"unknown result kind {result!r}")
+    extra = sorted(set(payload) - {"radical_basis", "tests"})
+    _require(not extra, f"unknown radical payload keys {extra}")
     radical = _trace_radical(rep)
     basis = [Matrix(rep.field, rows, rep.dim) for rows in payload["radical_basis"]]
     span = _embedded_span(rep, basis)

@@ -259,7 +259,6 @@ def cmd_unipotent_radical(rep, args) -> int:
             agree = members == brute
             print(f"group order {len(table)}; radical subgroup order {len(brute)}; "
                   + ("oracle agrees" if agree else "ORACLE DISAGREES"))
-            payload["oracle_order"] = len(brute)
             if not agree:
                 exit_code = PROPERTY_FAILS
         except NotFiniteError as e:

@@ -13,12 +13,12 @@ import pytest
 from kolchin import (
     GF,
     QQ,
-    Ideal,
     Matrix,
     Representation,
     Subspace,
     UnitriCertificate,
     check_certificate,
+    ideal_closure,
     ideal_power_chain,
     kaloujnine_class_check,
     kernel,
@@ -49,6 +49,7 @@ from corpus import (
     heisenberg,
     random_matrix,
     random_upper_unitriangular,
+    ref_from_coordinates,
     unitriangular_corpus,
 )
 
@@ -159,12 +160,17 @@ def test_criterion_4_generator_identity_upgrades_to_words():
 
 def _strictly_upper_ideal(algebra):
     """Elements of the algebra with zero diagonal; an ideal when the
-    algebra consists of upper-triangular matrices."""
+    algebra consists of upper-triangular matrices.  Their ideal closure
+    is no larger than their span, so the span is an ideal."""
     n = algebra.matrix_size
     diag_map = Matrix(algebra.field,
                       [[b.rows[i][i] for i in range(n)] for b in algebra.basis],
                       ncols=n)
-    return Ideal(algebra, kernel(diag_map))
+    space = kernel(diag_map)
+    ideal = ideal_closure(algebra, [ref_from_coordinates(algebra, row)
+                                    for row in space.basis.rows])
+    assert ideal.dim == space.dim
+    return ideal
 
 
 def test_criterion_5_nilpotent_ideal_lifting():

@@ -8,9 +8,7 @@ from kolchin import (
     GF,
     QQ,
     CharacteristicTooSmallError,
-    Ideal,
     Matrix,
-    Subspace,
     ideal_closure,
     ideal_power_chain,
     matrix_algebra,
@@ -118,14 +116,6 @@ def test_ideal_closure_rejects_outside_seed():
     a = upper_triangular_algebra(QQ, 2)
     with pytest.raises(ValueError):
         ideal_closure(a, [unit_matrix(QQ, 2, 1, 0)])
-
-
-def test_ideal_validation():
-    a = upper_triangular_algebra(QQ, 2)
-    # span{E11} is not an ideal of the upper triangular algebra
-    bad = Subspace(QQ, a.dim, [a.coordinates(unit_matrix(QQ, 2, 0, 0))])
-    with pytest.raises(ValueError):
-        Ideal(a, bad)
 
 
 def test_power_chain_zero_ideal():

@@ -7,12 +7,12 @@ goes through ``AlgebraBasis.coordinates``.  The algebra closure is
 compared with the former pairwise closure, which multiplies every pair
 of kept elements on both sides.
 
-Closures and the constructors' checks multiply by the algebra's
-generators; the former versions that multiply by every basis matrix,
-and the Gram matrix of d*d traces, are kept here as references for
-them.  A spin or an ideal closure runs no check of its own, so the
-references check their outputs here instead.  The ideal check reads no
-right-ideal generators, so the spans it is run on here are given none.
+Closures multiply by the algebra's generators; the former checks that
+multiply by every basis matrix, and the Gram matrix of d*d traces, are
+kept here as references for them.  A spin or an ideal closure runs no
+check of its own, and ``AlgebraBasis`` and ``Ideal`` each have one
+constructor, which stores what a closure proved, so the references
+check every algebra and ideal the library builds here instead.
 
 ``ideal_closure`` spins on the right and multiplies only its seeds on
 the left; the former closure, which multiplies every kept element by
@@ -29,10 +29,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolchin import (GF, QQ, AlgebraBasis, Ideal, Matrix, Representation, Subspace,
+from kolchin import (GF, QQ, Ideal, Matrix, Representation, Subspace,
                      ideal_closure, ideal_power_chain, matrix_algebra, trace_radical,
                      upper_triangular_algebra)
 from kolchin import algebra, load_representation
@@ -156,21 +156,8 @@ def ref_radical_span(a):
     return Subspace._spanned(a.field, a.matrix_size ** 2, flat_rows.ints)
 
 
-def accepts(build):
-    try:
-        build()
-    except ValueError:
-        return False
-    return True
-
-
 def spanned(field, n, mats):
     return Subspace._spanned(field, n * n, [flat(m) for m in mats])
-
-
-def without_row(span, r):
-    rows = span.basis.ints
-    return Subspace._spanned(span.field, span.ambient_dim, rows[:r] + rows[r + 1:])
 
 
 # -- strategies ----------------------------------------------------------------
@@ -280,8 +267,8 @@ def test_membership_and_power_chain_match_coordinate_route(case):
     field, gens, a, i, probes, trial = case
     space = ref_coordinate_space(a, i.matrices)
     assert space.dim == i.dim
-    # the public constructor maps coordinates to the same stored span
-    assert Ideal(a, space) == i
+    # the coordinate route's members span the same stored span
+    assert Ideal(a, flat_span(a, space), ref_members(a, space)) == i
     for m in probes:
         assert a.contains(m) == (a.coordinates(m) is not None)
         assert i.contains(m) == ref_ideal_contains(a, space, m)
@@ -290,13 +277,10 @@ def test_membership_and_power_chain_match_coordinate_route(case):
     assert index == ref_index
     assert [s.dim for s in chain] == [s.dim for s in ref_chain]
     assert all(s.ambient_dim == a.matrix_size ** 2 for s in chain)
-    # _check_ideal accepts exactly the coordinate subspaces that are ideals
-    try:
-        Ideal(a, trial)
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == ref_is_ideal(a, trial)
+    # a coordinate subspace is an ideal exactly when the ideal closure of
+    # its members adds nothing to it
+    closed = ideal_closure(a, ref_members(a, trial)).span == flat_span(a, trial)
+    assert closed == ref_is_ideal(a, trial)
 
 
 def flattened(m):
@@ -323,7 +307,7 @@ def test_any_spanning_basis_gives_the_canonical_algebra(case, data):
     recombined = [b + combination(data.draw, field, shuffled[k + 1:]) if k + 1 < a.dim else b
                   for k, b in enumerate(shuffled)]
     for basis in (shuffled, recombined):
-        other = AlgebraBasis(field, a.matrix_size, basis)
+        other = span_closure(field, basis)
         assert other == a and hash(other) == hash(a)
         assert other.basis == a.basis
 
@@ -335,13 +319,9 @@ def test_non_ideal_rejected_and_outside_seed_refused():
     # span{identity} is no ideal of a three-dimensional algebra
     one = ref_coordinate_space(a, [Matrix.identity(QQ, 3)])
     assert not ref_is_ideal(a, one)
-    with pytest.raises(ValueError):
-        Ideal(a, one)
-    with pytest.raises(ValueError):
-        ideal_closure(a, [e.transpose()])
-    # the ideal check refuses a flattened span that leaves the algebra
+    assert ideal_closure(a, [Matrix.identity(QQ, 3)]).span == a.span
     with pytest.raises(ValueError, match="outside the algebra"):
-        Ideal._of_span(a, Subspace(QQ, 9, [flat(e.transpose())]), ())._check_ideal()
+        ideal_closure(a, [e.transpose()])
 
 
 @settings(max_examples=60)
@@ -363,71 +343,35 @@ def test_generator_closures_match_basis_references(case, data):
 
 
 @settings(max_examples=60)
-@given(cases(), st.data())
-def test_generator_checks_accept_and_reject_as_the_references(case, data):
-    field, gens, a, i, probes, trial = case
-    n = a.matrix_size
-    # ideal check: the ideal, a coordinate trial space, and spans that
-    # may reach outside the algebra
-    trial_mats = ref_members(a, trial)
-    outside = Matrix(field, [[data.draw(entries(field)) for _ in range(n)] for _ in range(n)])
-    candidates = [i.span, spanned(field, n, trial_mats), spanned(field, n, [outside]),
-                  spanned(field, n, trial_mats + [outside])]
-    if i.dim:
-        candidates.append(spanned(field, n, list(i.matrices) + [outside]))
-    if trial_mats:
-        candidates += [spin(a, trial_mats, a.generators, [side]) for side in ("left", "right")]
-    for span in candidates:
-        assert (accepts(lambda: Ideal._of_span(a, span, ())._check_ideal())
-                == ref_check_ideal(a, span))
-    # closure check on the spans a spin can make, subspaces of the algebra
-    for span in [a.span] + [without_row(a.span, r) for r in range(a.dim)]:
-        assert (accepts(lambda: AlgebraBasis._spun(span, n, gens)._check_closure())
-                == ref_check_closure(span, n, gens) == (span == a.span))
-
-
-@settings(max_examples=60)
 @given(cases())
 def test_closures_pass_the_reference_checks(case):
     # the spin and the ideal closure loop prove these, and no runtime
     # check repeats them: 1, the generators and every basis product lie
-    # in the algebra, and the augmentation and seeded ideals are ideals
+    # in the algebra, and the augmentation ideal, the drawn ideal and
+    # the trace radical (p = 5 > n over GF(5)) are ideals
     field, gens, a, i, probes, trial = case
     assert ref_check_closure(a.span, a.matrix_size, gens)
-    assert ref_check_ideal(a, i.span)
+    one = Matrix.identity(field, a.matrix_size)
+    for ideal in (i, ideal_closure(a, [g - one for g in gens]), trace_radical(a)):
+        assert ref_check_ideal(a, ideal.span)
 
 
-@settings(max_examples=60)
-@given(algebras(), st.data())
-def test_outside_basis_keeps_the_full_product_check(case, data):
-    field, gens = case
-    n = gens[0].nrows
-    extra = [combination(data.draw, field, gens) for _ in range(data.draw(st.integers(0, 1)))]
-    span = spanned(field, n, [Matrix.identity(field, n)] + gens + extra)
-    basis = _matrices(span, n)
-    try:
-        a = AlgebraBasis(field, n, basis)
-    except ValueError:
-        a = None
-    assert (a is not None) == ref_check_closure(span, n, basis)
-    if a is not None:
-        assert a.generators == a.basis
-        assert a == span_closure(field, gens)
+def unit_basis(field, n, upper):
+    return tuple(Matrix(field, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+                 for i in range(n) for j in range(i if upper else 0, n))
 
 
-@settings(max_examples=60)
-@given(algebras(), st.data())
-def test_tampered_spun_algebra_raises(case, data):
-    field, gens = case
-    a = span_closure(field, gens)
-    n = a.matrix_size
-    r = data.draw(st.integers(0, a.dim - 1))
-    with pytest.raises(ValueError):
-        AlgebraBasis._spun(without_row(a.span, r), n, gens)._check_closure()
-    assume(a.dim < n * n)
-    unit = next(u for u in matrix_algebra(field, n).basis if not a.contains(u))
-    with pytest.raises(ValueError, match="not closed under the generators"):
-        AlgebraBasis._spun(a.span, n, list(gens) + [unit])._check_closure()
+@pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_algebras_pass_the_reference_check(field, n):
+    # each factory spins its unit matrices, which come out as its
+    # canonical basis, in row-major order
+    for build, upper in ((matrix_algebra, False), (upper_triangular_algebra, True)):
+        a = build(field, n)
+        units = unit_basis(field, n, upper)
+        assert a.generators == a.basis == units
+        assert a.dim == len(units)
+        assert ref_check_closure(a.span, n, a.generators)
 
 
 def test_fixed_cases_rejected_by_the_checks_and_their_references():
@@ -435,10 +379,8 @@ def test_fixed_cases_rejected_by_the_checks_and_their_references():
     e = Matrix(QQ, [[0, 0, Fraction(1, 2)], [0, 0, 0], [0, 0, 0]])
     for span in (spanned(QQ, 3, [Matrix.identity(QQ, 3)]), spanned(QQ, 3, [e.transpose()])):
         assert not ref_check_ideal(a, span)
-        with pytest.raises(ValueError):
-            Ideal._of_span(a, span, ())._check_ideal()
     assert ref_check_ideal(a, spanned(QQ, 3, [e]))
-    Ideal._of_span(a, spanned(QQ, 3, [e]), ())._check_ideal()
+    assert ideal_closure(a, [e]).span == spanned(QQ, 3, [e])
     # in the upper triangular 2 x 2 matrices, span{E11} is only a left
     # ideal and span{E22} only a right one
     b = span_closure(QQ, [Matrix(QQ, [[1, 1], [0, 1]]), Matrix(QQ, [[1, 0], [0, 2]])])
@@ -446,16 +388,12 @@ def test_fixed_cases_rejected_by_the_checks_and_their_references():
     for unit in (Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])):
         span = spanned(QQ, 2, [unit])
         assert not ref_check_ideal(b, span)
-        with pytest.raises(ValueError, match="not closed"):
-            Ideal._of_span(b, span, ())._check_ideal()
-    # span{1, E12, E21} holds 1 but not E12 * E21
+        assert ideal_closure(b, [unit]).dim == 2
+    # span{1, E12, E21} holds 1 but not E12 * E21, which the closure adds
     units = matrix_algebra(QQ, 2).basis
     basis = [Matrix.identity(QQ, 2), units[1], units[2]]
     assert not ref_check_closure(spanned(QQ, 2, basis), 2, basis)
-    with pytest.raises(ValueError, match="not closed under the generators"):
-        AlgebraBasis(QQ, 2, basis)
-    for full in (matrix_algebra(QQ, 2), upper_triangular_algebra(F5, 3)):
-        assert full.generators == full.basis
+    assert span_closure(QQ, basis) == matrix_algebra(QQ, 2)
 
 
 @settings(max_examples=200)
@@ -480,7 +418,7 @@ def test_radical_routes_match_the_trace_form(case):
 
 def test_trace_radical_is_built_unchecked_and_reads_its_index_once():
     # the Borel group is not unipotent, so its radical is the trace-form
-    # kernel: neither the checked constructor nor a chain runs until the
+    # kernel: the constructor only stores it, no chain runs until the
     # index is read, and then one chain does
     rep = load_representation(str(Path(__file__).parent / "golden" / "borel_frac.json"))
     calls = []
@@ -497,10 +435,10 @@ def test_trace_radical_is_built_unchecked_and_reads_its_index_once():
     with mock.patch.object(Ideal, "__init__", init), \
             mock.patch.object(algebra, "ideal_power_chain", chain):
         rad = rep.radical
-        assert not rad.is_zero() and calls == []
+        assert not rad.is_zero() and calls == ["init"]
         index = rad.nilpotency_index
-        assert calls == ["chain"]
-        assert rad.nilpotency_index == index and calls == ["chain"]
+        assert calls == ["init", "chain"]
+        assert rad.nilpotency_index == index and calls == ["init", "chain"]
     with pytest.raises(AttributeError):
         rad.nilpotency_index = index
     assert rad.span == ref_radical_span(rep.algebra)
@@ -539,6 +477,7 @@ def test_ideal_closure_matches_the_two_sided_closure(case):
     a, seeds = case
     i = ideal_closure(a, seeds)
     assert i.span == ref_two_sided_closure(a, seeds)
+    assert ref_check_ideal(a, i.span)
     # the kept seeds generate it as a right ideal
     assert all(i.contains(s) for s in i.generators)
     assert spin(a, i.generators, a.generators, ["right"]) == i.span
@@ -614,9 +553,10 @@ def test_power_chain_spans_match_the_coordinate_route(case):
     a, i = case
     space = ref_coordinate_space(a, i.matrices)
     ref_chain, ref_index = ref_power_chain(a, space)
-    built = Ideal(a, space)
-    assert built.generators == built.matrices
-    # by the closure (or the trace form) and by the constructor
+    # the same span with the coordinate route's members as generators
+    built = Ideal(a, flat_span(a, space), ref_members(a, space))
+    assert built == i
+    # by the closure (or the trace form) and by the coordinate members
     for ideal in (i, built):
         chain, index = ideal_power_chain(a, ideal)
         assert index == ref_index == ideal.nilpotency_index

@@ -1254,6 +1254,25 @@ def test_check_cert_refuses_a_pi_witness_that_pi_check_never_writes(key, combo, 
     assert "Traceback" not in err
 
 
+def test_check_cert_refuses_an_oracle_order_in_a_radical_report(tmp_path, capsys):
+    # --oracle prints the group and radical orders but writes neither, so
+    # a forged oracle_order (999 for a radical subgroup of order 3, or for
+    # the infinite Heisenberg group) is a payload key no command writes
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3_DOC))
+    cert = str(tmp_path / "rad.json")
+    assert main(["unipotent-radical", str(path), "--oracle", "--cert", cert]) == 0
+    assert "radical subgroup order 3; oracle agrees" in capsys.readouterr().out
+    assert set(json.loads(Path(cert).read_text())["payload"]) == {"radical_basis", "tests"}
+    assert main(["check-cert", str(path), cert]) == 0
+    for rep, written in ((str(path), cert), (GOLDEN_HEIS, _golden_cert(GOLDEN_HEIS, "radical"))):
+        forged = _edited(written, tmp_path, lambda doc: doc["payload"].update(oracle_order=999))
+        assert main(["check-cert", rep, forged]) == 2
+        err = capsys.readouterr().err
+        assert "unknown radical payload keys ['oracle_order']" in err
+        assert "Traceback" not in err
+
+
 def test_an_empty_exponent_is_a_malformed_word(capsys):
     # "a^" was read as the word a, and its index 2 was reported
     assert main(["check-unipotent", GOLDEN_HEIS, "--element", "a^"]) == 1
