@@ -20,12 +20,11 @@ check only what they are given.
 
 Every closure is a right spin (``_spin``): each kept matrix is
 multiplied on the right by each generator, and the products that grow
-the span are kept in turn; a zero product is never absorbed.  An ideal
-records its ``generators`` too: matrices s with I = sum of the s*A, a
-right ideal that the seeds generate.  Only they are multiplied on the
-left, because g*I is the sum of the (g*s)*A: once each g*s lies in I,
-so does g*I; and a generator g inside I takes no left product, as
-g*I lies in I*A = I.  The power chain multiplies them on the left too:
+the span are kept in turn; a zero product is never absorbed.  The
+algebra spins its generators before it adds 1, and records that span:
+the ideal they generate.  An ideal records its ``generators`` too,
+matrices s with I = sum of the s*A.  Only they are multiplied on the
+left, since g*I is the sum of the (g*s)*A, and by the power chain:
 I^(k+1) = I*I^k is the sum of the s*I^k, since A*I^k = I^k.
 """
 
@@ -77,25 +76,22 @@ def _matrices(span: Subspace, n: int) -> tuple[Matrix, ...]:
 class AlgebraBasis:
     """Basis of a unital subalgebra of the n x n matrices.
 
-    The algebra is only its ``span``, the canonical reduced echelon span
-    of its matrices flattened into F^(n^2), and its ``generators``, as an
-    ``Ideal`` is.  ``basis`` reshapes the span's rows into matrices on
-    each read (as ``Ideal.matrices`` does), so it is the same for every
-    spanning input, ``==`` is span equality, and a closure whose basis
-    nobody reads reshapes nothing.  ``contains`` reduces ``flat(m)``
-    against the span; ``coordinates`` reads the entries of a member at
-    the pivots, since each basis matrix is 1 at its own pivot and 0 at
-    the others.
-
-    The constructor stores what ``span_closure`` proved: the span of the
-    words in the generators, which holds 1 and is closed under them.
+    The constructor stores what ``span_closure`` proved: ``span``, the
+    canonical reduced echelon span of the words in the ``generators``
+    flattened into F^(n^2), and ``generated``, the span of the words of
+    length 1 or more with the generators that grew it, which
+    ``ideal_closure`` reads.  ``basis`` reshapes the span's rows into
+    matrices on each read, so it is the same for every spanning input
+    and ``==`` is span equality.  ``coordinates`` reads a member's
+    entries at the pivots: each basis matrix is 1 at its own, else 0.
     """
 
-    __slots__ = ("field", "matrix_size", "span", "generators")
+    __slots__ = ("field", "matrix_size", "span", "generators", "generated")
 
-    def __init__(self, span: Subspace, matrix_size: int, generators: Sequence[Matrix]):
+    def __init__(self, span: Subspace, matrix_size: int, generators: Sequence[Matrix],
+                 generated: tuple[Subspace, tuple[Matrix, ...]]):
         self.field, self.matrix_size, self.span = span.field, matrix_size, span
-        self.generators = tuple(generators)
+        self.generators, self.generated = tuple(generators), generated
 
     @property
     def basis(self) -> tuple[Matrix, ...]:
@@ -152,12 +148,11 @@ def _spin(span: RowSpan, seeds: Sequence[Matrix], generators: Sequence[Matrix]) 
 def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
     """Smallest unital subalgebra of M_n containing the generators.
 
-    Spin closure: the algebra is spanned by the words in the generators,
-    so it is enough to spin the identity on the right.  The returned
-    basis is the canonical one: the reduced echelon rows of the span,
-    reshaped into matrices, so it does not depend on generator order.
-    The kept words, 1 first, are a basis, and each was multiplied by
-    every generator: the span is closed.
+    The words in the generators span it.  The generators are spun on
+    the right first, which spans the words of length 1 or more: the
+    two-sided ideal they generate, kept as ``generated``.  Then 1 is
+    added; its products by the generators are already in.  The basis is
+    canonical (the reduced echelon rows) for every generator order.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -166,8 +161,10 @@ def span_closure(field: Field, generators: Sequence[Matrix]) -> AlgebraBasis:
         if g.nrows != n or g.ncols != n or g.field != field:
             raise ValueError("generators must be square of one size over the field")
     span = RowSpan(field, n * n)
-    _spin(span, [Matrix.identity(field, n)], generators)
-    return AlgebraBasis(span.to_subspace(), n, generators)
+    kept = _spin(span, generators, generators)
+    generated = span.to_subspace(), tuple(kept)
+    span.absorb(flat(Matrix.identity(field, n)))
+    return AlgebraBasis(span.to_subspace(), n, generators, generated)
 
 
 class Ideal:
@@ -229,20 +226,18 @@ class Ideal:
 def ideal_closure(a: AlgebraBasis, seeds: Sequence[Matrix]) -> Ideal:
     """Smallest two-sided ideal of ``a`` containing the seeds.
 
-    The seeds are checked to lie in ``a`` and spun on the right to the
-    end; then only the kept seeds are multiplied on the left by each
-    generator of ``a``, and a left product that grows the span is kept
-    as a new seed and spun in turn.  Proof: every kept element is s*w
-    for a kept seed s and a word w, so I = sum of the s*A is closed on
-    the right; each g*s lies in I, so g*I = sum of the (g*s)*A lies in I.
-
-    A generator g that lies in the right ideal takes no more left
-    products: g*I lies in I*A = I, and the span only grows, so g stays
-    inside it to the end.  For augmentation
-    seeds h - 1 over the differences g - 1 as generators, every
-    generator is a seed, so the closure takes k*dim I products for k
-    generators and no left product.
+    Seeds that are exactly the generators of ``a`` read the ideal that
+    ``span_closure`` recorded, with no product.  Other seeds are checked
+    to lie in ``a`` and spun on the right; then only the kept seeds are
+    multiplied on the left by each generator of ``a``, and a left
+    product that grows the span is a new seed, spun in turn.  Every kept
+    element is s*w for a kept seed s and a word w, so I = sum of the
+    s*A is closed on the right, and g*I = sum of the (g*s)*A lies in I.
+    A generator g inside the right ideal takes no more left products:
+    g*I lies in I*A = I, and the span only grows.
     """
+    if tuple(seeds) == a.generators:
+        return Ideal(a, *a.generated)
     for s in seeds:
         if not a.contains(s):
             raise ValueError("seed matrix lies outside the algebra")

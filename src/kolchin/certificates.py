@@ -56,8 +56,9 @@ the result kinds the commands write are accepted: ``report`` for a
 unipotent-radical certificate, and for a probe only the proved kinds
 above and, as evidence whose envelope alone is checked, an Engel
 ``consistent`` and an algebraic ``stabilized`` or ``inconclusive``.
-The envelope is what probe writes: for Engel (on every report) a
-positive depth, sample budget and length cap; for algebraic a positive
+The envelope is what probe writes: on every report a seed, one JSON
+integer in the payload and the certificate; for Engel a positive
+depth, sample budget and length cap; for algebraic a positive
 depth cap and element cap, and a stabilisation depth from 1 to the
 depth cap (null when inconclusive).
 
@@ -202,6 +203,10 @@ def check_certificate(rep: Representation, cert: dict) -> str:
     payload = cert.get("payload") or {}
     checker = _CHECKERS.get(command)
     _require(checker is not None, f"no checker for command {command!r}")
+    if command == "probe":  # probe writes its --seed twice
+        seeds = payload.get("seed"), cert.get("seed")
+        _require(all(type(s) is int for s in seeds) and seeds[0] == seeds[1],
+                 "probe seeds must be one JSON integer: payload %r, certificate %r" % seeds)
     try:
         return checker(rep, result, payload)
     except CertificateError:

@@ -53,14 +53,12 @@ class Representation:
     identity questions read the span series, so no tuple sweep decides
     one.
 
-    ``algebra`` is the span closure of the g - 1 (1 spun on the right
-    by them): since g = (g - 1) + 1 it is the algebra the generators
-    make, and only its ``generators`` are the g - 1, the tuple
-    ``differences``.  For a unipotent group these are nilpotent, so no
-    closure absorbs their long, zero products.  The
-    ``augmentation_ideal`` is the ideal closure of the g - 1, a right
-    spin of them by them: they are its seeds, so they take no left
-    product.  ``augmentation_index`` is its ``nilpotency_index`` (one
+    ``algebra`` is the span closure of the g - 1, its ``generators``:
+    since g = (g - 1) + 1 it is the algebra the generators make.  Its
+    right spin of the g - 1 (nilpotent for a unipotent group) absorbs
+    no zero product, and spans the ``augmentation_ideal``, which the
+    ideal closure of the g - 1 reads with no product.
+    ``augmentation_index`` is its ``nilpotency_index`` (one
     power chain over the products (h - 1)*u), or None; a g - 1 that is
     not nilpotent answers None with no closure or chain.  The
     ``radical`` is the augmentation ideal when that index exists (the

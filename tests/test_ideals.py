@@ -19,6 +19,8 @@ the left; the former closure, which multiplies every kept element by
 the generators on both sides, is its reference.  The power chain spans
 the products of the ideal's generators with a power's basis; the
 coordinate route's chain of all pairwise products is its reference.
+The ideal closure of an algebra's own generators reads the ideal that
+``span_closure`` recorded; the two-sided closure is its reference too.
 
 A representation's radical is its augmentation ideal when that ideal
 is nilpotent; ``trace_radical`` is the reference for that route.
@@ -525,6 +527,55 @@ def test_envelope_over_the_differences_matches_the_generators_route(rep):
     assert i.span == ref_two_sided_closure(ref, rep.differences)
     _, ref_index = ref_power_chain(ref, ref_coordinate_space(ref, i.matrices))
     assert ideal_power_chain(a, i)[1] == rep.augmentation_index == ref_index
+
+
+@st.composite
+def recorded(draw):
+    """(algebra, whether 1 lies in the ideal its generators generate):
+    an algebra spun from the g of a group or from the g - 1, or the full
+    or upper triangular matrices of its size over its field."""
+    rep = draw(groups_with_identity())
+    kind = draw(st.sampled_from(["g", "g - 1", "full", "upper"]))
+    if kind == "full":
+        return matrix_algebra(rep.field, rep.dim), True
+    if kind == "upper":
+        return upper_triangular_algebra(rep.field, rep.dim), True
+    if kind == "g":
+        return span_closure(rep.field, rep.generators), True
+    return span_closure(rep.field, rep.differences), False
+
+
+@settings(max_examples=100)
+@given(recorded())
+def test_the_algebra_records_the_ideal_its_generators_generate(case):
+    # the spin of the generators spans the words of length 1 or more, so
+    # the ideal closure of exactly them reads it and spins nothing; any
+    # other order of the same seeds spins them and makes the same span
+    a, unital = case
+    gens = a.generators
+    assert a.basis == ref_pairwise_closure(a.field, gens)
+    with mock.patch.object(algebra, "_spin", wraps=algebra._spin) as spun:
+        i = ideal_closure(a, gens)
+        assert spun.call_count == 0
+        assert ideal_closure(a, gens[::-1]).span == i.span
+        assert spun.called == (gens[::-1] != gens)
+    assert i.span == ref_two_sided_closure(a, gens)
+    assert spin(a, i.generators, gens, ["right"]) == i.span
+    # invertible generators, and the unit matrices, put 1 in the ideal
+    if unital:
+        assert i.span == a.span
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=str)
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_recorded_ideal_of_a_trivial_group_is_zero(field, n):
+    # every difference is zero, so the spin keeps no word and the
+    # algebra is F*1
+    rep = Representation(field, {"e": Matrix.identity(field, n)})
+    i = rep.augmentation_ideal
+    assert rep.algebra.dim == 1 and i.is_zero() and i.generators == ()
+    assert i.span == ref_two_sided_closure(rep.algebra, rep.differences)
+    assert rep.augmentation_index == 1
 
 
 def test_corner_seed_reaches_all_of_m3_from_its_row():

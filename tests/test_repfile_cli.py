@@ -766,8 +766,8 @@ def test_check_cert_engel_huge_depth_is_decided_or_capped(tmp_path, heis_file, c
     rep = loads_representation(s3.read_text())
     cycle = tmp_path / "s3-engel.json"
     cycle.write_text(json.dumps(make_certificate("probe", rep, "counterexample", {
-        "kind": "engel", "depth": 10**7, "sample_budget": 1, "length_cap": 1,
-        "counterexample": ["u", "d"]})))
+        "kind": "engel", "seed": 0, "depth": 10**7, "sample_budget": 1, "length_cap": 1,
+        "counterexample": ["u", "d"]}, seed=0)))
     assert main(["check-cert", str(s3), str(cycle)]) == 0
     assert time.perf_counter() - start < 10
 
@@ -1251,6 +1251,26 @@ def test_check_cert_refuses_a_pi_witness_that_pi_check_never_writes(key, combo, 
     assert main(["check-cert", BOREL, bad]) == 2
     err = capsys.readouterr().err
     assert f"degree-{key} witness is not at a degree from 2 to the max degree 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, label, seed, payload_seed, code", [
+    (GOLDEN_HEIS, "engel", 3, 3, 0),
+    (GOLDEN_HEIS, "engel", 7, 999, 2),
+    (GOLDEN_HEIS, "engel", 1, True, 2),
+    (GOLDEN_HEIS, "engel", True, 1, 2),
+    (BOREL, "nil", 0, 1, 2),
+], ids=["golden", "mismatch", "bool-payload-seed", "bool-seed", "nil-mismatch"])
+def test_check_cert_requires_the_two_probe_seeds_to_agree(path, label, seed, payload_seed,
+                                                         code, tmp_path, capsys):
+    # probe writes its --seed into the certificate and into the payload;
+    # two different seeds, or a bool for either, were accepted
+    def apply(doc):
+        doc["seed"], doc["payload"]["seed"] = seed, payload_seed
+
+    assert main(["check-cert", path, _edited(_golden_cert(path, label), tmp_path, apply)]) == code
+    err = capsys.readouterr().err
+    assert ("probe seeds must be one JSON integer" in err) == (code == 2)
     assert "Traceback" not in err
 
 

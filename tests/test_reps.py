@@ -28,7 +28,7 @@ from kolchin import (
     unitriangular_degree,
 )
 from kolchin import algebra, reps
-from kolchin.algebra import Ideal, minimal_standard_degree
+from kolchin.algebra import Ideal, minimal_standard_degree, span_closure
 from kolchin.linalg import RowSpan
 from kolchin.words import (Word, brute_force_unipotent_radical, enumerate_elements, evaluate_word,
                            random_word)
@@ -283,19 +283,21 @@ def test_enveloping_computes_each_ideal_once_on_first_read():
 
 
 def test_augmentation_closure_takes_no_left_product():
-    # the right spin takes k products per kept element, and the k
-    # generators g - 1 are the seeds, so each lies in the right ideal
-    # and takes no left product
+    # the algebra's spin multiplies each kept word by each of the k
+    # generators g - 1 and then adds 1, with no product: k * dim I
+    # products; the ideal closure of the algebra's own generators reads
+    # the ideal that spin recorded
     rep = heisenberg()
-    a = rep.algebra
-    seeds = list(rep.differences)
-    assert a.generators == tuple(seeds)
     with mock.patch.object(Matrix, "__mul__", autospec=True,
                            side_effect=Matrix.__mul__) as product:
-        i = ideal_closure(a, seeds)
+        a = span_closure(rep.field, rep.differences)
+        spun = product.call_count
+        i = ideal_closure(a, a.generators)
     k = len(a.generators)
-    assert i.dim == 3 and i.generators == tuple(seeds)
-    assert product.call_count == k * i.dim == 6
+    assert a == rep.algebra and a.dim == 4 and a.generators == rep.differences
+    assert i.dim == 3 and i.generators == rep.differences
+    assert spun == k * i.dim == 6
+    assert product.call_count == spun
 
 
 def test_the_unipotent_envelope_absorbs_no_zero_product(monkeypatch):
