@@ -56,11 +56,13 @@ the result kinds the commands write are accepted: ``report`` for a
 unipotent-radical certificate, and for a probe only the proved kinds
 above and, as evidence whose envelope alone is checked, an Engel
 ``consistent`` and an algebraic ``stabilized`` or ``inconclusive``.
-The envelope is what probe writes: on every report a seed, one JSON
-integer in the payload and the certificate; for Engel a positive
-depth, sample budget and length cap; for algebraic a positive
-depth cap and element cap, and a stabilisation depth from 1 to the
-depth cap (null when inconclusive).
+Every certificate has exactly the seven top-level keys that
+``make_certificate`` writes, a string ``version``, and a null ``seed``
+unless it is a probe report.  The probe envelope is what probe writes:
+on every report a seed, one JSON integer in the payload and the
+certificate; for Engel a positive depth, sample budget and length cap;
+for algebraic a positive depth cap and element cap, and a stabilisation
+depth from 1 to the depth cap (null when inconclusive).
 
 Identical inputs and seeds produce byte-identical certificates; no
 timestamps or environment data are embedded.
@@ -82,6 +84,8 @@ from .reps import Representation, difference_product_spans, unipotency_index
 from .words import Word, evaluate_word
 
 CERT_FORMAT = "kolchin.certificate/1"
+ENVELOPE_KEYS = frozenset({"format", "version", "command", "inputs_digest", "result", "seed",
+                           "payload"})
 FLAG_DROP_FAILS = "flag drop fails: a generator difference leaves a step boundary"
 # steps of an Engel or nil walk, or factors of an identity witness, the
 # checker takes at most; over Q the entries of a walk that never repeats
@@ -196,6 +200,9 @@ def check_certificate(rep: Representation, cert: dict) -> str:
     human-readable summary on success."""
     _require(isinstance(cert, dict) and cert.get("format") == CERT_FORMAT,
              "unrecognised certificate format")
+    _require(cert.keys() == ENVELOPE_KEYS,
+             f"certificate keys must be exactly {sorted(ENVELOPE_KEYS)}")
+    _require(type(cert["version"]) is str, "certificate version must be a string")
     _require(cert.get("inputs_digest") == representation_digest(rep),
              "stale certificate: input digest does not match the representation")
     command = cert.get("command")
@@ -207,6 +214,8 @@ def check_certificate(rep: Representation, cert: dict) -> str:
         seeds = payload.get("seed"), cert.get("seed")
         _require(all(type(s) is int for s in seeds) and seeds[0] == seeds[1],
                  "probe seeds must be one JSON integer: payload %r, certificate %r" % seeds)
+    else:
+        _require(cert["seed"] is None, f"a {command} certificate has no seed")
     try:
         return checker(rep, result, payload)
     except CertificateError:

@@ -58,14 +58,15 @@ class Representation:
     right spin of the g - 1 (nilpotent for a unipotent group) absorbs
     no zero product, and spans the ``augmentation_ideal``, which the
     ideal closure of the g - 1 reads with no product.
-    ``augmentation_index`` is its ``nilpotency_index`` (one
-    power chain over the products (h - 1)*u), or None; a g - 1 that is
-    not nilpotent answers None with no closure or chain.  The
-    ``radical`` is the augmentation ideal when that index exists (the
-    algebra is F*1 plus that ideal, so it has codimension 1), else the
-    trace-form kernel, built with no chain.  Over prime fields with
-    p <= n it raises CharacteristicTooSmallError on either route, since
-    the certificate checker has only the trace form there."""
+    The group is unipotent iff its span series ends at 0 (V is faithful,
+    so V w^d = 0 iff w^d = 0 for the augmentation ideal w), and that one
+    test routes both values.  A unipotent group's ``augmentation_index``
+    is w's ``nilpotency_index`` (one power chain over the products
+    (h - 1)*u), and its ``radical`` is w (the algebra is F*1 plus w).
+    Any other group has index None and the trace-form kernel as its
+    radical, with no closure or chain.  Over prime fields with p <= n
+    the radical raises CharacteristicTooSmallError, since the
+    certificate checker has only the trace form there."""
 
     def __init__(self, field: Field, generators: Mapping[str, Matrix] | Iterable[tuple[str, Matrix]]):
         items = list(generators.items()) if isinstance(generators, Mapping) else list(generators)
@@ -118,7 +119,7 @@ class Representation:
 
     @cached_property
     def augmentation_index(self) -> int | None:
-        if any(_nilpotency_index(d) is None for d in self.algebra.generators):
+        if not self.difference_spans[-1].is_zero():
             return None
         return self.augmentation_ideal.nilpotency_index
 
@@ -126,7 +127,7 @@ class Representation:
     def radical(self) -> Ideal:
         a = self.algebra
         p = a.field.characteristic()
-        if not 0 < p <= a.matrix_size and self.augmentation_index is not None:
+        if not 0 < p <= a.matrix_size and self.difference_spans[-1].is_zero():
             return self.augmentation_ideal
         return trace_radical(a)
 
@@ -166,16 +167,11 @@ class Representation:
 def unipotency_index(rep: Representation, g: Matrix) -> int | None:
     """Minimal n with (g - 1)^n = 0, or None when g is not unipotent.
 
-    The index is bounded by the dimension, so the search is exact.
+    The index is at most the dimension, so dim - 1 products decide it.
     """
     if g.nrows != g.ncols or g.nrows != rep.dim or g.field != rep.field:
         raise ValueError("element matrix does not match the representation")
-    return _nilpotency_index(g - rep.identity())
-
-
-def _nilpotency_index(nil: Matrix) -> int | None:
-    """Minimal n with nil^n = 0 for a square matrix, or None; n is at
-    most the size, so size - 1 products decide it."""
+    nil = g - rep.identity()
     power, n = nil, 1
     while not power.is_zero():
         if n >= nil.nrows:
@@ -344,9 +340,8 @@ def unitriangular_degree(rep: Representation) -> int | None:
     chain hitting zero at index n is equivalent to the length-n
     identity x (y_1-1)...(y_n-1) = 0 holding for all group elements,
     not just for generators.  The index is the representation's
-    ``augmentation_index``, so the chain runs once for this degree and
-    the radical together, and not at all for a group with a generator
-    that is not unipotent.
+    ``augmentation_index``: a span series that does not end at 0
+    answers None with no chain.
     """
     return rep.augmentation_index
 
@@ -405,8 +400,8 @@ class UnipotentRadical:
     subgroup: g belongs iff g - 1 lies in the algebra's radical.
 
     The radical is ``Representation.radical``: the augmentation ideal
-    when its power chain reaches zero (then every member is unipotent
-    and the whole group is the subgroup), else the trace-form kernel.
+    when the span series ends at 0 (the whole group is the subgroup),
+    else the trace-form kernel.
     Either route is a two-sided ideal (the closure loop proves one, and
     Tr(axy) = Tr(xya) the other), and each g^-1 lies in the algebra
     (Cayley-Hamilton), so the group conjugates it to itself: the member

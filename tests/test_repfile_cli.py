@@ -706,8 +706,8 @@ BOREL = str(Path(__file__).parent / "golden" / "borel_frac.json")
 @pytest.mark.parametrize("path, code, count", [(GOLDEN_HEIS, 0, 1), (BOREL, 2, 0)],
                          ids=["heis", "borel"])
 def test_cli_lift_runs_one_power_chain(path, code, count, capsys):
-    # Heisenberg's radical is its augmentation ideal, whose chain proves
-    # it the radical and gives the lift its index; the Borel group's is
+    # Heisenberg's radical is its augmentation ideal, built with no
+    # chain, and the lift's read of its index runs one; the Borel group's is
     # the trace-form kernel, built with no chain, and its hypothesis
     # fails at length 1, so the lift never reads its index: no chain
     chains = []
@@ -721,6 +721,16 @@ def test_cli_lift_runs_one_power_chain(path, code, count, capsys):
         assert main(["identity-check", path, "--length", "1",
                      "--lift-through-radical"]) == code
     assert len(chains) == count
+    capsys.readouterr()
+
+
+def test_cli_unipotent_radical_of_a_unipotent_group_runs_no_power_chain(capsys):
+    # Heisenberg's span series ends at 0, so its radical is the
+    # augmentation ideal as the algebra's spin recorded it: no chain
+    with mock.patch.object(algebra, "ideal_power_chain",
+                           side_effect=algebra.ideal_power_chain) as chain:
+        assert main(["unipotent-radical", GOLDEN_HEIS]) == 0
+    assert chain.call_count == 0
     capsys.readouterr()
 
 
@@ -1272,6 +1282,25 @@ def test_check_cert_requires_the_two_probe_seeds_to_agree(path, label, seed, pay
     err = capsys.readouterr().err
     assert ("probe seeds must be one JSON integer" in err) == (code == 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda doc: None, 0, None),
+    (lambda doc: doc.update(version="9.9"), 0, None),
+    (lambda doc: doc.update(seed=5), 2, "a kolchin certificate has no seed"),
+    (lambda doc: doc.update(version=9.9), 2, "certificate version must be a string"),
+    (lambda doc: doc.update(extra=1), 2, "certificate keys must be exactly"),
+    (lambda doc: doc.pop("version"), 2, "certificate keys must be exactly"),
+    (lambda doc: doc.pop("seed"), 2, "certificate keys must be exactly"),
+], ids=["golden", "version-string", "seed-5", "version-float", "extra-key", "no-version",
+        "no-seed"])
+def test_check_cert_reads_the_whole_envelope(edit, code, message, tmp_path, capsys):
+    # check-cert read only the format, digest, command, result and
+    # payload of a kolchin certificate: each forged envelope verified
+    bad = _edited(_golden_cert(GOLDEN_HEIS, "kolchin"), tmp_path, edit)
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == code
+    err = capsys.readouterr().err
+    assert (message is None or message in err) and "Traceback" not in err
 
 
 def test_check_cert_refuses_an_oracle_order_in_a_radical_report(tmp_path, capsys):

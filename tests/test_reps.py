@@ -28,7 +28,7 @@ from kolchin import (
     unitriangular_degree,
 )
 from kolchin import algebra, reps
-from kolchin.algebra import Ideal, minimal_standard_degree, span_closure
+from kolchin.algebra import Ideal, minimal_standard_degree, span_closure, trace_radical
 from kolchin.linalg import RowSpan
 from kolchin.words import (Word, brute_force_unipotent_radical, enumerate_elements, evaluate_word,
                            random_word)
@@ -155,12 +155,18 @@ def _invertible(draw, field, n, shape):
 def shaped_groups(draw, fields=(QQ, GF(5))):
     """(group, P, renamed): a group over Q (with fraction entries) or
     GF(5) whose generators are all unitriangular, all triangular or all
-    invertible; an invertible P; and the same matrices in a drawn order
-    under fresh names."""
+    invertible, or are upper and lower unitriangular in turn with
+    nonzero entries in their strict triangles, so that each is unipotent
+    and the group, from n = 2 on, is not; an invertible P; and the same
+    matrices in a drawn order under fresh names."""
     field = draw(st.sampled_from(fields))
     n = draw(st.integers(1, 3))
-    shape = draw(st.sampled_from(["unitriangular", "triangular", "full"]))
-    gens = [_invertible(draw, field, n, shape) for _ in range(draw(st.integers(1, 3)))]
+    shape = draw(st.sampled_from(["unitriangular", "triangular", "full", "upper and lower"]))
+    if shape == "upper and lower":
+        gens = [unitriangular(draw, field, n, lower=i % 2 == 1, nonzero=True)
+                for i in range(draw(st.integers(2, 3)))]
+    else:
+        gens = [_invertible(draw, field, n, shape) for _ in range(draw(st.integers(1, 3)))]
     rep = Representation(field, {f"g{i}": g for i, g in enumerate(gens)})
     order = draw(st.permutations(range(len(gens))))
     renamed = Representation(field, [(f"h{j}", gens[i]) for j, i in enumerate(order)])
@@ -254,17 +260,17 @@ def test_enveloping_computes_each_ideal_once_on_first_read():
             mock.patch.object(algebra, "ideal_power_chain",
                               counted("chain", algebra.ideal_power_chain)), \
             mock.patch.object(reps, "trace_radical", counted("trace", reps.trace_radical)):
-        # unipotent: the radical is the augmentation ideal, and its chain
-        # serves the degree as well
+        # unipotent: the span series ends at 0, so the radical is the
+        # augmentation ideal with no chain; the degree alone runs one
         rep = heisenberg()
         assert rep.algebra.dim == 4 and calls == []
         assert rep.radical.dim == 3 and rep.radical is rep.radical
-        assert calls == ["augmentation", "chain"]
+        assert calls == ["augmentation"]
         assert rep.augmentation_ideal is rep.radical
         assert rep.augmentation_index == 3 and unitriangular_degree(rep) == 3
         assert calls == ["augmentation", "chain"]
 
-        # not unipotent: d - 1 is not nilpotent, so the trace form runs
+        # not unipotent: the series stops above 0, so the trace form runs
         # once, the index is None without a closure or a chain, and the
         # augmentation ideal waits for its own first read
         calls.clear()
@@ -280,6 +286,20 @@ def test_enveloping_computes_each_ideal_once_on_first_read():
         # the degree of a fresh non-unipotent group builds no ideal
         calls.clear()
         assert unitriangular_degree(diag_rep()) is None and calls == []
+
+
+def test_unipotent_generators_of_a_group_that_is_not_unipotent_build_no_ideal():
+    # each transvection is unipotent, but together they span M_2(Q): the
+    # span series stops at V, so the index is None and the radical is the
+    # trace-form kernel, with no augmentation closure and no chain
+    rep = Representation(QQ, {"u": Matrix(QQ, [[1, 1], [0, 1]]),
+                              "l": Matrix(QQ, [[1, 0], [1, 1]])})
+    with mock.patch.object(reps, "ideal_closure", side_effect=reps.ideal_closure) as closure, \
+            mock.patch.object(algebra, "ideal_power_chain",
+                              side_effect=algebra.ideal_power_chain) as chain:
+        assert rep.augmentation_index is None and unitriangular_degree(rep) is None
+        assert rep.radical.is_zero() and rep.radical == trace_radical(rep.algebra)
+    assert closure.call_count == chain.call_count == 0
 
 
 def test_augmentation_closure_takes_no_left_product():
