@@ -28,8 +28,10 @@ nonzero, rows with a zero coefficient skipped, and nothing transposed.
 
 A preimage {v : v * m in w for every m} is one left kernel: that of the
 rows of every m reduced modulo w, placed side by side.  Fixed spaces
-(the preimage of 0 under every m - 1) and each step of a Kolchin flag
-(the preimage of the step below under every g - 1) are computed so.
+(the preimage of 0 under every m - 1) and each step of the obstruction
+for a group that is not unipotent (the preimage of the step below under
+every g - 1) are computed so; a unipotent group's Kolchin flag is its
+span series, reversed, and takes no preimage.
 """
 
 from __future__ import annotations

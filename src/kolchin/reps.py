@@ -1,7 +1,9 @@
 """Representation-level algorithms for finitely generated matrix groups.
 
-Unipotency indices, simultaneous unitriangularization via iterated
-preimages in V, generator-product identities and their invariant series,
+Unipotency indices, simultaneous unitriangularization by the reversed
+span series of the difference products (iterated preimages in V only
+name the obstruction of a group that is not unipotent),
+generator-product identities and their invariant series,
 degree lifting through nilpotent ideals, the right-regular
 representation on the enveloping algebra, and the unipotent radical
 computed from the algebra's nilpotent radical.  A ``Representation``
@@ -60,8 +62,9 @@ class Representation:
     ideal closure of the g - 1 reads with no product.
     The group is unipotent iff its span series ends at 0 (V is faithful,
     so V w^d = 0 iff w^d = 0 for the augmentation ideal w), and that one
-    test routes both values.  A unipotent group's ``augmentation_index``
-    is w's ``nilpotency_index`` (one power chain over the products
+    test routes both values and ``kolchin_flag``.  A unipotent group's
+    flag is the series reversed, its ``augmentation_index`` is w's
+    ``nilpotency_index`` (one power chain over the products
     (h - 1)*u), and its ``radical`` is w (the algebra is F*1 plus w).
     Any other group has index None and the trace-form kernel as its
     radical, with no closure or chain.  Over prime fields with p <= n
@@ -207,29 +210,39 @@ class NotUnipotent:
 
 
 def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
-    """Simultaneous unitriangularization by iterated preimages in V.
+    """Simultaneous unitriangularization: the span series, reversed.
 
-    Step i is W_i = {v : v (g-1) in W_(i-1) for every generator g}, one
-    left kernel (``linalg.preimage``); the generators' fixed space on
-    V/W_(i-1) is the fixed space of the whole group there.  The
-    construction succeeds iff every step grows until V is reached; a
-    step that does not grow is returned as the obstruction.  Every
-    generator difference maps each step into the previous one, since
-    W_i is the preimage of W_(i-1) by definition.
+    A unipotent group's span series V = V_0 > V_1 > ... > V_d = 0
+    (``Representation.difference_spans``, V_k = V w^k) is read bottom-up
+    as the flag 0 = V_d < ... < V_0 = V.  Each V_k (g-1) lies in
+    V_(k+1), so every generator acts trivially on each factor, in every
+    characteristic, and d is the degree.  The series is the one the
+    degree, the radical and the identity answers read, so the flag takes
+    no elimination of its own.
 
-    The steps ascend, so the flag is built unchecked: W_0 = 0 lies in
-    W_1, and if W_(i-2) lies in W_(i-1), then W_(i-1) (g-1) lies in
-    W_(i-2), so in W_(i-1), and W_(i-1) lies in W_i; the loop keeps
-    only steps that grow, from 0, and stops at V.
+    Any other group is answered by iterated preimages in V: step i is
+    W_i = {v : v (g-1) in W_(i-1) for every generator g}, one left
+    kernel (``linalg.preimage``).  Since the group is not unipotent,
+    some step does not grow before V is reached, and it is returned as
+    the obstruction: the group fixes no nonzero vector of V/W_(i-1).
     """
+    series = rep.difference_spans
+    if series[-1].is_zero():
+        flag = _series_flag(series)
+        return UnitriCertificate(flag, assemble_flag_basis(flag), flag.degree)
     steps = [Subspace.zero(rep.field, rep.dim)]
-    while not steps[-1].is_full():
+    while True:
         w = preimage(steps[-1], rep.differences)
         if w.dim == steps[-1].dim:
             return NotUnipotent(len(steps), w)
         steps.append(w)
-    flag = Flag._ascending(steps)
-    return UnitriCertificate(flag, assemble_flag_basis(flag), flag.degree)
+
+
+def _series_flag(spans: Sequence[Subspace]) -> Flag:
+    """The flag of a span series that ends at 0: the spans strictly
+    descend from V (``difference_product_spans``), so reversed they
+    ascend from 0 to V, and the flag is built unchecked."""
+    return Flag._ascending(spans[::-1])
 
 
 def generator_identity_witness(rep: Representation, n: int) -> tuple[str, ...] | None:
@@ -320,17 +333,15 @@ def invariant_series_from_identity(rep: Representation, n: int) -> Flag:
     the tuple sweep, to name its witness (IdentityFailsError carries it).
     V_k is the sum of the V_(k-1) (g-1), so the group acts trivially on
     every factor.  Repeated zero steps (when the identity holds below
-    length n) are collapsed.
-
-    The spans strictly descend from V to 0 (``difference_product_spans``),
-    so the reversed list is a flag and is built unchecked.
+    length n) are collapsed, so for a unipotent group and n at least its
+    degree the series is ``kolchin_flag``'s flag.
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
     spans = rep.difference_spans[:n + 1]
     if not spans[-1].is_zero():
         raise IdentityFailsError(n, generator_identity_witness(rep, n))
-    return Flag._ascending(spans[::-1])
+    return _series_flag(spans)
 
 
 def unitriangular_degree(rep: Representation) -> int | None:

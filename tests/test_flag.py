@@ -1,11 +1,18 @@
-"""Differential tests of the Kolchin flag computed as preimages in V.
+"""Differential tests of the Kolchin flag: the span series reversed for
+a unipotent group, and the obstruction of iterated preimages in V for
+any other group.
 
-The references keep the former quotient route: each stage takes the
-common fixed space of the induced action on V/W (``quotient_action``),
-found as the left kernel of the differences m - 1 placed side by side,
-lifts that space back into V through the non-pivot coordinates of W and
-adds it to W.  The base change is assembled from the steps' scalar rows.
+The flag reference spans the products e_i (h_1-1)...(h_k-1) over every
+k-tuple of generators, for k = 0, 1, ... until the span is 0, and
+reverses that series.  The obstruction reference keeps the former
+quotient route of the socle series: each stage takes the common fixed
+space of the induced action on V/W (``quotient_action``), found as the
+left kernel of the differences m - 1 placed side by side, lifts that
+space back into V through the non-pivot coordinates of W and adds it to
+W.  The base change is assembled from the steps' scalar rows.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +20,10 @@ from hypothesis import strategies as st
 
 from kolchin import (GF, QQ, Matrix, NotUnipotent, Representation, Subspace, UnitriCertificate,
                      fixed_space, generator_identity_witness, ideal_power_chain,
-                     invariant_series_from_identity, kolchin_flag, quotient_action)
+                     invariant_series_from_identity, kolchin_flag, quotient_action, reps)
 from kolchin.reps import _first_live_tuple, difference_product_spans
-from kolchin.certificates import _quotient_chain
+from kolchin.certificates import (_quotient_chain, check_certificate, flag_to_payload,
+                                  make_certificate, matrix_to_rows)
 from kolchin.linalg import Flag, RowSpan, assemble_flag_basis, flag_drops, kernel, preimage
 from corpus import FIELDS, groups, groups_with_identity, scalars
 
@@ -67,6 +75,21 @@ def ref_kolchin_flag(rep):
         qmats = [quotient_action(g, w) for g in rep.generators]
         stage += 1
     flag = Flag(steps)
+    return UnitriCertificate(flag, ref_assemble_flag_basis(flag), flag.degree)
+
+
+def ref_span_series_flag(rep):
+    # V_k is spanned by the e_i (h_1-1)...(h_k-1) over every k-tuple of
+    # generators; a zero product spans nothing, and nor do its multiples
+    field, n = rep.field, rep.dim
+    one = Matrix.identity(field, n)
+    diffs = [g - one for g in rep.generators]
+    products = [one]
+    steps = [Subspace(field, n, one.rows)]
+    while not steps[-1].is_zero():
+        products = [q for m in products for d in diffs if not (q := m * d).is_zero()]
+        steps.append(Subspace(field, n, [r for m in products for r in m.rows]))
+    flag = Flag(steps[::-1])
     return UnitriCertificate(flag, ref_assemble_flag_basis(flag), flag.degree)
 
 
@@ -130,16 +153,82 @@ def flags(draw):
 @settings(max_examples=200)
 @given(groups())
 def test_flag_matches_quotient_route(rep):
-    assert_same(kolchin_flag(rep), ref_kolchin_flag(rep))
+    # the socle reference decides unipotency; a unipotent group's flag is
+    # its span series reversed, of the socle series' length, and any
+    # other group keeps the socle series' obstruction
+    ref = ref_kolchin_flag(rep)
+    if isinstance(ref, UnitriCertificate):
+        series = ref_span_series_flag(rep)
+        assert series.degree == ref.degree
+        ref = series
+    assert_same(kolchin_flag(rep), ref)
+
+
+@settings(max_examples=150)
+@given(groups())
+def test_unipotent_flag_is_the_span_series_reversed(rep):
+    # one conversion turns the owned series into a flag, for kolchin_flag
+    # and for the series of an identity at the degree
+    flag = kolchin_flag(rep)
+    if isinstance(flag, NotUnipotent):
+        assert not rep.difference_spans[-1].is_zero()
+        return
+    assert flag.degree == len(rep.difference_spans) - 1
+    assert flag.flag == invariant_series_from_identity(rep, flag.degree)
+
+
+class PreimageCalled(Exception):
+    pass
+
+
+@settings(max_examples=150)
+@given(groups())
+def test_only_a_group_that_is_not_unipotent_takes_a_preimage(rep):
+    unipotent = isinstance(ref_kolchin_flag(rep), UnitriCertificate)
+    with mock.patch.object(reps, "preimage", side_effect=PreimageCalled):
+        if unipotent:
+            assert isinstance(kolchin_flag(rep), UnitriCertificate)
+        else:
+            with pytest.raises(PreimageCalled):
+                kolchin_flag(rep)
+
+
+def kolchin_certificate(rep, cert):
+    return make_certificate("kolchin", rep, "unitriangular", {
+        "degree": cert.degree,
+        "flag": flag_to_payload(cert.flag),
+        "base_change": matrix_to_rows(cert.base_change),
+    })
+
+
+@settings(max_examples=100)
+@given(groups().filter(lambda rep: rep.difference_spans[-1].is_zero()))
+def test_socle_series_certificates_still_verify(rep):
+    # the flag written before (the socle series) and the one written now
+    # are both valid, and check-cert accepts any valid flag
+    for cert in (ref_kolchin_flag(rep), kolchin_flag(rep)):
+        assert "verified" in check_certificate(rep, kolchin_certificate(rep, cert))
+
+
+def test_a_module_that_is_not_uniserial_gets_another_flag_that_verifies():
+    # e_1 (g-1) = e_3 spans V_1, while g fixes e_2 and e_3: the series
+    # flag is 0 < <e_3> < V, and the socle series 0 < <e_2, e_3> < V
+    rep = Representation(QQ, {"g": Matrix(QQ, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])})
+    new, old = kolchin_flag(rep), ref_kolchin_flag(rep)
+    assert [s.dim for s in new.flag.steps] == [0, 1, 3]
+    assert [s.dim for s in old.flag.steps] == [0, 2, 3]
+    assert new.degree == old.degree == 2
+    for cert in (new, old):
+        assert "verified" in check_certificate(rep, kolchin_certificate(rep, cert))
 
 
 @settings(max_examples=150)
 @given(groups())
 def test_flag_degree_is_the_augmentation_ideal_index(rep):
-    # the flag is the socle series W_i = {v : v w^i = 0} of the
-    # augmentation ideal w, and V is faithful, so its length is w's
-    # nilpotency index; the power chain is the reference, over F_p with
-    # p <= n too, and an obstruction goes with a chain that stabilises
+    # the flag is the span series V w^k of the augmentation ideal w,
+    # reversed, and V is faithful, so its length is w's nilpotency
+    # index; the power chain is the reference, over F_p with p <= n
+    # too, and an obstruction goes with a chain that stabilises
     _, index = ideal_power_chain(rep.algebra, rep.augmentation_ideal)
     flag = kolchin_flag(rep)
     assert (flag.degree if isinstance(flag, UnitriCertificate) else None) == index
@@ -148,10 +237,11 @@ def test_flag_degree_is_the_augmentation_ideal_index(rep):
 @settings(max_examples=150)
 @given(groups())
 def test_flags_drop_every_step(rep):
-    # the preimage and span recurrences prove this, and no runtime check
-    # repeats it: every generator difference maps each step into the one
-    # below, and the checking Flag constructor accepts the flags that
-    # kolchin_flag and invariant_series_from_identity build unchecked
+    # the span recurrence V_(k+1) = sum of the V_k (g-1) proves this,
+    # and no runtime check repeats it: every generator difference maps
+    # each step into the one below, and the checking Flag constructor
+    # accepts the flags that kolchin_flag and
+    # invariant_series_from_identity build unchecked from the series
     flag = kolchin_flag(rep)
     if isinstance(flag, NotUnipotent):
         with pytest.raises(ValueError, match="identity fails"):
