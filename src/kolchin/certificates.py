@@ -6,11 +6,16 @@ representation, the result kind, and a payload rich enough that
 exact row reduction and matrix products, without re-running the
 algorithm that made it:
 
-- flags and series: every generator difference drops each step;
-- a unitriangular kolchin certificate: the base change is n x n and
-  invertible, and each of its rows lies in the first flag step that
-  must hold it (rows dim W_(i-1) + 1 to dim W_i in W_i); the later
-  steps hold W_i, since the flag's ascent is checked;
+- an identity series: it ascends from 0 to V, and every generator
+  difference drops each step;
+- a unitriangular kolchin certificate, on its base change P alone: P
+  is n x n and each of its rows grows the span of the rows above it;
+  each flag step is the span of the first dim W_i rows of P; the
+  step dimensions rise strictly from 0 to n, and the degree is
+  their count less 1.  The steps nest, being prefixes, and W_i is
+  W_(i-1) plus rows dim W_(i-1) + 1 to dim W_i of P, so every g - 1
+  drops each step iff those rows of the one product P (g - 1) lie in
+  W_(i-1);
 - an identity verified at length (or lifted bound) n: the span of all
   vectors x (h_1-1)...(h_n-1) in V is zero;
 - an identity witness of length n: exactly n generator names whose
@@ -74,11 +79,12 @@ import hashlib
 import json
 import os
 import tempfile
+from operator import lt
 
 from . import __version__
 from .algebra import SweepCapExceeded, standard_identity_eval, standard_identity_sweep
 from .linalg import (Flag, Matrix, RowSpan, Subspace, fixed_space, flag_drops, flat, kernel,
-                     quotient_action)
+                     quotient_action, square_product)
 from .repfile import matrix_to_rows, representation_to_dict
 from .reps import Representation, difference_product_spans, unipotency_index
 from .words import Word, evaluate_word
@@ -228,19 +234,35 @@ def check_certificate(rep: Representation, cert: dict) -> str:
 
 def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
     if result == "unitriangular":
-        flag = _checked_flag(rep, payload["flag"])
+        field, n = rep.field, rep.dim
+        base = Matrix(field, payload["base_change"], n)
+        _require(base.nrows == n, f"base change does not have {n} rows")
+        # prefixes[d] is the span of the first d base-change rows
+        span = RowSpan(field, n)
+        prefixes = [span.to_subspace()]
+        for v in base.ints:
+            _require(span.absorb(v), "base change is not invertible")
+            prefixes.append(span.to_subspace())
+        # each step must be the prefix of its dimension
+        dims = []
+        for rows in payload["flag"]:
+            step = Subspace._spanned(field, n, Matrix(field, rows, n).ints)
+            _require(step == prefixes[step.dim], "base change rows do not follow the flag")
+            dims.append(step.dim)
+        _require(dims[:1] == [0] and dims[-1] == n, "flag must run from the zero subspace to V")
+        _require(all(map(lt, dims, dims[1:])), "flag steps must be strictly ascending")
         degree = _int(payload["degree"], 0, "degree must be a nonnegative integer")
-        _require(flag.degree == degree, "degree does not match the flag")
-        base = Matrix(rep.field, payload["base_change"], rep.dim)
-        _require(base.nrows == rep.dim, f"base change does not have {rep.dim} rows")
-        _require(Subspace._spanned(rep.field, rep.dim, base.ints).dim == rep.dim,
-                 "base change is not invertible")
-        # base-change rows fill the flag from the bottom up: the rows
-        # below.dim:step.dim enter at step, and every later step holds
-        # step, as Flag checked
-        for below, step in zip(flag.steps, flag.steps[1:]):
-            for v in base.ints[below.dim:step.dim]:
-                _require(not any(step._residual(v)), "base change rows do not follow the flag")
+        _require(len(dims) - 1 == degree, "degree does not match the flag")
+        # W_i is W_(i-1) plus base rows lo:hi (lo, hi = dim W_(i-1), dim
+        # W_i), so by induction each g - 1 drops W_i into W_(i-1) iff it
+        # drops those rows there; rows lo:hi of the one product P (g - 1)
+        # are their images, each standing for its line, so den 1 will do
+        one, product = rep.identity(), square_product(field, n)
+        for g in rep.generators:
+            images, _ = product(base.ints, (g - one).ints, 1)
+            for lo, hi in zip(dims, dims[1:]):
+                below = prefixes[lo]
+                _require(not any(any(below._residual(v)) for v in images[lo:hi]), FLAG_DROP_FAILS)
         return f"unitriangular certificate of degree {degree} verified"
     if result == "not-unipotent":
         stage = _int(payload["stage"], 1, "obstruction stage must be a positive integer")

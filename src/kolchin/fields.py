@@ -72,15 +72,16 @@ class Field:
         p * q^(-1) mod p.  Anything else, ``bool`` included, raises
         ``TypeError``: this is the one type rule for every entry read in.
         """
+        p = self.p
+        # the common entry first, so that it takes no str or Fraction test
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value if p is None else value % p
         if isinstance(value, str):
             value = Fraction(value)
-        p = self.p
         if isinstance(value, Fraction):
             if p is None:
                 return int(value) if value.denominator == 1 else value
             return value.numerator * pow(value.denominator, -1, p) % p
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value if p is None else value % p
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     def inv(self, a: Scalar) -> Scalar:

@@ -87,3 +87,19 @@ def test_of_refuses_bools_and_other_types(field, value):
     # bool is an int subclass, so only an explicit rule keeps true out
     with pytest.raises(TypeError):
         field.of(value)
+
+
+def test_of_reads_an_int_first():
+    # an int is the common entry and is read before any other type; a
+    # bool is an int too, but still reaches the TypeError
+    for field in (QQ, GF(5)):
+        with pytest.raises(TypeError):
+            field.of(True)
+
+    class Count(int):
+        pass
+
+    assert QQ.of(Count(-7)) == -7
+    assert GF(5).of(Count(-7)) == 3
+    assert QQ.of(-7) == -7 and type(QQ.of(-7)) is int
+    assert GF(5).of(-7) == 3 and GF(2).of(-1) == 1 and GF(7).of(-14) == 0

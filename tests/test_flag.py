@@ -10,22 +10,32 @@ space of the induced action on V/W (``quotient_action``), found as the
 left kernel of the differences m - 1 placed side by side, lifts that
 space back into V through the non-pivot coordinates of W and adds it to
 W.  The base change is assembled from the steps' scalar rows.
+
+The unitriangular certificate checker, which eliminates only the base
+change, is held to the flag route on mutated certificates: each step
+spanned, its ascent through ``Flag``, and every basis row of every step
+dropped by each g - 1.
 """
 
+import copy
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolchin import (GF, QQ, Matrix, NotUnipotent, Representation, Subspace, UnitriCertificate,
-                     fixed_space, generator_identity_witness, ideal_power_chain,
-                     invariant_series_from_identity, kolchin_flag, quotient_action, reps)
+from kolchin import (GF, QQ, CertificateError, Matrix, NotUnipotent, Representation, Subspace,
+                     UnitriCertificate, certificates, fixed_space, generator_identity_witness,
+                     ideal_power_chain, invariant_series_from_identity, kolchin_flag,
+                     load_certificate, load_representation, quotient_action, reps)
 from kolchin.reps import _first_live_tuple, difference_product_spans
 from kolchin.certificates import (_quotient_chain, check_certificate, flag_to_payload,
                                   make_certificate, matrix_to_rows)
 from kolchin.linalg import Flag, RowSpan, assemble_flag_basis, flag_drops, kernel, preimage
 from corpus import FIELDS, groups, groups_with_identity, scalars
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # -- quotient-route reference ---------------------------------------------------
@@ -327,3 +337,177 @@ def test_checker_chain_matches_the_quotient_route(rep):
         assert (stage, reached) == (ref.stage, ref.reached)
     else:
         assert reached is None
+
+
+# -- the unitriangular checker against the flag route ------------------------------
+
+def ref_unitriangular_verdict(rep, payload) -> bool:
+    """The unitriangular check on the flag route: each step spanned, the
+    ascent through ``Flag``, every basis row of every step dropped by each
+    g - 1, the degree, the base change's shape and rank, and its rows
+    following the flag (rows dim W_(i-1) to dim W_i in W_i)."""
+    n = rep.dim
+    try:
+        flag = Flag([Subspace(rep.field, n, rows) for rows in payload["flag"]])
+        if not flag_drops(rep.generators, flag.steps):
+            return False
+        degree = payload["degree"]
+        if type(degree) is not int or degree < 0 or flag.degree != degree:
+            return False
+        base = Matrix(rep.field, payload["base_change"], n)
+        if base.nrows != n or Subspace(rep.field, n, base.rows).dim != n:
+            return False
+        return all(step.contains(Subspace(rep.field, n, base.rows[below.dim:step.dim]))
+                   for below, step in zip(flag.steps, flag.steps[1:]))
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        return False
+
+
+def _json_rows(rows):
+    return [[x if type(x) is int else str(x) for x in r] for r in rows]
+
+
+@st.composite
+def mutated_payloads(draw, rep, payload):
+    """The payload with one to three edits of its flag steps or base
+    change, each drawn from the forgeries below, and half the time its
+    degree set to match the edited steps; the entries of an edited row
+    are written back as JSON integers or strings."""
+    field, n = rep.field, rep.dim
+    payload = copy.deepcopy(payload)
+    steps, base = payload["flag"], payload["base_change"]
+
+    def scalar_rows(rows):
+        return [[field.of(x) for x in r] for r in rows]
+
+    def nonzero():
+        return draw(scalars(field, nonzero=True))
+
+    def index(size):
+        return draw(st.integers(0, size - 1))
+
+    def some_step():
+        return draw(st.sampled_from([i for i, s in enumerate(steps) if s] or [None]))
+
+    kinds = ["scale", "reorder", "duplicate", "combine", "perturb step", "perturb base",
+             "swap base", "dependent base", "drop step", "repeat step", "swap steps",
+             "replace step"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind in ("drop step", "repeat step", "swap steps") and steps:
+            i, j = index(len(steps)), index(len(steps))
+            if kind == "drop step":
+                del steps[i]
+            elif kind == "repeat step":
+                steps.insert(i, steps[i])
+            else:
+                steps[i], steps[j] = steps[j], steps[i]
+        elif kind == "replace step" and steps:
+            # another subspace of the same dimension: drawn rows, padded
+            # with standard vectors up to it
+            i = index(len(steps))
+            d = Subspace(field, n, steps[i]).dim
+            span, rows = RowSpan(field, n), []
+            drawn = draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=d))
+            for r in [*drawn, *Matrix.identity(field, n).rows]:
+                if len(rows) < d and span.absorb(Matrix(field, [r], n).ints[0]):
+                    rows.append(r)
+            steps[i] = _json_rows(rows)
+        elif kind in ("swap base", "dependent base") and base:
+            i, j = index(n), index(n)
+            rows = scalar_rows(base)
+            if kind == "swap base":
+                rows[i], rows[j] = rows[j], rows[i]
+            else:  # a multiple of another row, or 0 when there is none
+                c = nonzero() if i != j else 0
+                rows[i] = [c * x for x in rows[j]]
+            payload["base_change"] = base = _json_rows(rows)
+        elif kind == "perturb base" and base:
+            rows = scalar_rows(base)
+            i, j = index(n), index(n)
+            rows[i][j] += nonzero()
+            payload["base_change"] = base = _json_rows(rows)
+        elif (i := some_step()) is not None:
+            rows = scalar_rows(steps[i])
+            k, j = index(len(rows)), index(len(rows))
+            if kind == "scale":
+                rows = [[c * x for x in r] for r, c in zip(rows, [nonzero() for _ in rows])]
+            elif kind == "reorder":
+                rows = draw(st.permutations(rows))
+            elif kind == "duplicate":
+                rows.append([nonzero() * x for x in rows[k]])
+            elif kind == "combine" and k != j:
+                c = nonzero()
+                rows[k] = [x + c * y for x, y in zip(rows[k], rows[j])]
+            elif kind == "perturb step":
+                rows[k][index(n)] += nonzero()
+            steps[i] = _json_rows(rows)
+    if draw(st.booleans()):  # a degree that matches the steps, so the checks past it decide
+        payload["degree"] = len(steps) - 1
+    return payload
+
+
+def test_unitriangular_check_agrees_with_the_flag_route():
+    # the base change is the one object the checker eliminates; over
+    # mutated certificates of the series and socle flags of unipotent
+    # groups, it must accept exactly what the flag route accepts, and
+    # both verdicts must occur
+    verdicts = set()
+
+    @settings(max_examples=400)
+    @given(groups().filter(lambda rep: rep.difference_spans[-1].is_zero()), st.booleans(),
+           st.data())
+    def agree(rep, socle, data):
+        flag = ref_kolchin_flag(rep) if socle else kolchin_flag(rep)
+        cert = kolchin_certificate(rep, flag)
+        cert["payload"] = data.draw(mutated_payloads(rep, cert["payload"]))
+        try:
+            accepted = "verified" in check_certificate(rep, cert)
+        except CertificateError:
+            accepted = False
+        assert accepted == ref_unitriangular_verdict(rep, cert["payload"])
+        verdicts.add(accepted)
+
+    agree()
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("dropped", [1, 2])
+def test_a_coarsened_flag_is_refused(dropped):
+    # the golden Heisenberg flag 0 < 1 < 2 < 3 without a middle step, its
+    # degree set to 2: every step is still a span of leading base rows,
+    # but g - 1 moves the last base row of the merged step out of the
+    # step below, and only that row shows it
+    rep = load_representation(str(GOLDEN / "heis_frac.json"))
+    cert = load_certificate(str(GOLDEN / "heis_frac.kolchin.cert.json"))
+    del cert["payload"]["flag"][dropped]
+    cert["payload"]["degree"] = 2
+    assert not ref_unitriangular_verdict(rep, cert["payload"])
+    with pytest.raises(CertificateError, match="flag drop fails"):
+        check_certificate(rep, cert)
+
+
+class FlagRouteTaken(Exception):
+    pass
+
+
+def test_kolchin_certificates_verify_without_the_flag_route():
+    # a unitriangular certificate is checked on its base change alone:
+    # no Flag is built and flag_drops never runs; an identity series is
+    # still checked through flag_drops
+    examples = [(load_representation(str(GOLDEN / "heis_frac.json")),
+                 load_certificate(str(GOLDEN / "heis_frac.kolchin.cert.json")))]
+    for gens in ([[[1, 0, 1], [0, 1, 0], [0, 0, 1]]],
+                 [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]]):
+        for field in (QQ, GF(2)):
+            rep = Representation(field, {f"g{k}": Matrix(field, g) for k, g in enumerate(gens)})
+            for flag in (kolchin_flag(rep), ref_kolchin_flag(rep)):
+                examples.append((rep, kolchin_certificate(rep, flag)))
+    with mock.patch.object(certificates, "flag_drops", side_effect=FlagRouteTaken), \
+            mock.patch.object(certificates, "Flag", side_effect=FlagRouteTaken):
+        for rep, cert in examples:
+            assert "unitriangular certificate" in check_certificate(rep, cert)
+    rep = load_representation(str(GOLDEN / "heis_frac.json"))
+    identity = load_certificate(str(GOLDEN / "heis_frac.identity.cert.json"))
+    with mock.patch.object(certificates, "flag_drops", side_effect=FlagRouteTaken):
+        with pytest.raises(FlagRouteTaken):
+            check_certificate(rep, identity)
