@@ -15,12 +15,9 @@ from .linalg import (
     Echelon,
     Flag,
     Matrix,
-    NotInvariantError,
     Subspace,
     assemble_flag_basis,
-    fixed_space,
     kernel,
-    quotient_action,
     rref,
 )
 from .algebra import (

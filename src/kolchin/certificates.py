@@ -6,26 +6,28 @@ representation, the result kind, and a payload rich enough that
 exact row reduction and matrix products, without re-running the
 algorithm that made it:
 
-- an identity series: it ascends from 0 to V, and every generator
-  difference drops each step;
-- a unitriangular kolchin certificate, on its base change P alone: P
-  is n x n and each of its rows grows the span of the rows above it;
-  each flag step is the span of the first dim W_i rows of P; the
-  step dimensions rise strictly from 0 to n, and the degree is
-  their count less 1.  The steps nest, being prefixes, and W_i is
-  W_(i-1) plus rows dim W_(i-1) + 1 to dim W_i of P, so every g - 1
-  drops each step iff those rows of the one product P (g - 1) lie in
-  W_(i-1);
+- a flag, on a base change P whose first dim W_i rows span each step
+  W_i: the step dimensions rise strictly from 0 to n.  The steps nest,
+  being prefixes, and W_i is W_(i-1) plus rows dim W_(i-1) + 1 to
+  dim W_i of P, so every g - 1 drops each step iff those rows of the
+  one product P (g - 1) lie in W_(i-1).  An identity series gives its
+  P itself: its steps' rows, in order, that grow their span, which
+  after each step must be that step;
+- a unitriangular kolchin certificate, on its base change P: P is
+  n x n and each of its rows grows the span of the rows above it; each
+  flag step is the span of the first dim W_i rows of P, and the degree
+  is the step count less 1;
 - an identity verified at length (or lifted bound) n: the span of all
   vectors x (h_1-1)...(h_n-1) in V is zero;
 - an identity witness of length n: exactly n generator names whose
   difference product is nonzero, and outside the trace-form radical
   when the identity was checked modulo the radical; past
   ``ENGEL_CHECK_STEPS`` names the check is inconclusive;
-- a not-unipotent obstruction: the checker rebuilds the chain of
-  common fixed spaces on the quotient matrices, not in V as the flag
-  algorithm works; the chain must stop short of V, at the claimed
-  stage (a positive integer) and the claimed reached subspace;
+- a not-unipotent obstruction: the reached subspace S is nonzero and
+  lies in the span of its images s (g - 1), so S lies in S w^k, and in
+  V w^k, for every k, and the augmentation ideal w is not nilpotent
+  over any field; the stage d (an integer of at least 0) is where the
+  span series stalls: its entries up to d are d + 1 and end at S;
 - pi-check: the embedded basis spans exactly the enveloping algebra,
   which the checker spins itself; each witness has increasing indices,
   a degree below 2n (M_n satisfies S_2n), a key ``str(k)`` for a k from
@@ -56,7 +58,9 @@ algorithm that made it:
 
 Every integer field of a payload must be a JSON integer (never a bool,
 nor a float such as 2.0) of at least its least value (``_int``; 2 for
-both pi-check degrees), and a membership verdict a JSON boolean.  Only
+both pi-check degrees), and a membership verdict a JSON boolean.  A
+kolchin, identity-check or unipotent-radical payload holds no key its
+command does not write for its result.  Only
 the result kinds the commands write are accepted: ``report`` for a
 unipotent-radical certificate, and for a probe only the proved kinds
 above and, as evidence whose envelope alone is checked, an Engel
@@ -83,8 +87,7 @@ from operator import lt
 
 from . import __version__
 from .algebra import SweepCapExceeded, standard_identity_eval, standard_identity_sweep
-from .linalg import (Flag, Matrix, RowSpan, Subspace, fixed_space, flag_drops, flat, kernel,
-                     quotient_action, square_product)
+from .linalg import Flag, Matrix, RowSpan, Subspace, flat, kernel, square_product
 from .repfile import matrix_to_rows, representation_to_dict
 from .reps import Representation, difference_product_spans, unipotency_index
 from .words import Word, evaluate_word
@@ -170,11 +173,42 @@ def _int(value, least: int, message: str) -> int:
     return value
 
 
-def _checked_flag(rep: Representation, payload_steps) -> Flag:
-    # the payload's steps: they must ascend from 0 to V, and each g - 1 drop them
-    flag = Flag([Subspace(rep.field, rep.dim, rows) for rows in payload_steps])
-    _require(flag_drops(rep.generators, flag.steps), FLAG_DROP_FAILS)
-    return flag
+def _known_keys(payload: dict, what: str, keys: set) -> None:
+    """The payload holds no key but those its command writes for its result."""
+    extra = sorted(payload.keys() - keys)
+    _require(not extra, f"unknown {what} payload keys {extra}")
+
+
+def _check_flag(rep: Representation, base, steps: list[Subspace]) -> None:
+    """The steps ascend strictly from 0 to V, and every g - 1 drops each
+    step into the one below, for n integer rows ``base`` whose first
+    dim W_i rows span each step W_i.  Then W_i is W_(i-1) plus rows lo:hi
+    (lo, hi = dim W_(i-1), dim W_i), so by induction g - 1 drops W_i
+    into W_(i-1) iff it drops those rows there; rows lo:hi of the one
+    product base (g - 1) are their images, each standing for its line,
+    so den 1 will do."""
+    dims = [step.dim for step in steps]
+    _require(dims[:1] == [0] and dims[-1] == rep.dim, "flag must run from the zero subspace to V")
+    _require(all(map(lt, dims, dims[1:])), "flag steps must be strictly ascending")
+    one, product = rep.identity(), square_product(rep.field, rep.dim)
+    for g in rep.generators:
+        images, _ = product(base, (g - one).ints, 1)
+        for below, step in zip(steps, steps[1:]):
+            _require(not any(any(below._residual(v)) for v in images[below.dim:step.dim]),
+                     FLAG_DROP_FAILS)
+
+
+def _checked_flag(rep: Representation, payload_steps) -> None:
+    # the rows of each step, in order, that grow the span make the base
+    # change; the span after each step must be that step, so they nest
+    field, n = rep.field, rep.dim
+    span, base, steps = RowSpan(field, n), [], []
+    for rows in payload_steps:
+        ints = Matrix(field, rows, n).ints
+        base += [v for v in ints if span.absorb(v)]
+        steps.append(Subspace._spanned(field, n, ints))
+        _require(span.to_subspace() == steps[-1], "flag steps must be strictly ascending")
+    _check_flag(rep, base, steps)
 
 
 def _enveloping_span(rep: Representation) -> Subspace:
@@ -233,8 +267,9 @@ def check_certificate(rep: Representation, cert: dict) -> str:
 
 
 def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
+    field, n = rep.field, rep.dim
     if result == "unitriangular":
-        field, n = rep.field, rep.dim
+        _known_keys(payload, "unitriangular", {"degree", "flag", "base_change", "convention"})
         base = Matrix(field, payload["base_change"], n)
         _require(base.nrows == n, f"base change does not have {n} rows")
         # prefixes[d] is the span of the first d base-change rows
@@ -244,56 +279,27 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
             _require(span.absorb(v), "base change is not invertible")
             prefixes.append(span.to_subspace())
         # each step must be the prefix of its dimension
-        dims = []
-        for rows in payload["flag"]:
-            step = Subspace._spanned(field, n, Matrix(field, rows, n).ints)
-            _require(step == prefixes[step.dim], "base change rows do not follow the flag")
-            dims.append(step.dim)
-        _require(dims[:1] == [0] and dims[-1] == n, "flag must run from the zero subspace to V")
-        _require(all(map(lt, dims, dims[1:])), "flag steps must be strictly ascending")
+        steps = [Subspace(field, n, rows) for rows in payload["flag"]]
+        _require(all(step == prefixes[step.dim] for step in steps),
+                 "base change rows do not follow the flag")
+        _check_flag(rep, base.ints, steps)
         degree = _int(payload["degree"], 0, "degree must be a nonnegative integer")
-        _require(len(dims) - 1 == degree, "degree does not match the flag")
-        # W_i is W_(i-1) plus base rows lo:hi (lo, hi = dim W_(i-1), dim
-        # W_i), so by induction each g - 1 drops W_i into W_(i-1) iff it
-        # drops those rows there; rows lo:hi of the one product P (g - 1)
-        # are their images, each standing for its line, so den 1 will do
-        one, product = rep.identity(), square_product(field, n)
-        for g in rep.generators:
-            images, _ = product(base.ints, (g - one).ints, 1)
-            for lo, hi in zip(dims, dims[1:]):
-                below = prefixes[lo]
-                _require(not any(any(below._residual(v)) for v in images[lo:hi]), FLAG_DROP_FAILS)
+        _require(len(steps) - 1 == degree, "degree does not match the flag")
         return f"unitriangular certificate of degree {degree} verified"
     if result == "not-unipotent":
-        stage = _int(payload["stage"], 1, "obstruction stage must be a positive integer")
-        reached = Subspace(rep.field, rep.dim, payload["reached"])
-        own_stage, own_reached = _quotient_chain(rep)
-        _require(own_reached is not None, "the group is unipotent: the fixed-space chain reaches V")
-        _require(stage == own_stage, f"obstruction stage {stage} is not the chain's stage {own_stage}")
-        _require(reached == own_reached,
-                 "claimed obstruction is not where the fixed-space chain stops")
+        _known_keys(payload, "not-unipotent", {"stage", "reached"})
+        stage = _int(payload["stage"], 0, "obstruction stage must be a nonnegative integer")
+        reached = Subspace(field, n, payload["reached"])
+        _require(not reached.is_zero(), "the reached subspace is zero")
+        # S in the span of its images s (g - 1) puts S in V w^k for every k
+        diffs = [g - rep.identity() for g in rep.generators]
+        images = Subspace._spanned(field, n, [r for d in diffs for r in (reached.basis * d).ints])
+        _require(images.contains(reached), "the reached subspace is not spanned by its images")
+        series = difference_product_spans(diffs, stage)
+        _require(len(series) == stage + 1 and series[-1] == reached,
+                 f"the span series does not stall at stage {stage} on the reached subspace")
         return f"non-unipotency obstruction at stage {stage} verified"
     raise CertificateError(f"unknown result kind {result!r}")
-
-
-def _quotient_chain(rep: Representation) -> tuple[int, Subspace | None]:
-    """(stage, reached): the chain W_i = W_(i-1) + the fixed space of the
-    action on V/W_(i-1), built on the quotient matrices, not in V as the
-    flag algorithm works.  Stage i is the first whose fixed space is
-    zero; reached is None when the chain reaches V instead."""
-    w = Subspace.zero(rep.field, rep.dim)
-    stage = 1
-    while not w.is_full():
-        fix = fixed_space([quotient_action(g, w) for g in rep.generators])
-        if fix.is_zero():
-            return stage, w
-        # quotient coordinate k is the k-th non-pivot standard coordinate
-        # of w; each integer row of fix stands for its line, as w's rows do
-        at = {c: k for k, c in enumerate(w.complement_coordinates())}
-        lifted = [[q[at[c]] if c in at else 0 for c in range(rep.dim)] for q in fix.basis.ints]
-        w = Subspace._spanned(rep.field, rep.dim, [*w.basis.ints, *lifted])
-        stage += 1
-    return stage, None
 
 
 def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> str:
@@ -315,9 +321,13 @@ def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> s
 
 
 def _check_identity(rep: Representation, result: str, payload: dict) -> str:
+    # --lift-through-radical writes modulo_radical, always true
+    lifted = "modulo_radical" in payload
+    _require(payload.get("modulo_radical", True) is True, "modulo_radical must be true")
     n = _int(payload["length"], 1, "identity length must be a positive integer")
     one = rep.identity()
     if result == "witness":
+        _known_keys(payload, "identity witness", {"length", "witness", "modulo_radical"})
         names = payload["witness"]
         _require(isinstance(names, list) and len(names) == n
                  and all(name in rep.names for name in names),
@@ -327,22 +337,22 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
         for name in names:
             prod = prod * (rep.generator(name) - one)
         _require(not prod.is_zero(), "claimed witness product vanishes")
-        if payload.get("modulo_radical"):
+        if lifted:
             _require(any(_trace_radical(rep)._residual(flat(prod))),
                      "claimed witness product lies in the radical")
         return f"identity witness of length {n} verified"
     if result == "verified":
+        _known_keys(payload, "identity verified", {"length", "lifted_bound", "modulo_radical"}
+                    if lifted else {"length", "series"})
         # all length-n generator products vanish iff V (h_1-1)...(h_n-1) = 0
-        lifted = payload.get("modulo_radical")
         bound = (_int(payload["lifted_bound"], 1, "lifted bound must be a positive integer")
                  if lifted else n)
         diffs = [g - one for g in rep.generators]
         _require(difference_product_spans(diffs, bound)[-1].is_zero(),
                  f"difference products of length {bound} do not all vanish")
-        if "series" in payload:
-            _checked_flag(rep, payload["series"])
         if lifted:
             return f"lifted identity bound {bound} verified"
+        _checked_flag(rep, payload["series"])
         return f"length-{n} identity verified"
     raise CertificateError(f"unknown result kind {result!r}")
 
@@ -400,8 +410,7 @@ def _trace_radical(rep: Representation) -> Subspace:
 
 def _check_radical(rep: Representation, result: str, payload: dict) -> str:
     _require(result == "report", f"unknown result kind {result!r}")
-    extra = sorted(set(payload) - {"radical_basis", "tests"})
-    _require(not extra, f"unknown radical payload keys {extra}")
+    _known_keys(payload, "radical", {"radical_basis", "tests"})
     radical = _trace_radical(rep)
     basis = [Matrix(rep.field, rows, rep.dim) for rows in payload["radical_basis"]]
     span = _embedded_span(rep, basis)

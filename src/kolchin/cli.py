@@ -165,8 +165,8 @@ def cmd_check_unipotent(rep, args) -> int:
 def cmd_kolchin(rep, args) -> int:
     res = kolchin_flag(rep)
     if isinstance(res, NotUnipotent):
-        print(f"not unipotent: stage {res.stage} has no nonzero fixed vectors")
-        print(f"invariant subspace reached so far has dimension {res.reached.dim}")
+        print(f"not unipotent: the span series stops at stage {res.stage}, "
+              f"on a subspace of dimension {res.reached.dim} spanned by its images")
         _emit(args, rep, "not-unipotent",
               {"stage": res.stage, "reached": subspace_to_rows(res.reached)})
         return PROPERTY_FAILS

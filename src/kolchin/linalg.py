@@ -1,8 +1,8 @@
 """Exact dense linear algebra over Q and F_p.
 
 Conventions used everywhere in this package: vectors are rows and
-matrices act on the right (v -> v * m), so every kernel and fixed space
-below is a left kernel.  Subspaces are stored with a reduced
+matrices act on the right (v -> v * m), so every kernel below is a
+left kernel.  Subspaces are stored with a reduced
 row-echelon basis, which makes set equality structural equality.
 
 A matrix is integer rows over one positive common denominator,
@@ -25,13 +25,6 @@ Every vector-times-rows sum, and so every residual of a vector against
 echelon rows (membership, coset representatives, closures), runs row by
 row in ``_combination``: one comprehension per row whose coefficient is
 nonzero, rows with a zero coefficient skipped, and nothing transposed.
-
-A preimage {v : v * m in w for every m} is one left kernel: that of the
-rows of every m reduced modulo w, placed side by side.  Fixed spaces
-(the preimage of 0 under every m - 1) and each step of the obstruction
-for a group that is not unipotent (the preimage of the step below under
-every g - 1) are computed so; a unipotent group's Kolchin flag is its
-span series, reversed, and takes no preimage.
 """
 
 from __future__ import annotations
@@ -48,22 +41,11 @@ from typing import Iterable, Sequence
 from .fields import Field, Scalar
 
 
-class NotInvariantError(ValueError):
-    """Raised when a subspace is not invariant under a requested action."""
-
-    def __init__(self, vector, image):
-        self.vector = tuple(vector)
-        self.image = tuple(image)
-        super().__init__(
-            f"subspace is not invariant: basis vector {self.vector} maps to {self.image}"
-        )
-
-
 def _combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], acc: Sequence[int]):
     """``acc + sum(coeffs[k] * rows[k])`` over the integers, row by row:
     one comprehension per row with a nonzero coefficient, none for a
-    zero one, and no row transposed.  Every residual, ``flag_drops``,
-    ``quotient_action`` and ``express_in_rows`` run on it."""
+    zero one, and no row transposed.  Every residual and
+    ``express_in_rows`` run on it."""
     for f, r in zip(coeffs, rows):
         if f:
             acc = [x + f * y for x, y in zip(acc, r)]
@@ -570,11 +552,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.basis.nrows == self.ambient_dim
 
-    def complement_coordinates(self) -> tuple[int, ...]:
-        """Non-pivot standard coordinates: a deterministic complement basis."""
-        pivset = set(self.pivots)
-        return tuple(j for j in range(self.ambient_dim) if j not in pivset)
-
     def _residual(self, ints: Sequence[int]) -> list:
         # basis.den times the coset representative of the integer vector
         b = self.basis
@@ -611,66 +588,6 @@ def kernel(m: Matrix) -> Subspace:
     """Left kernel {v : v * m = 0}, canonical."""
     ech = rref(m)
     return Subspace._spanned(m.field, m.nrows, ech.transform.ints[ech.rank:])
-
-
-def preimage(w: Subspace, mats: Sequence[Matrix]) -> Subspace:
-    """{v : v * m in w for every m in ``mats``}, canonical.
-
-    One left kernel: v * m lies in w iff its residual modulo w vanishes,
-    and that residual is v times the rows of m each reduced modulo w, so
-    the preimage is the left kernel of those reduced rows of every m
-    placed side by side.
-    """
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].nrows
-    if any(m.nrows != n or m.ncols != w.ambient_dim or m.field != w.field for m in mats):
-        raise ValueError("matrices must map one space into the subspace's ambient space")
-    rows = [list(chain.from_iterable(map(w._residual, rs))) for rs in zip(*(m.ints for m in mats))]
-    return kernel(Matrix.from_ints(w.field, rows, 1, len(mats) * w.ambient_dim))
-
-
-def fixed_space(mats: Sequence[Matrix]) -> Subspace:
-    """Common fixed vectors {v : v * m = v for every m}: the preimage of
-    the zero space under every m - 1."""
-    if not mats:
-        raise ValueError("need at least one matrix")
-    field, n = mats[0].field, mats[0].nrows
-    one = Matrix.identity(field, n)
-    return preimage(Subspace.zero(field, n), [m - one for m in mats])
-
-
-def quotient_action(m: Matrix, w: Subspace) -> Matrix:
-    """Matrix of the action induced by ``m`` on V/w.
-
-    The quotient carries the deterministic basis given by the non-pivot
-    standard coordinates of ``w``.  Raises NotInvariantError when some
-    basis vector of ``w`` leaves ``w`` under ``m``.
-    """
-    if m.nrows != m.ncols or m.nrows != w.ambient_dim or m.field != w.field:
-        raise ValueError("matrix does not act on the subspace's ambient space")
-    for i, ints in enumerate(w.basis.ints):
-        image = _combination(ints, m.ints, (0,) * m.ncols)
-        if any(w._residual(image)):
-            den = w.basis.den * m.den
-            raise NotInvariantError(w.basis.rows[i], [m._k.scalar(x, den) for x in image])
-    free = w.complement_coordinates()
-    # e_j * m is row j of m
-    rows = [[red[c] for c in free] for red in (w._residual(m.ints[j]) for j in free)]
-    return Matrix.from_ints(m.field, rows, w.basis.den * m.den, len(free))
-
-
-def flag_drops(mats: Sequence[Matrix], steps: Sequence[Subspace]) -> bool:
-    """True iff every m - 1, for m in ``mats``, maps each step into the
-    one below (v * (m - 1) in W_{i-1} for every basis vector v of W_i):
-    every matrix acts trivially on each factor of the chain."""
-    for m in mats:
-        d = m - Matrix.identity(m.field, m.nrows)
-        for below, step in zip(steps, steps[1:]):
-            for v in step.basis.ints:
-                if any(below._residual(_combination(v, d.ints, (0,) * d.ncols))):
-                    return False
-    return True
 
 
 class Flag:

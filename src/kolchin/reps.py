@@ -1,8 +1,8 @@
 """Representation-level algorithms for finitely generated matrix groups.
 
 Unipotency indices, simultaneous unitriangularization by the reversed
-span series of the difference products (iterated preimages in V only
-name the obstruction of a group that is not unipotent),
+span series of the difference products (a series that stalls short of
+0 is the obstruction of a group that is not unipotent),
 generator-product identities and their invariant series,
 degree lifting through nilpotent ideals, the right-regular
 representation on the enveloping algebra, and the unipotent radical
@@ -34,7 +34,6 @@ from .linalg import (
     Matrix,
     Subspace,
     assemble_flag_basis,
-    preimage,
     square_product,
 )
 from .words import (DEFAULT_SAMPLE_BUDGET, DEFAULT_WORD_LENGTH_CAP, RowPair, Word,
@@ -108,8 +107,9 @@ class Representation:
     @cached_property
     def difference_spans(self) -> list[Subspace]:
         """``difference_product_spans(differences, dim)``: the series
-        descends strictly, so it ends within dim steps, and V_n is its
-        entry at min(n, len - 1) for every length n."""
+        descends strictly, so it ends within dim steps, at 0 or at a span
+        equal to the next one, and V_n is its entry at min(n, len - 1)
+        for every length n."""
         return difference_product_spans(self.differences, self.dim)
 
     @cached_property
@@ -199,10 +199,13 @@ class UnitriCertificate:
 
 @dataclass(frozen=True)
 class NotUnipotent:
-    """Obstruction to a unipotent flag: a stage with no fixed vectors.
+    """Obstruction to a unipotent flag: the span series stalls short of 0.
 
-    ``reached`` is the invariant subspace built so far; the group fixes
-    no nonzero vector of V/``reached``.
+    ``reached`` is the last span S = V_stage of the series, nonzero and
+    equal to the next one, so S is the span of its own images s (g - 1).
+    Then S lies in S w^k, and so in V w^k, for every k: the augmentation
+    ideal w is not nilpotent, over every field.  ``stage`` (at least 0)
+    is the number of steps the series takes before it stalls.
     """
 
     stage: int
@@ -220,22 +223,15 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
     degree, the radical and the identity answers read, so the flag takes
     no elimination of its own.
 
-    Any other group is answered by iterated preimages in V: step i is
-    W_i = {v : v (g-1) in W_(i-1) for every generator g}, one left
-    kernel (``linalg.preimage``).  Since the group is not unipotent,
-    some step does not grow before V is reached, and it is returned as
-    the obstruction: the group fixes no nonzero vector of V/W_(i-1).
+    Any other group's series stops at V_d = V_(d+1) != 0, and that stall
+    is the obstruction, ``NotUnipotent(d, V_d)``, read off the same
+    series.
     """
     series = rep.difference_spans
     if series[-1].is_zero():
         flag = _series_flag(series)
         return UnitriCertificate(flag, assemble_flag_basis(flag), flag.degree)
-    steps = [Subspace.zero(rep.field, rep.dim)]
-    while True:
-        w = preimage(steps[-1], rep.differences)
-        if w.dim == steps[-1].dim:
-            return NotUnipotent(len(steps), w)
-        steps.append(w)
+    return NotUnipotent(len(series) - 1, series[-1])
 
 
 def _series_flag(spans: Sequence[Subspace]) -> Flag:

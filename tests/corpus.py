@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from kolchin import GF, QQ, Matrix, Representation
+from kolchin import GF, QQ, Matrix, Representation, Subspace, kernel
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -23,6 +23,50 @@ def ref_from_coordinates(a, coords):
     for c, b in zip(coords, a.basis):
         m = m + b.scale(c)
     return m
+
+
+# -- reference copies of the flag kernels the library no longer keeps -------------
+
+def ref_free_coordinates(w):
+    """The non-pivot standard coordinates of w: a basis of V/w."""
+    return tuple(j for j in range(w.ambient_dim) if j not in w.pivots)
+
+
+def ref_preimage(w, mats):
+    """{v : v * m in w for every m}: the left kernel of the rows of every
+    m reduced modulo w, placed side by side."""
+    rows = [[x for m in mats for x in w.reduce(m.rows[j])] for j in range(mats[0].nrows)]
+    return kernel(Matrix(w.field, rows, ncols=len(mats) * w.ambient_dim))
+
+
+def ref_fixed_space(mats):
+    """Common fixed vectors: the preimage of 0 under every m - 1."""
+    one = Matrix.identity(mats[0].field, mats[0].nrows)
+    return ref_preimage(Subspace.zero(one.field, one.nrows), [m - one for m in mats])
+
+
+def ref_quotient_action(m, w):
+    """The matrix of the action m induces on V/w, in the basis of w's
+    free coordinates; a ValueError when a basis vector of w leaves w."""
+    for v in w.basis.rows:
+        image = (Matrix(w.field, [v], w.ambient_dim) * m).rows[0]
+        if any(w.reduce(image)):
+            raise ValueError(f"subspace is not invariant: basis vector {tuple(v)} maps to "
+                             f"{tuple(image)}")
+    free = ref_free_coordinates(w)
+    return Matrix(m.field, [[w.reduce(m.rows[j])[c] for c in free] for j in free],
+                  ncols=len(free))
+
+
+def ref_flag_drops(mats, steps):
+    """True iff every m - 1 maps each step into the one below."""
+    for m in mats:
+        d = m - Matrix.identity(m.field, m.nrows)
+        for below, step in zip(steps, steps[1:]):
+            for v in step.basis.rows:
+                if any(below.reduce((Matrix(m.field, [v], m.ncols) * d).rows[0])):
+                    return False
+    return True
 
 
 def heisenberg():

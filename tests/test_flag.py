@@ -1,20 +1,21 @@
 """Differential tests of the Kolchin flag: the span series reversed for
-a unipotent group, and the obstruction of iterated preimages in V for
-any other group.
+a unipotent group, and the stage where the series stalls for any other
+group.
 
-The flag reference spans the products e_i (h_1-1)...(h_k-1) over every
-k-tuple of generators, for k = 0, 1, ... until the span is 0, and
-reverses that series.  The obstruction reference keeps the former
-quotient route of the socle series: each stage takes the common fixed
-space of the induced action on V/W (``quotient_action``), found as the
-left kernel of the differences m - 1 placed side by side, lifts that
-space back into V through the non-pivot coordinates of W and adds it to
-W.  The base change is assembled from the steps' scalar rows.
+The series reference spans the products e_i (h_1-1)...(h_k-1) over
+every k-tuple of generators, for k = 0, 1, ... until the span is 0 or
+equals the one before, and reverses a series that ends at 0.  The
+quotient route of the socle series decides unipotency on its own: each
+stage takes the common fixed space of the induced action on V/W
+(``corpus.ref_quotient_action``), found as the left kernel of the
+differences m - 1 placed side by side, lifts that space back into V
+through the non-pivot coordinates of W and adds it to W.  The base
+change is assembled from the steps' scalar rows.
 
-The unitriangular certificate checker, which eliminates only the base
-change, is held to the flag route on mutated certificates: each step
-spanned, its ascent through ``Flag``, and every basis row of every step
-dropped by each g - 1.
+The certificate checker, which eliminates only a flag's base change, is
+held to the flag route on mutated unitriangular certificates and
+identity series: each step spanned, its ascent through ``Flag``, and
+every basis row of every step dropped by each g - 1.
 """
 
 import copy
@@ -26,14 +27,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolchin import (GF, QQ, CertificateError, Matrix, NotUnipotent, Representation, Subspace,
-                     UnitriCertificate, certificates, fixed_space, generator_identity_witness,
+                     UnitriCertificate, certificates, generator_identity_witness,
                      ideal_power_chain, invariant_series_from_identity, kolchin_flag,
-                     load_certificate, load_representation, quotient_action, reps)
+                     linalg, load_certificate, load_representation)
 from kolchin.reps import _first_live_tuple, difference_product_spans
-from kolchin.certificates import (_quotient_chain, check_certificate, flag_to_payload,
-                                  make_certificate, matrix_to_rows)
-from kolchin.linalg import Flag, RowSpan, assemble_flag_basis, flag_drops, kernel, preimage
-from corpus import FIELDS, groups, groups_with_identity, scalars
+from kolchin.certificates import (check_certificate, flag_to_payload, make_certificate,
+                                  matrix_to_rows, subspace_to_rows)
+from kolchin.linalg import Flag, RowSpan, assemble_flag_basis, kernel
+from corpus import (FIELDS, groups, groups_with_identity, ref_fixed_space, ref_flag_drops,
+                    ref_free_coordinates, ref_preimage, ref_quotient_action, scalars,
+                    unitriangular)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,13 +48,13 @@ def ref_hstack(mats):
     return Matrix(mats[0].field, rows, ncols=sum(m.ncols for m in mats))
 
 
-def ref_fixed_space(mats):
+def ref_hstack_fixed_space(mats):
     one = Matrix.identity(mats[0].field, mats[0].nrows)
     return kernel(ref_hstack([m - one for m in mats]))
 
 
 def ref_lift_from_quotient(w, rows):
-    free = w.complement_coordinates()
+    free = ref_free_coordinates(w)
     lifted = []
     for q in rows:
         v = [0] * w.ambient_dim
@@ -75,14 +78,14 @@ def ref_kolchin_flag(rep):
     qmats = rep.generators
     stage = 1
     while not w.is_full():
-        fix = ref_fixed_space(qmats)
+        fix = ref_hstack_fixed_space(qmats)
         if fix.is_zero():
             return NotUnipotent(stage, w)
         w = Subspace(field, n, [*w.basis.rows, *ref_lift_from_quotient(w, fix.basis.rows)])
         steps.append(w)
         if w.is_full():
             break
-        qmats = [quotient_action(g, w) for g in rep.generators]
+        qmats = [ref_quotient_action(g, w) for g in rep.generators]
         stage += 1
     flag = Flag(steps)
     return UnitriCertificate(flag, ref_assemble_flag_basis(flag), flag.degree)
@@ -90,22 +93,26 @@ def ref_kolchin_flag(rep):
 
 def ref_span_series_flag(rep):
     # V_k is spanned by the e_i (h_1-1)...(h_k-1) over every k-tuple of
-    # generators; a zero product spans nothing, and nor do its multiples
+    # generators; a zero product spans nothing, and nor do its multiples.
+    # The series stops at 0, or where V_k equals the span before it
     field, n = rep.field, rep.dim
     one = Matrix.identity(field, n)
     diffs = [g - one for g in rep.generators]
     products = [one]
     steps = [Subspace(field, n, one.rows)]
     while not steps[-1].is_zero():
-        products = [q for m in products for d in diffs if not (q := m * d).is_zero()]
-        steps.append(Subspace(field, n, [r for m in products for r in m.rows]))
+        products = list({q for m in products for d in diffs if not (q := m * d).is_zero()})
+        step = Subspace(field, n, [r for m in products for r in m.rows])
+        if step == steps[-1]:
+            return NotUnipotent(len(steps) - 1, step)
+        steps.append(step)
     flag = Flag(steps[::-1])
     return UnitriCertificate(flag, ref_assemble_flag_basis(flag), flag.degree)
 
 
-def ref_preimage(w, mats):
+def ref_quotient_preimage(w, mats):
     # v * m lies in w iff it vanishes in the quotient coordinates of V/w
-    free = w.complement_coordinates()
+    free = ref_free_coordinates(w)
     n = w.ambient_dim
     to_quotient = Matrix(w.field, [[w.reduce(e)[c] for c in free] for e in
                                    Matrix.identity(w.field, n).rows], ncols=len(free))
@@ -165,13 +172,12 @@ def flags(draw):
 def test_flag_matches_quotient_route(rep):
     # the socle reference decides unipotency; a unipotent group's flag is
     # its span series reversed, of the socle series' length, and any
-    # other group keeps the socle series' obstruction
-    ref = ref_kolchin_flag(rep)
+    # other group's obstruction is where that series stalls
+    ref, series = ref_kolchin_flag(rep), ref_span_series_flag(rep)
+    assert type(series) is type(ref)
     if isinstance(ref, UnitriCertificate):
-        series = ref_span_series_flag(rep)
         assert series.degree == ref.degree
-        ref = series
-    assert_same(kolchin_flag(rep), ref)
+    assert_same(kolchin_flag(rep), series)
 
 
 @settings(max_examples=150)
@@ -187,20 +193,20 @@ def test_unipotent_flag_is_the_span_series_reversed(rep):
     assert flag.flag == invariant_series_from_identity(rep, flag.degree)
 
 
-class PreimageCalled(Exception):
+class EliminationTaken(Exception):
     pass
 
 
 @settings(max_examples=150)
 @given(groups())
-def test_only_a_group_that_is_not_unipotent_takes_a_preimage(rep):
-    unipotent = isinstance(ref_kolchin_flag(rep), UnitriCertificate)
-    with mock.patch.object(reps, "preimage", side_effect=PreimageCalled):
-        if unipotent:
-            assert isinstance(kolchin_flag(rep), UnitriCertificate)
-        else:
-            with pytest.raises(PreimageCalled):
-                kolchin_flag(rep)
+def test_kolchin_flag_takes_no_elimination_past_the_span_series(rep):
+    # once the series is built, neither answer spans or reduces anything
+    series = rep.difference_spans
+    with mock.patch.object(linalg.Subspace, "_spanned", side_effect=EliminationTaken), \
+            mock.patch.object(linalg, "rref", side_effect=EliminationTaken):
+        got = kolchin_flag(rep)
+    if isinstance(got, NotUnipotent):
+        assert (got.stage, got.reached) == (len(series) - 1, series[-1])
 
 
 def kolchin_certificate(rep, cert):
@@ -209,6 +215,60 @@ def kolchin_certificate(rep, cert):
         "flag": flag_to_payload(cert.flag),
         "base_change": matrix_to_rows(cert.base_change),
     })
+
+
+def obstruction_certificate(rep, res):
+    return make_certificate("kolchin", rep, "not-unipotent", {
+        "stage": res.stage, "reached": subspace_to_rows(res.reached)})
+
+
+@st.composite
+def upper_and_lower_groups(draw):
+    """Generators upper and lower unitriangular in turn, with nonzero
+    entries in their strict triangles: each is unipotent, and the group
+    fixes no nonzero vector, so it is not."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 4))
+    return Representation(field, {f"g{i}": unitriangular(draw, field, n, lower=i % 2 == 1,
+                                                         nonzero=True)
+                                  for i in range(draw(st.integers(2, 3)))})
+
+
+def _refused(rep, cert) -> bool:
+    # check-cert exits 2, with no traceback, on exactly a CertificateError
+    try:
+        check_certificate(rep, cert)
+    except CertificateError:
+        return True
+    return False
+
+
+@settings(max_examples=150)
+@given(st.one_of(groups_with_identity(), upper_and_lower_groups()), st.data())
+def test_the_obstruction_is_the_stalled_series_and_its_mutants_are_refused(rep, data):
+    field, n = rep.field, rep.dim
+    series, res = rep.difference_spans, kolchin_flag(rep)
+    if isinstance(res, UnitriCertificate):
+        # V spans V_1 != V, so V is no obstruction, at any stage
+        full = NotUnipotent(0, Subspace.full(field, n))
+        assert _refused(rep, obstruction_certificate(rep, full))
+        return
+    assert (res.stage, res.reached) == (len(series) - 1, series[-1])
+    cert = obstruction_certificate(rep, res)
+    assert "verified" in check_certificate(rep, cert)
+    rows = subspace_to_rows(res.reached)
+    outside = [r for r in Matrix.identity(field, n).rows if not res.reached.contains(
+        Subspace(field, n, [r]))]
+    mutants = [{"reached": []}, {"stage": res.stage + 1}, {"stage": res.stage - 1},
+               {"stage": data.draw(st.booleans())}]
+    if len(rows) > 1:
+        mutants.append({"reached": rows[1:]})
+    if outside:
+        mutants.append({"reached": rows + [list(data.draw(st.sampled_from(outside)))]})
+    for edit in mutants:
+        forged = copy.deepcopy(cert)
+        forged["payload"].update(edit)
+        assert _refused(rep, forged), edit
 
 
 @settings(max_examples=100)
@@ -257,13 +317,13 @@ def test_flags_drop_every_step(rep):
         with pytest.raises(ValueError, match="identity fails"):
             invariant_series_from_identity(rep, rep.dim)
         return
-    assert flag_drops(rep.generators, flag.flag.steps)
+    assert ref_flag_drops(rep.generators, flag.flag.steps)
     assert Flag(flag.flag.steps) == flag.flag
     for n in (flag.degree, flag.degree + 1):
         series = invariant_series_from_identity(rep, n)
         assert Flag(series.steps) == series
         assert (series.field, series.ambient_dim) == (rep.field, rep.dim)
-        assert flag_drops(rep.generators, series.steps)
+        assert ref_flag_drops(rep.generators, series.steps)
 
 
 @settings(max_examples=150)
@@ -282,7 +342,7 @@ def test_the_owned_span_series_answers_every_identity_length(rep):
 @settings(max_examples=100)
 @given(matrix_lists())
 def test_fixed_space_matches_hstack_kernel(mats):
-    assert fixed_space(mats) == ref_fixed_space(mats)
+    assert ref_fixed_space(mats) == ref_hstack_fixed_space(mats)
 
 
 @settings(max_examples=100)
@@ -291,28 +351,34 @@ def test_preimage_matches_quotient_coordinates(mats, data):
     field, n = mats[0].field, mats[0].nrows
     rows = data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=n))
     w = Subspace(field, n, rows)
-    got = preimage(w, mats)
-    assert got == ref_preimage(w, mats)
+    got = ref_preimage(w, mats)
+    assert got == ref_quotient_preimage(w, mats)
     assert not any(any(w.reduce((Matrix(field, [v]) * m).rows[0]))
                    for v in got.basis.rows for m in mats)
 
 
 @pytest.mark.parametrize("field, gens, stage", [
-    # no fixed vector at all: the obstruction is at stage 1, on V itself
+    # the quotient route's stage: no fixed vector at all, on V itself;
+    # g - 1 is invertible, so the span series stalls at once, on V
     (QQ, [[[2, 0], [0, 3]]], 1),
     (GF(2), [[[0, 1], [1, 1]], [[1, 0], [0, 1]]], 1),
-    # e_2 is fixed, and d acts on the quotient by 2
+    # e_2 is fixed, and d acts on the quotient by 2; V_1 = <e_1> stalls
     (QQ, [[[2, 0], [0, 1]]], 2),
-    # e_3 is fixed, then e_1 - e_2 modulo it; g acts by 2 on what is left
+    # e_3 is fixed, then e_1 - e_2 modulo it; g acts by 2 on what is
+    # left; V_1 = <e_2, e_3> and V_2 = <e_2 + e_3>, which g - 1 fixes
     (GF(3), [[[1, 1, 0], [0, 2, 1], [0, 0, 1]]], 3),
 ])
 def test_obstruction_matches_quotient_route(field, gens, stage):
+    # both routes find the group not unipotent; the obstruction is the
+    # stall of the series, one stage below the quotient route's on these
+    # groups, and its certificate checks
     rep = Representation(field, {f"g{k}": Matrix(field, g) for k, g in enumerate(gens)})
+    ref = ref_kolchin_flag(rep)
+    assert isinstance(ref, NotUnipotent) and ref.stage == stage
     got = kolchin_flag(rep)
-    assert isinstance(got, NotUnipotent) and got.stage == stage
-    assert_same(got, ref_kolchin_flag(rep))
-    if stage == 1:
-        assert got.reached.is_zero()
+    assert_same(got, ref_span_series_flag(rep))
+    assert got.stage == stage - 1
+    assert "verified" in check_certificate(rep, obstruction_certificate(rep, got))
 
 
 def test_zero_dimensional_space_has_the_empty_flag():
@@ -329,14 +395,16 @@ def test_base_change_matches_the_picked_rows_stacked_by_matrix(flag):
 @settings(max_examples=150)
 @given(groups())
 def test_checker_chain_matches_the_quotient_route(rep):
-    # the checker's not-unipotent chain lifts integer rows and spans them
-    # with w's in one elimination; the reference lifts scalar rows
-    ref = ref_kolchin_flag(rep)
-    stage, reached = _quotient_chain(rep)
-    if isinstance(ref, NotUnipotent):
-        assert (stage, reached) == (ref.stage, ref.reached)
-    else:
-        assert reached is None
+    # the checker's chain is the span series up to the claimed stage; the
+    # stalled series of every group is accepted exactly when the quotient
+    # route finds the group not unipotent
+    series = rep.difference_spans
+    cert = obstruction_certificate(rep, NotUnipotent(len(series) - 1, series[-1]))
+    try:
+        accepted = "verified" in check_certificate(rep, cert)
+    except CertificateError:
+        accepted = False
+    assert accepted == isinstance(ref_kolchin_flag(rep), NotUnipotent)
 
 
 # -- the unitriangular checker against the flag route ------------------------------
@@ -349,7 +417,7 @@ def ref_unitriangular_verdict(rep, payload) -> bool:
     n = rep.dim
     try:
         flag = Flag([Subspace(rep.field, n, rows) for rows in payload["flag"]])
-        if not flag_drops(rep.generators, flag.steps):
+        if not ref_flag_drops(rep.generators, flag.steps):
             return False
         degree = payload["degree"]
         if type(degree) is not int or degree < 0 or flag.degree != degree:
@@ -491,9 +559,9 @@ class FlagRouteTaken(Exception):
 
 
 def test_kolchin_certificates_verify_without_the_flag_route():
-    # a unitriangular certificate is checked on its base change alone:
-    # no Flag is built and flag_drops never runs; an identity series is
-    # still checked through flag_drops
+    # a unitriangular certificate is checked on its base change, and an
+    # identity series on the rows of its steps that grow their span: no
+    # Flag is built, and each takes the one flag check
     examples = [(load_representation(str(GOLDEN / "heis_frac.json")),
                  load_certificate(str(GOLDEN / "heis_frac.kolchin.cert.json")))]
     for gens in ([[[1, 0, 1], [0, 1, 0], [0, 0, 1]]],
@@ -502,12 +570,41 @@ def test_kolchin_certificates_verify_without_the_flag_route():
             rep = Representation(field, {f"g{k}": Matrix(field, g) for k, g in enumerate(gens)})
             for flag in (kolchin_flag(rep), ref_kolchin_flag(rep)):
                 examples.append((rep, kolchin_certificate(rep, flag)))
-    with mock.patch.object(certificates, "flag_drops", side_effect=FlagRouteTaken), \
-            mock.patch.object(certificates, "Flag", side_effect=FlagRouteTaken):
+    examples.append((load_representation(str(GOLDEN / "heis_frac.json")),
+                     load_certificate(str(GOLDEN / "heis_frac.identity.cert.json"))))
+    with mock.patch.object(certificates, "Flag", side_effect=FlagRouteTaken), \
+            mock.patch.object(certificates, "_check_flag",
+                              wraps=certificates._check_flag) as check:
         for rep, cert in examples:
-            assert "unitriangular certificate" in check_certificate(rep, cert)
-    rep = load_representation(str(GOLDEN / "heis_frac.json"))
-    identity = load_certificate(str(GOLDEN / "heis_frac.identity.cert.json"))
-    with mock.patch.object(certificates, "flag_drops", side_effect=FlagRouteTaken):
-        with pytest.raises(FlagRouteTaken):
-            check_certificate(rep, identity)
+            assert "verified" in check_certificate(rep, cert)
+    assert check.call_count == len(examples)
+
+
+def test_identity_series_check_agrees_with_the_flag_route():
+    # an identity series is checked on the rows of its steps that grow
+    # their span; over mutated series of unipotent groups at their
+    # degree, it must accept exactly what the flag route accepts
+    verdicts = set()
+
+    @settings(max_examples=300)
+    @given(groups().filter(lambda rep: rep.difference_spans[-1].is_zero()), st.data())
+    def agree(rep, data):
+        n = len(rep.difference_spans) - 1
+        series = flag_to_payload(invariant_series_from_identity(rep, n))
+        steps = data.draw(mutated_payloads(rep, {"flag": series, "base_change": [],
+                                                 "degree": n}))["flag"]
+        cert = make_certificate("identity-check", rep, "verified", {"length": n, "series": steps})
+        try:
+            accepted = "verified" in check_certificate(rep, cert)
+        except CertificateError:
+            accepted = False
+        try:
+            flag = Flag([Subspace(rep.field, rep.dim, rows) for rows in steps])
+            want = ref_flag_drops(rep.generators, flag.steps)
+        except ValueError:
+            want = False
+        assert accepted == want
+        verdicts.add(accepted)
+
+    agree()
+    assert verdicts == {True, False}

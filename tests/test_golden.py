@@ -6,7 +6,9 @@ matrices were stored as integer rows over a common denominator, and
 the two probe certificates (seeded Engel samples and a nil index)
 before the commutator walks took conjugate-form steps, and the lifted
 identity bounds (they read the radical's nilpotency index) before the
-ideal closure and the power chain became right spins.
+ideal closure and the power chain became right spins.  The Borel
+kolchin certificate alone was rewritten when the not-unipotent
+obstruction became the stage where the span series stalls.
 """
 
 import shlex

@@ -159,15 +159,17 @@ def test_cli_kolchin_failure_stage(tmp_path, capsys):
                                 "generators": {"d": [[2, 0], [0, 1]]}}))
     cert = str(tmp_path / "cert.json")
     assert main(["kolchin", str(path), "--cert", cert]) == 2
-    assert "stage 2" in capsys.readouterr().out
+    assert "the span series stops at stage 1" in capsys.readouterr().out
+    assert load_certificate(cert)["payload"] == {"stage": 1, "reached": [[1, 0]]}
     assert main(["check-cert", str(path), cert]) == 0
 
 
 @pytest.mark.parametrize("stage", ["ninety-nine", 0, 99, 1, True])
 def test_check_cert_kolchin_stage_must_match_the_chain(stage, tmp_path, capsys):
-    path = tmp_path / "diag.json"
-    path.write_text(json.dumps({"field": "Q", "dim": 2,
-                                "generators": {"d": [[2, 0], [0, 1]]}}))
+    # V_1 = <e_2, e_3> and V_2 = <e_3>, which g - 1 fixes: stage 2
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 3, "generators": {
+        "g": [[1, 1, 0], [0, 1, 0], [0, 0, 2]]}}))
     cert = str(tmp_path / "cert.json")
     assert main(["kolchin", str(path), "--cert", cert]) == 2
     assert main(["check-cert", str(path), cert]) == 0
@@ -179,14 +181,15 @@ def test_check_cert_kolchin_stage_must_match_the_chain(stage, tmp_path, capsys):
 
 def test_check_cert_kolchin_obstruction_on_a_unipotent_group_rejected(heis_file, tmp_path,
                                                                        capsys):
-    # V itself has a zero-dimensional quotient, so it has no fixed vector there
+    # V spans V_1, of dimension 2, so V is not spanned by its images
     rep = load_representation(heis_file)
     forged = tmp_path / "forged.json"
-    forged.write_text(json.dumps(make_certificate(
-        "kolchin", rep, "not-unipotent",
-        {"stage": 1, "reached": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})))
-    assert main(["check-cert", heis_file, str(forged)]) == 2
-    assert "the group is unipotent" in capsys.readouterr().err
+    for stage in (0, 1):
+        forged.write_text(json.dumps(make_certificate(
+            "kolchin", rep, "not-unipotent",
+            {"stage": stage, "reached": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})))
+        assert main(["check-cert", heis_file, str(forged)]) == 2
+        assert "not spanned by its images" in capsys.readouterr().err
 
 
 def test_cli_identity_check(heis_file, tmp_path, capsys):
@@ -1301,6 +1304,38 @@ def test_check_cert_reads_the_whole_envelope(edit, code, message, tmp_path, caps
     assert main(["check-cert", GOLDEN_HEIS, bad]) == code
     err = capsys.readouterr().err
     assert (message is None or message in err) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rep, label, key", [
+    ("heis_frac", "kolchin", "oracle"),
+    ("borel_frac", "kolchin", "oracle"),
+    ("heis_frac", "identity", "extra"),
+    ("heis_frac", "lift", "extra"),
+    ("borel_frac", "identity", "extra"),
+])
+def test_check_cert_refuses_payload_keys_no_command_writes(rep, label, key, tmp_path, capsys):
+    # each result kind takes exactly the keys its command writes for it
+    repfile = str(Path(__file__).parent / "golden" / f"{rep}.json")
+    cert = _golden_cert(repfile, label)
+    assert main(["check-cert", repfile, cert]) == 0
+    capsys.readouterr()
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update({key: 5}))
+    assert main(["check-cert", repfile, bad]) == 2
+    err = capsys.readouterr().err
+    assert f"payload keys ['{key}']" in err and "Traceback" not in err
+
+
+def test_check_cert_identity_payload_keys_are_what_the_command_writes(tmp_path, capsys):
+    # the unitriangular convention is optional, as the benchmark omits
+    # it; a verified series is required, and modulo_radical is true
+    kolchin = _edited(_golden_cert(GOLDEN_HEIS, "kolchin"), tmp_path,
+                      lambda d: d["payload"].pop("convention"))
+    assert main(["check-cert", GOLDEN_HEIS, kolchin]) == 0
+    for label, edit in (("identity", lambda d: d["payload"].pop("series")),
+                        ("lift", lambda d: d["payload"].update(modulo_radical=1))):
+        bad = _edited(_golden_cert(GOLDEN_HEIS, label), tmp_path, edit)
+        assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_check_cert_refuses_an_oracle_order_in_a_radical_report(tmp_path, capsys):
