@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .fields import GF, QQ, Field
 from .linalg import (
     Echelon,
-    Flag,
     Matrix,
     Subspace,
     assemble_flag_basis,

@@ -58,9 +58,10 @@ algorithm that made it:
 
 Every integer field of a payload must be a JSON integer (never a bool,
 nor a float such as 2.0) of at least its least value (``_int``; 2 for
-both pi-check degrees), and a membership verdict a JSON boolean.  A
-kolchin, identity-check or unipotent-radical payload holds no key its
-command does not write for its result.  Only
+both pi-check degrees), and a membership verdict a JSON boolean.  Every
+payload is an object of exactly the keys its command writes for its
+result, two optional: a unitriangular ``convention``, which must then be
+``KOLCHIN_CONVENTION``, and a witness's ``modulo_radical``.  Only
 the result kinds the commands write are accepted: ``report`` for a
 unipotent-radical certificate, and for a probe only the proved kinds
 above and, as evidence whose envelope alone is checked, an Engel
@@ -87,7 +88,7 @@ from operator import lt
 
 from . import __version__
 from .algebra import SweepCapExceeded, standard_identity_eval, standard_identity_sweep
-from .linalg import Flag, Matrix, RowSpan, Subspace, flat, kernel, square_product
+from .linalg import Matrix, RowSpan, Subspace, flat, kernel, square_product
 from .repfile import matrix_to_rows, representation_to_dict
 from .reps import Representation, difference_product_spans, unipotency_index
 from .words import Word, evaluate_word
@@ -96,6 +97,8 @@ CERT_FORMAT = "kolchin.certificate/1"
 ENVELOPE_KEYS = frozenset({"format", "version", "command", "inputs_digest", "result", "seed",
                            "payload"})
 FLAG_DROP_FAILS = "flag drop fails: a generator difference leaves a step boundary"
+# the coordinates a unitriangular kolchin certificate is written in
+KOLCHIN_CONVENTION = "rows act on the right; base change rows list the flag basis bottom-up"
 # steps of an Engel or nil walk, or factors of an identity witness, the
 # checker takes at most; over Q the entries of a walk that never repeats
 # grow by a few bits a step, and 1,000 steps take about 0.3 s at n = 3
@@ -159,8 +162,8 @@ def subspace_to_rows(s: Subspace) -> list[list]:
     return matrix_to_rows(s.basis)
 
 
-def flag_to_payload(flag: Flag) -> list[list[list]]:
-    return [subspace_to_rows(s) for s in flag.steps]
+def flag_to_payload(steps: tuple[Subspace, ...]) -> list[list[list]]:
+    return [subspace_to_rows(s) for s in steps]
 
 
 def _require(cond: bool, message: str):
@@ -173,9 +176,10 @@ def _int(value, least: int, message: str) -> int:
     return value
 
 
-def _known_keys(payload: dict, what: str, keys: set) -> None:
-    """The payload holds no key but those its command writes for its result."""
-    extra = sorted(payload.keys() - keys)
+def _known_keys(payload: dict, what: str, required: set, optional: set = frozenset()) -> None:
+    """The payload holds every required key and no key but those and the optional."""
+    missing, extra = sorted(required - payload.keys()), sorted(payload.keys() - required - optional)
+    _require(not missing, f"missing {what} payload keys {missing}")
     _require(not extra, f"unknown {what} payload keys {extra}")
 
 
@@ -247,7 +251,8 @@ def check_certificate(rep: Representation, cert: dict) -> str:
              "stale certificate: input digest does not match the representation")
     command = cert.get("command")
     result = cert.get("result")
-    payload = cert.get("payload") or {}
+    payload = cert["payload"]
+    _require(type(payload) is dict, "the payload must be a JSON object")
     checker = _CHECKERS.get(command)
     _require(checker is not None, f"no checker for command {command!r}")
     if command == "probe":  # probe writes its --seed twice
@@ -269,7 +274,9 @@ def check_certificate(rep: Representation, cert: dict) -> str:
 def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
     field, n = rep.field, rep.dim
     if result == "unitriangular":
-        _known_keys(payload, "unitriangular", {"degree", "flag", "base_change", "convention"})
+        _known_keys(payload, "unitriangular", {"degree", "flag", "base_change"}, {"convention"})
+        _require(payload.get("convention", KOLCHIN_CONVENTION) == KOLCHIN_CONVENTION,
+                 f"the convention must be {KOLCHIN_CONVENTION!r}")
         base = Matrix(field, payload["base_change"], n)
         _require(base.nrows == n, f"base change does not have {n} rows")
         # prefixes[d] is the span of the first d base-change rows
@@ -303,6 +310,7 @@ def _check_kolchin(rep: Representation, result: str, payload: dict) -> str:
 
 
 def _check_check_unipotent(rep: Representation, result: str, payload: dict) -> str:
+    _known_keys(payload, "check-unipotent", {"indices"})
     indices = payload["indices"]
     _require(all(name in indices for name in rep.names),
              "a generator has no unipotency index")
@@ -327,7 +335,7 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
     n = _int(payload["length"], 1, "identity length must be a positive integer")
     one = rep.identity()
     if result == "witness":
-        _known_keys(payload, "identity witness", {"length", "witness", "modulo_radical"})
+        _known_keys(payload, "identity witness", {"length", "witness"}, {"modulo_radical"})
         names = payload["witness"]
         _require(isinstance(names, list) and len(names) == n
                  and all(name in rep.names for name in names),
@@ -358,10 +366,11 @@ def _check_identity(rep: Representation, result: str, payload: dict) -> str:
 
 
 def _check_pi(rep: Representation, result: str, payload: dict) -> str:
+    _known_keys(payload, "pi-check", {"algebra_basis", "witnesses", "minimal_degree", "max_degree"})
     basis = [Matrix(rep.field, rows, rep.dim) for rows in payload["algebra_basis"]]
     _require(_embedded_span(rep, basis).to_subspace() == _enveloping_span(rep),
              "embedded basis does not span the enveloping algebra")
-    minimal = payload.get("minimal_degree")
+    minimal = payload["minimal_degree"]
     # pi-check sweeps from degree 2 to its max degree, and writes no other
     message = "pi-check degrees must be integers of at least 2"
     top = _int(payload["max_degree"], 2, message)
@@ -370,7 +379,7 @@ def _check_pi(rep: Representation, result: str, payload: dict) -> str:
     below = top if minimal is None else _int(minimal, 2, message) - 1
     _require(minimal is None or below < top,
              f"minimal degree {minimal} is above the max degree {top}")
-    witnesses = payload.get("witnesses", {})
+    witnesses = payload["witnesses"]
     for k_str, combo in witnesses.items():
         k = int(k_str)
         # S_2n holds on M_n (Amitsur-Levitzki); a repeated index makes S_k vanish
@@ -417,7 +426,7 @@ def _check_radical(rep: Representation, result: str, payload: dict) -> str:
     _require(span.to_subspace() == radical,
              "embedded radical is not the trace-form kernel of the enveloping algebra")
     one = rep.identity()
-    for word_text, verdict in payload.get("tests", {}).items():
+    for word_text, verdict in payload["tests"].items():
         _require(type(verdict) is bool, f"membership verdict for word {word_text!r} is not a bool")
         m = evaluate_word(rep, Word.parse(word_text))
         inside = span.contains(flat(m - one))
@@ -427,32 +436,39 @@ def _check_radical(rep: Representation, result: str, payload: dict) -> str:
 
 def _check_probe(rep: Representation, result: str, payload: dict) -> str:
     kind = payload["kind"]
+    # the results probe writes for each kind, and the keys it writes with them
+    results = {"engel": ("consistent", "counterexample"), "nil": ("index-found", "inconclusive"),
+               "algebraic": ("stabilized", "inconclusive")}
+    _require(result in results.get(kind, ()),
+             f"unknown result kind {result!r} for probe kind {kind!r}")
+    written = {"engel": {"depth", "sample_budget", "length_cap"},
+               "nil": {"g", "x", "depth_cap", "index"},
+               "algebraic": {"g", "x", "depth_cap", "element_cap", "stabilized_at"}}[kind]
+    counterexample = {"counterexample"} if result == "counterexample" else set()
+    _known_keys(payload, f"{kind} probe", {"kind", "seed"} | written | counterexample)
     if kind == "engel":  # the envelope probe writes on every Engel report
         depth, _, length_cap = (_int(payload[key], 1, f"Engel {key} must be a positive integer")
                                 for key in ("depth", "sample_budget", "length_cap"))
-    if result == "counterexample":
-        if kind == "engel":
-            pair = payload["counterexample"]
-            _require(type(pair) is list and len(pair) == 2, "Engel counterexample is not two words")
-            words = [Word.parse(text) for text in pair]
-            _require(all(len(w) <= length_cap for w in words),
-                     f"an Engel counterexample word is longer than the length cap {length_cap}")
-            x, y = (evaluate_word(rep, w) for w in words)
-            # once c repeats, the walk cycles through values already seen, none of them 1
-            seen = {x}
-            for c in _commutator_walk(x, y, min(depth, ENGEL_CHECK_STEPS)):
-                _require(not c.is_identity(), "claimed Engel counterexample is trivial")
-                if c in seen:
-                    break
-                seen.add(c)
-            else:
-                if depth > ENGEL_CHECK_STEPS:
-                    raise CheckInconclusive(f"the Engel walk neither reaches 1 nor repeats "
-                                            f"within {ENGEL_CHECK_STEPS} steps")
-            return "Engel counterexample verified"
-        raise CertificateError(f"no counterexample checker for probe kind {kind!r}")
-    if result == "index-found":
-        _require(kind == "nil", f"no index checker for probe kind {kind!r}")
+    if result == "counterexample":  # an Engel one
+        pair = payload["counterexample"]
+        _require(type(pair) is list and len(pair) == 2, "Engel counterexample is not two words")
+        words = [Word.parse(text) for text in pair]
+        _require(all(len(w) <= length_cap for w in words),
+                 f"an Engel counterexample word is longer than the length cap {length_cap}")
+        x, y = (evaluate_word(rep, w) for w in words)
+        # once c repeats, the walk cycles through values already seen, none of them 1
+        seen = {x}
+        for c in _commutator_walk(x, y, min(depth, ENGEL_CHECK_STEPS)):
+            _require(not c.is_identity(), "claimed Engel counterexample is trivial")
+            if c in seen:
+                break
+            seen.add(c)
+        else:
+            if depth > ENGEL_CHECK_STEPS:
+                raise CheckInconclusive(f"the Engel walk neither reaches 1 nor repeats "
+                                        f"within {ENGEL_CHECK_STEPS} steps")
+        return "Engel counterexample verified"
+    if result == "index-found":  # a nil one
         message = "nil index must be a positive integer no larger than the depth cap"
         index = _int(payload["index"], 1, message)
         _require(index <= _int(payload["depth_cap"], 1, message), message)
@@ -462,7 +478,7 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
         _require(first == index, f"the nil walk reaches 1 at step {first}, "
                                  f"before the claimed index {index}")
         return f"nil index {index} verified"
-    if kind == "nil" and result == "inconclusive":
+    if kind == "nil":  # inconclusive
         message = "an inconclusive nil probe has no index and a positive integer depth cap"
         _require(payload["index"] is None, message)
         cap = _int(payload["depth_cap"], 1, message)
@@ -475,8 +491,6 @@ def _check_probe(rep: Representation, result: str, payload: dict) -> str:
     # Consistent and stabilised outcomes, and an algebraic probe that ran out
     # of caps, are evidence; only the envelope, the values probe writes, is
     # checkable.
-    evidence = {("engel", "consistent"), ("algebraic", "stabilized"), ("algebraic", "inconclusive")}
-    _require((kind, result) in evidence, f"unknown result kind {result!r} for probe kind {kind!r}")
     if kind == "algebraic":
         message = "algebraic caps must be positive integers"
         cap = _int(payload["depth_cap"], 1, message)

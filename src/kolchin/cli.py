@@ -32,6 +32,7 @@ from itertools import chain
 
 from .algebra import CharacteristicTooSmallError, SweepCapExceeded, minimal_standard_degree
 from .certificates import (
+    KOLCHIN_CONVENTION,
     CertificateError,
     CheckInconclusive,
     check_certificate,
@@ -171,12 +172,12 @@ def cmd_kolchin(rep, args) -> int:
               {"stage": res.stage, "reached": subspace_to_rows(res.reached)})
         return PROPERTY_FAILS
     print(f"unitriangular of degree {res.degree}")
-    print("flag dimensions:", " < ".join(str(s.dim) for s in res.flag.steps))
+    print("flag dimensions:", " < ".join(str(s.dim) for s in res.flag))
     _emit(args, rep, "unitriangular", {
         "degree": res.degree,
         "flag": flag_to_payload(res.flag),
         "base_change": matrix_to_rows(res.base_change),
-        "convention": "rows act on the right; base change rows list the flag basis bottom-up",
+        "convention": KOLCHIN_CONVENTION,
     })
     return OK
 
@@ -206,7 +207,7 @@ def cmd_identity_check(rep, args) -> int:
         _emit(args, rep, "witness", {"length": n, "witness": list(e.witness)})
         return PROPERTY_FAILS
     print(f"identity of length {n} verified on all generator tuples")
-    print("invariant series dimensions:", " < ".join(str(s.dim) for s in series.steps))
+    print("invariant series dimensions:", " < ".join(str(s.dim) for s in series))
     _emit(args, rep, "verified", {"length": n, "series": flag_to_payload(series)})
     return OK
 

@@ -549,9 +549,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.basis.nrows == 0
 
-    def is_full(self) -> bool:
-        return self.basis.nrows == self.ambient_dim
-
     def _residual(self, ints: Sequence[int]) -> list:
         # basis.den times the coset representative of the integer vector
         b = self.basis
@@ -590,66 +587,22 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace._spanned(m.field, m.nrows, ech.transform.ints[ech.rank:])
 
 
-class Flag:
-    """Strictly ascending chain of subspaces 0 = W_0 < W_1 < ... < W_k = V."""
-
-    __slots__ = ("field", "ambient_dim", "steps")
-
-    def __init__(self, steps: Sequence[Subspace]):
-        if not steps:
-            raise ValueError("empty flag")
-        field = steps[0].field
-        n = steps[0].ambient_dim
-        if any(s.field != field or s.ambient_dim != n for s in steps):
-            raise ValueError("flag steps live in different spaces")
-        if not steps[0].is_zero():
-            raise ValueError("flag must start at the zero subspace")
-        if not steps[-1].is_full():
-            raise ValueError("flag must end at the full space")
-        for a, b in zip(steps, steps[1:]):
-            if not (b.contains(a) and b.dim > a.dim):
-                raise ValueError("flag steps must be strictly ascending")
-        self.field = field
-        self.ambient_dim = n
-        self.steps = tuple(steps)
-
-    @classmethod
-    def _ascending(cls, steps: Sequence[Subspace]) -> "Flag":
-        # trusted constructor: steps of one space, strictly ascending from 0 to V
-        f = object.__new__(cls)
-        f.field, f.ambient_dim, f.steps = steps[0].field, steps[0].ambient_dim, tuple(steps)
-        return f
-
-    @property
-    def degree(self) -> int:
-        """Number of strict inclusions in the chain."""
-        return len(self.steps) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Flag) and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
-
-    def __repr__(self) -> str:
-        dims = " < ".join(str(s.dim) for s in self.steps)
-        return f"Flag(dims {dims} in {self.field}^{self.ambient_dim})"
-
-
-def assemble_flag_basis(f: Flag) -> Matrix:
-    """Invertible base change adapted to the flag.
+def assemble_flag_basis(steps: Sequence[Subspace]) -> Matrix:
+    """Invertible base change adapted to a flag: ``steps`` of one space,
+    strictly ascending from 0 to V.
 
     Rows list a basis of W_1 first, then extend step by step; with the
     right action v -> v * g, conjugating by this matrix puts any flag-
     compatible generator into triangular form.  It is invertible with
     no further test: each picked row grew the span, so the rows are
-    independent, and they span the last step, which ``Flag`` requires
-    to be V.  The picked integer rows are brought over the lcm of their
-    steps' denominators and make one ``Matrix.from_ints``.
+    independent, and they span the last step, which is V.  The picked
+    integer rows are brought over the lcm of their steps' denominators
+    and make one ``Matrix.from_ints``.
     """
-    span = RowSpan(f.field, f.ambient_dim)
-    picked = [(ints, step.basis.den) for step in f.steps[1:] for ints in step.basis.ints
+    field, n = steps[0].field, steps[0].ambient_dim
+    span = RowSpan(field, n)
+    picked = [(ints, step.basis.den) for step in steps[1:] for ints in step.basis.ints
               if span.absorb(ints)]
     den = lcm(*(d for _, d in picked))  # 1 when V = 0 picks no rows
-    return Matrix.from_ints(f.field, [[x * (den // d) for x in ints] for ints, d in picked],
-                            den, f.ambient_dim)
+    return Matrix.from_ints(field, [[x * (den // d) for x in ints] for ints, d in picked],
+                            den, n)

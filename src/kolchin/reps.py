@@ -20,22 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import (
-    AlgebraBasis,
-    Ideal,
-    InternalInconsistencyError,
-    ideal_closure,
-    span_closure,
-    trace_radical,
-)
+from .algebra import (AlgebraBasis, Ideal, InternalInconsistencyError, ideal_closure,
+                      span_closure, trace_radical)
 from .fields import Field
-from .linalg import (
-    Flag,
-    Matrix,
-    Subspace,
-    assemble_flag_basis,
-    square_product,
-)
+from .linalg import Matrix, Subspace, assemble_flag_basis, square_product
 from .words import (DEFAULT_SAMPLE_BUDGET, DEFAULT_WORD_LENGTH_CAP, RowPair, Word,
                     _first_trivial_step, _pair, evaluate_word, random_word)
 
@@ -187,12 +175,13 @@ def unipotency_index(rep: Representation, g: Matrix) -> int | None:
 class UnitriCertificate:
     """Invariant flag with trivial factor actions, plus its base change.
 
+    ``flag`` is the tuple of its steps, strictly ascending from 0 to V.
     In the base-change coordinates every generator is triangular with
     unit diagonal; ``degree`` counts the strict inclusions of the flag,
     which bounds the length of vanishing difference products.
     """
 
-    flag: Flag
+    flag: tuple[Subspace, ...]
     base_change: Matrix
     degree: int
 
@@ -217,11 +206,11 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
 
     A unipotent group's span series V = V_0 > V_1 > ... > V_d = 0
     (``Representation.difference_spans``, V_k = V w^k) is read bottom-up
-    as the flag 0 = V_d < ... < V_0 = V.  Each V_k (g-1) lies in
-    V_(k+1), so every generator acts trivially on each factor, in every
-    characteristic, and d is the degree.  The series is the one the
-    degree, the radical and the identity answers read, so the flag takes
-    no elimination of its own.
+    as the flag 0 = V_d < ... < V_0 = V, the tuple of its steps.  Each
+    V_k (g-1) lies in V_(k+1), so every generator acts trivially on each
+    factor, in every characteristic, and d is the degree.  The series is
+    the one the degree, the radical and the identity answers read, so
+    the flag takes no elimination of its own.
 
     Any other group's series stops at V_d = V_(d+1) != 0, and that stall
     is the obstruction, ``NotUnipotent(d, V_d)``, read off the same
@@ -229,16 +218,9 @@ def kolchin_flag(rep: Representation) -> UnitriCertificate | NotUnipotent:
     """
     series = rep.difference_spans
     if series[-1].is_zero():
-        flag = _series_flag(series)
-        return UnitriCertificate(flag, assemble_flag_basis(flag), flag.degree)
+        flag = tuple(series[::-1])
+        return UnitriCertificate(flag, assemble_flag_basis(flag), len(series) - 1)
     return NotUnipotent(len(series) - 1, series[-1])
-
-
-def _series_flag(spans: Sequence[Subspace]) -> Flag:
-    """The flag of a span series that ends at 0: the spans strictly
-    descend from V (``difference_product_spans``), so reversed they
-    ascend from 0 to V, and the flag is built unchecked."""
-    return Flag._ascending(spans[::-1])
 
 
 def generator_identity_witness(rep: Representation, n: int) -> tuple[str, ...] | None:
@@ -318,9 +300,9 @@ class IdentityFailsError(ValueError):
         super().__init__(f"length-{n} generator identity fails on tuple {witness}")
 
 
-def invariant_series_from_identity(rep: Representation, n: int) -> Flag:
+def invariant_series_from_identity(rep: Representation, n: int) -> tuple[Subspace, ...]:
     """Invariant flag with trivial factor actions built from a verified
-    length-n generator identity.
+    length-n generator identity, as the tuple of its steps from 0 to V.
 
     The steps are the spans of all length-k difference products, read
     from the representation's series (``Representation.difference_spans``,
@@ -328,16 +310,16 @@ def invariant_series_from_identity(rep: Representation, n: int) -> Flag:
     the identity holds iff the last is zero, and only a failing one runs
     the tuple sweep, to name its witness (IdentityFailsError carries it).
     V_k is the sum of the V_(k-1) (g-1), so the group acts trivially on
-    every factor.  Repeated zero steps (when the identity holds below
-    length n) are collapsed, so for a unipotent group and n at least its
-    degree the series is ``kolchin_flag``'s flag.
+    every factor.  Reversed, the strictly descending spans ascend from 0
+    to V with no repeated zero step, so for a unipotent group and n at
+    least its degree the series is ``kolchin_flag``'s flag.
     """
     if n < 1:
         raise ValueError("identity length must be at least 1")
     spans = rep.difference_spans[:n + 1]
     if not spans[-1].is_zero():
         raise IdentityFailsError(n, generator_identity_witness(rep, n))
-    return _series_flag(spans)
+    return tuple(spans[::-1])
 
 
 def unitriangular_degree(rep: Representation) -> int | None:

@@ -58,6 +58,25 @@ def ref_quotient_action(m, w):
                   ncols=len(free))
 
 
+def ref_flag(steps):
+    """The steps of a flag, checked: one space, starting at 0, ending at
+    V, and each step strictly containing the one below.  Returns them as
+    the tuple the library's flags are; a ValueError names a failed check."""
+    if not steps:
+        raise ValueError("empty flag")
+    field, n = steps[0].field, steps[0].ambient_dim
+    if any(s.field != field or s.ambient_dim != n for s in steps):
+        raise ValueError("flag steps live in different spaces")
+    if not steps[0].is_zero():
+        raise ValueError("flag must start at the zero subspace")
+    if steps[-1].dim != n:
+        raise ValueError("flag must end at the full space")
+    for a, b in zip(steps, steps[1:]):
+        if not (b.contains(a) and b.dim > a.dim):
+            raise ValueError("flag steps must be strictly ascending")
+    return tuple(steps)
+
+
 def ref_flag_drops(mats, steps):
     """True iff every m - 1 maps each step into the one below."""
     for m in mats:

@@ -24,6 +24,7 @@ from kolchin import (
     representation_digest,
 )
 from kolchin import algebra, reps, words
+from kolchin.certificates import KOLCHIN_CONVENTION
 from kolchin.cli import main
 from kolchin.fields import Field
 from kolchin.linalg import Subspace, flat
@@ -1336,6 +1337,82 @@ def test_check_cert_identity_payload_keys_are_what_the_command_writes(tmp_path, 
         bad = _edited(_golden_cert(GOLDEN_HEIS, label), tmp_path, edit)
         assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+GOLDEN_CERTS = sorted((Path(__file__).parent / "golden").glob("*.cert.json"))
+
+
+def _golden_rep(cert_path):
+    return str(cert_path.with_name(cert_path.name.split(".")[0] + ".json"))
+
+
+def _forged_exits(tmp_path, capsys, forgeries):
+    """check-cert's exit on each (name, golden certificate, edit of its
+    document, expected exit), for the names whose exit is not the one
+    expected; no forgery may end in a traceback."""
+    wrong = []
+    for name, cert, edit, expected in forgeries:
+        code = main(["check-cert", _golden_rep(cert), _edited(cert, tmp_path, edit)])
+        assert "Traceback" not in capsys.readouterr().err
+        if code != expected:
+            wrong.append((name, code))
+    return wrong
+
+
+def test_check_cert_refuses_an_added_payload_key_on_every_golden(tmp_path, capsys):
+    # the pi-check, check-unipotent and probe payloads took any key
+    # beside those their command writes
+    assert len(GOLDEN_CERTS) == 16
+    assert _forged_exits(tmp_path, capsys, [
+        (cert.name, cert, lambda d: d["payload"].update(extra=5), 2)
+        for cert in GOLDEN_CERTS]) == []
+
+
+def test_check_cert_refuses_a_dropped_payload_key_on_every_golden(tmp_path, capsys):
+    # every key its command writes is required, but for two: the
+    # unitriangular convention, and the modulo_radical of a lifted
+    # witness, which without it is a true unlifted witness; a radical
+    # report without its tests was accepted
+    def drop(key):
+        return lambda d: d["payload"].pop(key)
+
+    forgeries = []
+    for cert in GOLDEN_CERTS:
+        doc = json.loads(cert.read_text())
+        for key in doc["payload"]:
+            optional = key == "convention" or (key, doc["result"]) == ("modulo_radical", "witness")
+            forgeries.append((f"{cert.name} without {key}", cert, drop(key), 0 if optional else 2))
+    assert any(name.endswith("without modulo_radical") and code == 0
+               for name, _, _, code in forgeries)
+    assert _forged_exits(tmp_path, capsys, forgeries) == []
+
+
+@pytest.mark.parametrize("convention, code", [
+    (KOLCHIN_CONVENTION, 0),
+    ("columns act on the left; base change columns list the flag basis", 2),
+    (5, 2),
+    (None, 2),
+    ([KOLCHIN_CONVENTION], 2),
+], ids=["written", "columns", "integer", "null", "list"])
+def test_check_cert_holds_the_convention_to_the_one_kolchin_writes(convention, code, tmp_path,
+                                                                   capsys):
+    # a false or non-string convention verified; kolchin writes the one
+    cert = _golden_cert(GOLDEN_HEIS, "kolchin")
+    assert json.loads(Path(cert).read_text())["payload"]["convention"] == KOLCHIN_CONVENTION
+    bad = _edited(cert, tmp_path, lambda d: d["payload"].update(convention=convention))
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == code
+    err = capsys.readouterr().err
+    assert ("the convention must be" in err) == (code == 2) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", ["engel", "nil", "kolchin", "pi"])
+@pytest.mark.parametrize("payload", [[1, 2], "payload", None], ids=["list", "string", "null"])
+def test_check_cert_refuses_a_payload_that_is_not_an_object(label, payload, tmp_path, capsys):
+    # a probe certificate whose payload was a list ended in a traceback
+    bad = _edited(_golden_cert(GOLDEN_HEIS, label), tmp_path, lambda d: d.update(payload=payload))
+    assert main(["check-cert", GOLDEN_HEIS, bad]) == 2
+    err = capsys.readouterr().err
+    assert "the payload must be a JSON object" in err and "Traceback" not in err
 
 
 def test_check_cert_refuses_an_oracle_order_in_a_radical_report(tmp_path, capsys):

@@ -91,14 +91,14 @@ def test_kolchin_trivial():
     cert = kolchin_flag(trivial_rep(3))
     assert isinstance(cert, UnitriCertificate)
     assert cert.degree == 1
-    assert [s.dim for s in cert.flag.steps] == [0, 3]
+    assert [s.dim for s in cert.flag] == [0, 3]
 
 
 def test_kolchin_heisenberg():
     cert = kolchin_flag(heisenberg())
     assert cert.degree == 3
-    assert cert.flag.steps[1] == Subspace(QQ, 3, [[0, 0, 1]])
-    assert cert.flag.steps[2] == Subspace(QQ, 3, [[0, 1, 0], [0, 0, 1]])
+    assert cert.flag[1] == Subspace(QQ, 3, [[0, 0, 1]])
+    assert cert.flag[2] == Subspace(QQ, 3, [[0, 1, 0], [0, 0, 1]])
     assert cert.base_change == Matrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
@@ -176,7 +176,7 @@ def shaped_groups(draw, fields=(QQ, GF(5))):
 
 def _conjugation_invariants(rep):
     res = kolchin_flag(rep)
-    flag = (("degree", res.degree, [s.dim for s in res.flag.steps])
+    flag = (("degree", res.degree, [s.dim for s in res.flag])
             if isinstance(res, UnitriCertificate) else ("stage", res.stage, res.reached.dim))
     return (flag, unitriangular_degree(rep), rep.algebra.dim, rep.radical.dim,
             minimal_standard_degree(rep.algebra, 2 * rep.dim)[1])
@@ -218,14 +218,14 @@ def test_generator_identity_examples():
 
 def test_invariant_series_examples():
     flag = invariant_series_from_identity(trivial_rep(2), 1)
-    assert [s.dim for s in flag.steps] == [0, 2]
+    assert [s.dim for s in flag] == [0, 2]
     flag = invariant_series_from_identity(single_transvection(), 2)
-    assert flag.steps[1] == Subspace(QQ, 2, [[0, 1]])
+    assert flag[1] == Subspace(QQ, 2, [[0, 1]])
     rep = heisenberg()
     flag = invariant_series_from_identity(rep, 3)
-    assert flag.steps == kolchin_flag(rep).flag.steps
+    assert flag == kolchin_flag(rep).flag
     # a longer verified length collapses to the same chain
-    assert invariant_series_from_identity(rep, 4).steps == flag.steps
+    assert invariant_series_from_identity(rep, 4) == flag
 
 
 def test_invariant_series_requires_identity():
@@ -339,7 +339,7 @@ def test_the_span_series_decides_identities_and_the_sweep_only_names_a_tuple():
     sweep = mock.patch.object(reps, "_first_live_tuple", wraps=reps._first_live_tuple)
     with spans as built, sweep as swept:
         assert generator_identity_witness(rep, 3) is None
-        assert invariant_series_from_identity(rep, 3).degree == 3
+        assert len(invariant_series_from_identity(rep, 3)) - 1 == 3
     assert built.call_count == 1 and swept.call_count == 0
     # (a - 1)(b - 1) = e13 is not zero: the sweep runs once, to name it
     with sweep as swept:
@@ -377,7 +377,7 @@ def test_kolchin_iff_finite_degree():
         degree = unitriangular_degree(rep)
         assert isinstance(cert, UnitriCertificate) == (degree is not None)
         if degree is not None:
-            assert degree <= len(cert.flag.steps)
+            assert degree <= len(cert.flag)
             assert cert.degree == degree  # full flags from fixed spaces match here
 
 

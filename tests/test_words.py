@@ -446,7 +446,7 @@ def test_oracle_matches_class_mask_search_over_q():
 def generator_order_invariants(rep):
     """What a renaming or reordering of the generators must leave alone."""
     flag = reps.kolchin_flag(rep)
-    steps = (flag.flag.steps if isinstance(flag, reps.UnitriCertificate)
+    steps = (flag.flag if isinstance(flag, reps.UnitriCertificate)
              else (flag.stage, flag.reached))
     try:
         radical = reps.unipotent_radical(rep).ideal.span
